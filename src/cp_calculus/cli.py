@@ -10,8 +10,8 @@ print a single report to stdout.  Exit codes are script-friendly:
     3  numeric / domain failures (no derivative, broken chain, ...)
 
 Nothing is written to stdout on failure; diagnostics go to stderr.
-Identical invocations produce byte-identical stdout, including when
-restarts of the norm estimator run on several workers.
+Identical invocations produce byte-identical stdout.  ``--workers`` is
+accepted for compatibility and ignored: estimator restarts run serially.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reject inputs whose total dimension exceeds this",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="threads for estimator restarts"
+        "--workers", type=int, default=1, help="accepted and ignored"
     )
     return parser
 
@@ -175,7 +175,6 @@ def dispatch(req: AnalysisRequest):
     tol = EPS_PSD if tol is None else float(tol)
     seed = int(opts.get("seed", 0))
     restarts = int(opts.get("restarts", 32))
-    workers = int(opts.get("workers", 1))
     max_dim = opts.get("max_dim")
     max_dim = MAX_DIM if max_dim is None else int(max_dim)
 
@@ -263,13 +262,13 @@ def dispatch(req: AnalysisRequest):
     if req.command == "diamond":
         t1 = _expect(loaded[0], CpMap, req.inputs[0])
         t2 = _expect(loaded[1], CpMap, req.inputs[1])
-        val = diamond_lower(t1, t2, seed, restarts, workers=workers)
+        val = diamond_lower(t1, t2, seed, restarts)
         return 0, {"diamond_lower": float(val), "seed": seed, "restarts": restarts}
 
     if req.command == "bounds":
         t1 = _expect(loaded[0], CpMap, req.inputs[0])
         t2 = _expect(loaded[1], CpMap, req.inputs[1])
-        rep = norm_report(t1, t2, seed, restarts, workers=workers)
+        rep = norm_report(t1, t2, seed, restarts)
         return 0, {
             "lower": float(rep.lower),
             "upper_rn": float(rep.upper_rn),
@@ -334,7 +333,6 @@ def main(argv=None) -> int:
             "seed": ns.seed,
             "restarts": ns.restarts,
             "max_dim": ns.max_dim,
-            "workers": ns.workers,
         },
     )
     try:

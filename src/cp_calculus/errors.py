@@ -51,6 +51,10 @@ class NotMonotone(CpError):
     """A chain of maps is not increasing in the CP order."""
 
 
+class InvariantViolation(CpError):
+    """A computed result breaks a guarantee the computation should keep."""
+
+
 class NotAResolution(CpError):
     """POVM elements do not resolve the identity."""
 

@@ -11,7 +11,6 @@ estimator is reported as a lower bound only and never claimed exact.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,10 @@ from .cpmap import (
     to_choi,
 )
 from .duality import jam_forward, reference_channel
-from .errors import DimMismatch, ShapeMismatch
+from .errors import DimMismatch, InvariantViolation, ShapeMismatch
 from .numerics import (
+    _canonical_eig,
     hermitize,
-    herm_eig,
     op_norm,
     psd_sqrt,
     recon_tol,
@@ -51,7 +50,14 @@ def cb_norm_cp(t: CpMap) -> float:
 
 
 def _ascend(k1, k2, dim, rng, max_iter, tol):
-    """One restart of the alternating ascent; returns (value, iterations)."""
+    """One restart of the alternating ascent; returns (value, iterations).
+
+    ``k1`` and ``k2`` are the maps' ancilla-extended Kraus operators,
+    stacked along the first axis.  ``hermitize`` makes x and y exactly
+    Hermitian, so their eigensystems skip herm_eig's Hermiticity check.
+    """
+    k1h = k1.conj().transpose(0, 2, 1)
+    k2h = k2.conj().transpose(0, 2, 1)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi = psi / np.linalg.norm(psi)
     prev = -np.inf
@@ -59,9 +65,8 @@ def _ascend(k1, k2, dim, rng, max_iter, tol):
     steps = 0
     for _ in range(max_iter):
         rho = np.outer(psi, psi.conj())
-        x = sum(k @ rho @ k.conj().T for k in k1)
-        x = x - sum(k @ rho @ k.conj().T for k in k2)
-        eig = herm_eig(hermitize(x))
+        x = (k1 @ rho @ k1h).sum(axis=0) - (k2 @ rho @ k2h).sum(axis=0)
+        eig = _canonical_eig(*np.linalg.eigh(hermitize(x)))
         value = float(np.sum(np.abs(eig.values)))
         steps += 1
         if value - prev <= tol * max(1.0, value):
@@ -69,13 +74,12 @@ def _ascend(k1, k2, dim, rng, max_iter, tol):
         prev = value
         signs = np.where(eig.values >= 0.0, 1.0, -1.0)
         sign_op = (eig.vectors * signs) @ eig.vectors.conj().T
-        y = sum(k.conj().T @ sign_op @ k for k in k1)
-        y = y - sum(k.conj().T @ sign_op @ k for k in k2)
-        psi = herm_eig(hermitize(y)).vectors[:, 0]
+        y = (k1h @ sign_op @ k1).sum(axis=0) - (k2h @ sign_op @ k2).sum(axis=0)
+        psi = _canonical_eig(*np.linalg.eigh(hermitize(y))).vectors[:, 0]
     return value, steps
 
 
-def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol, workers):
+def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol):
     _check_same_dims(t1, t2)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -83,20 +87,13 @@ def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol, workers)
     if r < 1:
         raise ValueError("ancilla dimension must be at least 1")
     eye_r = np.eye(r)
-    k1 = [np.kron(v, eye_r) for v in t1.kraus]
-    k2 = [np.kron(v, eye_r) for v in t2.kraus]
+    k1 = np.stack([np.kron(v, eye_r) for v in t1.kraus])
+    k2 = np.stack([np.kron(v, eye_r) for v in t2.kraus])
     dim = t1.dim_out * r
-
-    def one(ridx):
-        rng = np.random.default_rng([seed, ridx])
-        return _ascend(k1, k2, dim, rng, max_iter, tol)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            results = list(pool.map(one, range(restarts)))
-    else:
-        results = [one(ridx) for ridx in range(restarts)]
-    # max over restarts is order independent, so parallel runs agree
+    results = [
+        _ascend(k1, k2, dim, np.random.default_rng([seed, ridx]), max_iter, tol)
+        for ridx in range(restarts)
+    ]
     value = max(res[0] for res in results)
     iterations = sum(res[1] for res in results)
     return value, iterations
@@ -120,11 +117,10 @@ def diamond_lower(
     difference of the dual actions on |psi><psi|.  Each restart ascends
     monotonically; restarts use independent streams derived from (seed,
     restart index) and are combined by max, so the result is deterministic
-    for fixed arguments no matter how restarts are scheduled.
+    for fixed arguments.  Restarts run one after another; ``workers`` is
+    accepted for compatibility and ignored.
     """
-    value, _ = _diamond_search(
-        t1, t2, seed, restarts, ancilla_dim, max_iter, tol, workers
-    )
+    value, _ = _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol)
     return value
 
 
@@ -222,6 +218,13 @@ class NormReport:
     iterations: int
 
 
+def _upper_bound(name: str, upper: float, lower: float) -> float:
+    """Return upper, raising InvariantViolation if the bracket is inverted."""
+    if lower > upper * (1.0 + 1e-9) + 1e-12:
+        raise InvariantViolation(f"lower estimate {lower!r} exceeds {name} {upper!r}")
+    return upper
+
+
 def norm_report(
     t1: CpMap,
     t2: CpMap,
@@ -234,19 +237,19 @@ def norm_report(
 
     When the difference of the maps is itself CP in either direction the
     CB norm has the closed form ||(t1 - t2)(1)|| and is reported as
-    cb_exact; otherwise that field is None.
+    cb_exact; otherwise that field is None.  ``workers`` is accepted for
+    compatibility and ignored.  A lower estimate above either upper bound
+    raises InvariantViolation.
     """
-    lower, iterations = _diamond_search(
-        t1, t2, seed, restarts, None, 200, 1e-10, workers
+    lower, iterations = _diamond_search(t1, t2, seed, restarts, None, 200, 1e-10)
+    upper_rn = _upper_bound("upper_rn", bound_rn(t1, t2), lower)
+    upper_dilation = _upper_bound(
+        "upper_dilation", bound_dilation_diff(common_dilation(t1, t2)), lower
     )
-    upper_rn = bound_rn(t1, t2)
-    upper_dilation = bound_dilation_diff(common_dilation(t1, t2))
     cb_exact = None
     if dominates(t2, t1) or dominates(t1, t2):
         diff = apply(t1, np.eye(t1.dim_in)) - apply(t2, np.eye(t2.dim_in))
         cb_exact = float(op_norm(diff))
-    assert lower <= upper_rn * (1.0 + 1e-9) + 1e-12
-    assert lower <= upper_dilation * (1.0 + 1e-9) + 1e-12
     return NormReport(
         lower=lower,
         upper_rn=upper_rn,

@@ -99,11 +99,26 @@ class HermEig:
     vectors: np.ndarray
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if abs(x) > EPS_PHASE:
-            return v * (np.conj(x) / abs(x))
-    return v
+def _canonical_eig(w: np.ndarray, u: np.ndarray) -> HermEig:
+    """Turn ``np.linalg.eigh``'s ascending ``(w, u)`` into a :class:`HermEig`.
+
+    Each column is scaled so that its first component of magnitude above
+    EPS_PHASE is real positive; eigh's columns have unit norm, so every
+    column has one.  Pairs are then sorted by descending eigenvalue, exact
+    ties by the phase-fixed components' (real, imag) parts, largest first.
+    """
+    n = u.shape[1]
+    # np.hypot rounds like the scalar abs(); the vectorised np.abs does not
+    mag = np.hypot(u.real, u.imag)
+    first = np.argmax(mag > EPS_PHASE, axis=0)
+    cols = np.arange(n)
+    u = u * (np.conj(u[first, cols]) / mag[first, cols])
+    if np.all(w[1:] != w[:-1]):
+        order = cols[::-1]
+    else:
+        parts = np.stack([-u.real, -u.imag], axis=1).reshape(2 * n, n)
+        order = np.lexsort(np.vstack([parts[::-1], -w]))
+    return HermEig(values=w[order], vectors=u[:, order])
 
 
 def herm_eig(m) -> HermEig:
@@ -120,20 +135,7 @@ def herm_eig(m) -> HermEig:
     scale = op_norm(m)
     if dev > EPS_HERM * max(1.0, scale):
         raise NotHermitian(f"deviation from Hermiticity {dev:.3e} at scale {scale:.3e}")
-    w, u = np.linalg.eigh(hermitize(m))
-    cols = [_fix_phase(u[:, k]) for k in range(u.shape[1])]
-
-    def key(k: int):
-        parts = [-float(w[k])]
-        for x in cols[k]:
-            parts.append(-float(x.real))
-            parts.append(-float(x.imag))
-        return tuple(parts)
-
-    order = sorted(range(len(cols)), key=key)
-    values = np.array([float(w[k]) for k in order])
-    vectors = np.column_stack([cols[k] for k in order]) if order else u
-    return HermEig(values=values, vectors=vectors)
+    return _canonical_eig(*np.linalg.eigh(hermitize(m)))
 
 
 def psd_leq(a, b, tol: float = EPS_PSD) -> bool:

@@ -3,11 +3,14 @@
 The oracles here deliberately avoid the library's conversion paths: the
 positivity-order oracle samples the defining quadratic forms directly, and
 the direct Heisenberg sum re-implements the Kraus action with a plain loop.
+``reference_herm_eig`` is the per-column, tuple-sorted form of
+``numerics.herm_eig``, kept to check the vectorised one bit for bit.
 """
 
 import numpy as np
 
 from cp_calculus.cpmap import CpMap, add, apply, scale
+from cp_calculus.numerics import EPS_PHASE
 
 
 def rand_complex(rng, rows, cols):
@@ -123,3 +126,34 @@ def matrix_units(d):
             e = np.zeros((d, d), dtype=complex)
             e[i, j] = 1.0
             yield e
+
+
+def reference_herm_eig(m):
+    """herm_eig's (values, vectors) by a per-column loop and a tuple sort.
+
+    Each column's first component above EPS_PHASE is made real positive;
+    pairs are sorted by descending eigenvalue, then by the components'
+    (real, imag) parts, largest first.
+    """
+    m = np.asarray(m, dtype=complex)
+    w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
+
+    def fix_phase(v):
+        for x in v:
+            if abs(x) > EPS_PHASE:
+                return v * (np.conj(x) / abs(x))
+        return v
+
+    cols = [fix_phase(u[:, k]) for k in range(u.shape[1])]
+
+    def key(k):
+        parts = [-float(w[k])]
+        for x in cols[k]:
+            parts.append(-float(x.real))
+            parts.append(-float(x.imag))
+        return tuple(parts)
+
+    order = sorted(range(len(cols)), key=key)
+    values = np.array([float(w[k]) for k in order])
+    vectors = np.column_stack([cols[k] for k in order]) if order else u
+    return values, vectors

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cp_calculus.cpmap import CpMap, add, apply, scale
-from cp_calculus.errors import DimMismatch, ShapeMismatch
+from cp_calculus import norms
+from cp_calculus.errors import DimMismatch, InvariantViolation, ShapeMismatch
 from cp_calculus.norms import (
     CommonDilationPair,
     bound_dilation_diff,
@@ -179,3 +180,32 @@ def test_norm_report_zero_distance():
     assert rep.lower == 0.0
     assert rep.upper_rn < 1e-10
     assert rep.cb_exact is not None and rep.cb_exact < 1e-12
+
+
+@pytest.mark.parametrize(
+    "bound, name", [("bound_rn", "upper_rn"), ("bound_dilation_diff", "upper_dilation")]
+)
+def test_norm_report_rejects_inverted_bracket(monkeypatch, bound, name):
+    monkeypatch.setattr(norms, bound, lambda *args: 0.0)
+    with pytest.raises(InvariantViolation, match=name):
+        norm_report(IDENT, XCONJ, seed=0, restarts=2)
+
+
+# norm_report(...).lower and .iterations of the reference ascent for fixed
+# channel pairs (m, n, Kraus count).  Every restart of these pairs converges
+# far below the 200-step cap, so the values do not hinge on rounding.
+@pytest.mark.parametrize(
+    "m, n, k, lower, iterations",
+    [
+        (2, 2, 1, 1.688307501335492, 24),
+        (4, 4, 16, 1.222198909063584, 108),
+        (3, 2, 2, 1.7595040647497457, 205),
+    ],
+)
+def test_norm_report_pinned_ascent(m, n, k, lower, iterations):
+    rng = np.random.default_rng([1, m, n, k])
+    t1 = rand_channel(rng, m, n, n_kraus=k)
+    t2 = rand_channel(rng, m, n, n_kraus=k)
+    rep = norm_report(t1, t2, seed=5, restarts=8)
+    assert abs(rep.lower - lower) <= 1e-12
+    assert rep.iterations == iterations

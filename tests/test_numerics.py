@@ -10,6 +10,7 @@ from cp_calculus.errors import (
     NotPsd,
     ShapeMismatch,
 )
+from helpers import reference_herm_eig
 
 RNG = np.random.default_rng(20240817)
 
@@ -116,6 +117,37 @@ def test_herm_eig_identity_order():
     # degenerate spectrum: standard basis must come back in natural order
     e = numerics.herm_eig(np.eye(4))
     assert np.array_equal(e.vectors, np.eye(4))
+
+
+@st.composite
+def tie_heavy_hermitian(draw):
+    """Hermitian matrices with repeated eigenvalues, plus generic ones."""
+    kind = draw(st.sampled_from(["diagonal", "kron", "zero", "permutation", "flat", "random"]))
+    n = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "diagonal":
+        return np.diag(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    if kind == "kron":
+        return np.kron(rand_hermitian(n, rng), np.eye(2))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "permutation":
+        p = np.eye(n)[rng.permutation(n)]
+        return p + p.T
+    if kind == "flat":
+        # a*1 + b*J commutes with every permutation: one eigenvalue n-1 times
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        return a * np.eye(n) + b * np.ones((n, n))
+    return rand_hermitian(n, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=tie_heavy_hermitian())
+def test_herm_eig_matches_reference(m):
+    values, vectors = reference_herm_eig(m)
+    e = numerics.herm_eig(m)
+    assert np.array_equal(e.values, values)
+    assert np.array_equal(e.vectors, vectors)
 
 
 def test_herm_eig_rejects():
