@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,23 +44,6 @@ from .serialize import (
     parse_input,
 )
 
-# command -> (min inputs, max inputs or None for unbounded)
-_ARITY = {
-    "validate": (1, 1),
-    "choi": (1, 1),
-    "canonical": (1, 1),
-    "apply": (2, 2),
-    "dominate": (2, 2),
-    "derivative": (2, 2),
-    "cmin": (2, 2),
-    "chain": (1, None),
-    "naimark": (1, 1),
-    "compose": (2, 2),
-    "diamond": (2, 2),
-    "bounds": (2, 2),
-    "faithful": (2, 2),
-}
-
 
 @dataclass
 class AnalysisRequest:
@@ -75,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cp-calculus",
         description="Domination calculus for completely positive maps.",
     )
-    parser.add_argument("command", choices=sorted(_ARITY), help="analysis to run")
+    parser.add_argument("command", choices=sorted(_COMMANDS), help="analysis to run")
     parser.add_argument("inputs", nargs="*", help="input JSON files")
     parser.add_argument(
         "--tol",
@@ -102,6 +86,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Kind(NamedTuple):
+    """How the CLI names, sizes and describes one kind of input object."""
+
+    name: str
+    sides: Callable  # dimensions checked against --max-dim
+    describe: Callable  # fields of the ``validate`` report
+
+
+_KINDS = {
+    CpMap: _Kind(
+        "a CP map",
+        lambda t: [t.dim_in, t.dim_out],
+        lambda t: {
+            "kind": "cp_map",
+            "dim_in": t.dim_in,
+            "dim_out": t.dim_out,
+            "kraus_count": len(t.kraus),
+        },
+    ),
+    ChoiOperator: _Kind(
+        "a Choi operator",
+        lambda c: [c.dim_in * c.dim_out],
+        lambda c: {"kind": "choi", "dim_in": c.dim_in, "dim_out": c.dim_out},
+    ),
+    PovmDecomposition: _Kind(
+        "a POVM",
+        lambda p: [p.dim],
+        lambda p: {"kind": "povm", "dim": p.dim, "element_count": len(p.elements)},
+    ),
+    FaithfulState: _Kind(
+        "a faithful state",
+        lambda w: [w.dim],
+        lambda w: {"kind": "faithful_state", "dim": w.dim},
+    ),
+    np.ndarray: _Kind(
+        "a matrix",
+        lambda a: list(a.shape),
+        lambda a: {"kind": "matrix", "rows": int(a.shape[0]), "cols": int(a.shape[1])},
+    ),
+}
+
+
+def _kind(obj) -> _Kind:
+    return next(kind for cls, kind in _KINDS.items() if isinstance(obj, cls))
+
+
 def _load(path, max_dim):
     """Parse one input; semantic constructor failures count as bad input."""
     try:
@@ -110,17 +140,7 @@ def _load(path, max_dim):
         raise
     except (CpError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    sides = []
-    if isinstance(obj, CpMap):
-        sides = [obj.dim_in, obj.dim_out]
-    elif isinstance(obj, ChoiOperator):
-        sides = [obj.dim_in * obj.dim_out]
-    elif isinstance(obj, PovmDecomposition):
-        sides = [obj.dim]
-    elif isinstance(obj, FaithfulState):
-        sides = [obj.dim]
-    elif isinstance(obj, np.ndarray):
-        sides = list(obj.shape)
+    sides = _kind(obj).sides(obj)
     if max_dim is not None and sides and max(sides) > max_dim:
         raise SchemaError(f"{path}: dimension {max(sides)} exceeds --max-dim {max_dim}")
     return obj
@@ -128,167 +148,129 @@ def _load(path, max_dim):
 
 def _expect(obj, kinds, path):
     if not isinstance(obj, kinds):
-        names = {
-            CpMap: "a CP map",
-            ChoiOperator: "a Choi operator",
-            PovmDecomposition: "a POVM",
-            FaithfulState: "a faithful state",
-            np.ndarray: "a matrix",
-        }
         wanted = (kinds,) if not isinstance(kinds, tuple) else kinds
-        want = " or ".join(names[k] for k in wanted)
+        want = " or ".join(_KINDS[k].name for k in wanted)
         raise SchemaError(f"{path}: expected {want}, got {type(obj).__name__}")
     return obj
 
 
-def _describe(obj) -> dict:
-    if isinstance(obj, CpMap):
-        return {
-            "kind": "cp_map",
-            "dim_in": obj.dim_in,
-            "dim_out": obj.dim_out,
-            "kraus_count": len(obj.kraus),
-        }
-    if isinstance(obj, ChoiOperator):
-        return {"kind": "choi", "dim_in": obj.dim_in, "dim_out": obj.dim_out}
-    if isinstance(obj, PovmDecomposition):
-        return {"kind": "povm", "dim": obj.dim, "element_count": len(obj.elements)}
-    if isinstance(obj, FaithfulState):
-        return {"kind": "faithful_state", "dim": obj.dim}
-    return {"kind": "matrix", "rows": int(obj.shape[0]), "cols": int(obj.shape[1])}
+def _fields(res) -> dict:
+    """A result object's fields as a report, matrices via matrix_to_json."""
+    out = res._asdict() if isinstance(res, tuple) else dict(vars(res))
+    for key, val in out.items():
+        if isinstance(val, np.ndarray):
+            out[key] = matrix_to_json(val)
+        elif isinstance(val, tuple):
+            out[key] = [matrix_to_json(v) for v in val]
+    return out
 
 
-def _as_choi(obj, path) -> ChoiOperator:
-    obj = _expect(obj, (CpMap, ChoiOperator), path)
-    return jam_forward(obj) if isinstance(obj, CpMap) else obj
+def _apply(o, first, a):
+    if isinstance(first, ChoiOperator):
+        return 0, matrix_to_json(jam_apply(first, a))
+    return 0, matrix_to_json(apply(_expect(first, CpMap, o["paths"][0]), a))
+
+
+def _dominate(o, s, t):
+    verdict = dominates(s, t, o["tol"])
+    return (0 if verdict else 1), {"dominates": bool(verdict)}
+
+
+def _cmin(o, s, t):
+    r = c_min(s, t)
+    if not np.isfinite(r.value):
+        return 1, {"c_min": None, "finite": False, "attained": False}
+    return 0, {
+        "c_min": float(r.value),
+        "finite": True,
+        "attained": bool(r.attained),
+    }
+
+
+def _compose(o, f2, f1):
+    f2, f1 = (jam_forward(f) if isinstance(f, CpMap) else f for f in (f2, f1))
+    return 0, choi_to_json(jam_compose(f2, f1))
+
+
+def _diamond(o, t1, t2):
+    seed, restarts = o["seed"], o["restarts"]
+    val = diamond_lower(t1, t2, seed, restarts)
+    return 0, {"diamond_lower": float(val), "seed": seed, "restarts": restarts}
+
+
+class _Command(NamedTuple):
+    """Input kinds per position and the handler ``run(options, *inputs)``.
+
+    A variadic command repeats its last kind; ``object`` accepts any input.
+    ``bad_input`` turns a load failure into a report, not a usage error.
+    """
+
+    kinds: tuple
+    run: Callable
+    variadic: bool = False
+    bad_input: Callable | None = None
+
+
+_COMMANDS = {
+    "validate": _Command(
+        (object,),
+        lambda o, obj: (0, {"valid": True, **_kind(obj).describe(obj)}),
+        bad_input=lambda exc: (1, {"valid": False, "error": str(exc)}),
+    ),
+    "choi": _Command((CpMap,), lambda o, t: (0, choi_to_json(to_choi(t)))),
+    "canonical": _Command((CpMap,), lambda o, t: (0, cpmap_to_json(canonicalize(t)))),
+    "apply": _Command((object, np.ndarray), _apply),
+    "dominate": _Command((CpMap, CpMap), _dominate),
+    "derivative": _Command(
+        (CpMap, CpMap), lambda o, s, t: (0, _fields(rn_derivative(s, t)))
+    ),
+    "cmin": _Command((CpMap, CpMap), _cmin),
+    "chain": _Command(
+        (CpMap,),
+        lambda o, *maps: (0, _fields(order_chain_dilation(maps))),
+        variadic=True,
+    ),
+    "naimark": _Command(
+        (PovmDecomposition,), lambda o, povm: (0, _fields(naimark_dilate(povm)))
+    ),
+    "compose": _Command(((CpMap, ChoiOperator), (CpMap, ChoiOperator)), _compose),
+    "diamond": _Command((CpMap, CpMap), _diamond),
+    "bounds": _Command(
+        (CpMap, CpMap),
+        lambda o, t1, t2: (0, _fields(norm_report(t1, t2, o["seed"], o["restarts"]))),
+    ),
+    "faithful": _Command(
+        (CpMap, FaithfulState), lambda o, t, w: (0, _fields(faithful_rn(t, w)))
+    ),
+}
 
 
 def dispatch(req: AnalysisRequest):
     """Run one request; returns (exit_code, payload)."""
-    lo, hi = _ARITY[req.command]
-    count = len(req.inputs)
-    if count < lo or (hi is not None and count > hi):
-        expected = str(lo) if hi == lo else f"at least {lo}"
+    cmd = _COMMANDS[req.command]
+    count, lo = len(req.inputs), len(cmd.kinds)
+    if count < lo or (count > lo and not cmd.variadic):
+        expected = f"at least {lo}" if cmd.variadic else str(lo)
         raise SchemaError(f"{req.command} takes {expected} input file(s), got {count}")
     opts = req.options
     tol = opts.get("tol")
-    tol = EPS_PSD if tol is None else float(tol)
-    seed = int(opts.get("seed", 0))
-    restarts = int(opts.get("restarts", 32))
     max_dim = opts.get("max_dim")
+    options = {
+        "tol": EPS_PSD if tol is None else float(tol),
+        "seed": int(opts.get("seed", 0)),
+        "restarts": int(opts.get("restarts", 32)),
+        "paths": req.inputs,
+    }
     max_dim = MAX_DIM if max_dim is None else int(max_dim)
-
-    if req.command == "validate":
-        try:
-            obj = _load(req.inputs[0], max_dim)
-        except SchemaError as exc:
-            return 1, {"valid": False, "error": str(exc)}
-        return 0, {"valid": True, **_describe(obj)}
-
-    loaded = [_load(path, max_dim) for path in req.inputs]
-
-    if req.command == "choi":
-        t = _expect(loaded[0], CpMap, req.inputs[0])
-        return 0, choi_to_json(to_choi(t))
-
-    if req.command == "canonical":
-        t = _expect(loaded[0], CpMap, req.inputs[0])
-        return 0, cpmap_to_json(canonicalize(t))
-
-    if req.command == "apply":
-        a = _expect(loaded[1], np.ndarray, req.inputs[1])
-        first = loaded[0]
-        if isinstance(first, ChoiOperator):
-            out = jam_apply(first, a)
-        else:
-            out = apply(_expect(first, CpMap, req.inputs[0]), a)
-        return 0, matrix_to_json(out)
-
-    if req.command == "dominate":
-        s = _expect(loaded[0], CpMap, req.inputs[0])
-        t = _expect(loaded[1], CpMap, req.inputs[1])
-        verdict = dominates(s, t, tol)
-        return (0 if verdict else 1), {"dominates": bool(verdict)}
-
-    if req.command == "derivative":
-        s = _expect(loaded[0], CpMap, req.inputs[0])
-        t = _expect(loaded[1], CpMap, req.inputs[1])
-        d = rn_derivative(s, t)
-        return 0, {
-            "dim_in": d.dim_in,
-            "dim_out": d.dim_out,
-            "env_dim": d.env_dim,
-            "matrix": matrix_to_json(d.matrix),
-        }
-
-    if req.command == "cmin":
-        s = _expect(loaded[0], CpMap, req.inputs[0])
-        t = _expect(loaded[1], CpMap, req.inputs[1])
-        r = c_min(s, t)
-        if not np.isfinite(r.value):
-            return 1, {"c_min": None, "finite": False, "attained": False}
-        return 0, {
-            "c_min": float(r.value),
-            "finite": True,
-            "attained": bool(r.attained),
-        }
-
-    if req.command == "chain":
-        maps = [
-            _expect(obj, CpMap, path) for obj, path in zip(loaded, req.inputs)
-        ]
-        res = order_chain_dilation(maps)
-        return 0, {
-            "dim_in": res.dim_in,
-            "dim_out": res.dim_out,
-            "env_dim": res.env_dim,
-            "isometry": matrix_to_json(res.isometry),
-            "projections": [matrix_to_json(p) for p in res.projections],
-        }
-
-    if req.command == "naimark":
-        povm = _expect(loaded[0], PovmDecomposition, req.inputs[0])
-        nai = naimark_dilate(povm)
-        return 0, {
-            "isometry": matrix_to_json(nai.isometry),
-            "pvm": [matrix_to_json(p) for p in nai.pvm],
-        }
-
-    if req.command == "compose":
-        f2 = _as_choi(loaded[0], req.inputs[0])
-        f1 = _as_choi(loaded[1], req.inputs[1])
-        return 0, choi_to_json(jam_compose(f2, f1))
-
-    if req.command == "diamond":
-        t1 = _expect(loaded[0], CpMap, req.inputs[0])
-        t2 = _expect(loaded[1], CpMap, req.inputs[1])
-        val = diamond_lower(t1, t2, seed, restarts)
-        return 0, {"diamond_lower": float(val), "seed": seed, "restarts": restarts}
-
-    if req.command == "bounds":
-        t1 = _expect(loaded[0], CpMap, req.inputs[0])
-        t2 = _expect(loaded[1], CpMap, req.inputs[1])
-        rep = norm_report(t1, t2, seed, restarts)
-        return 0, {
-            "lower": float(rep.lower),
-            "upper_rn": float(rep.upper_rn),
-            "upper_dilation": float(rep.upper_dilation),
-            "cb_exact": None if rep.cb_exact is None else float(rep.cb_exact),
-            "seed": rep.seed,
-            "restarts": rep.restarts,
-            "iterations": rep.iterations,
-        }
-
-    if req.command == "faithful":
-        t = _expect(loaded[0], CpMap, req.inputs[0])
-        w = _expect(loaded[1], FaithfulState, req.inputs[1])
-        fr = faithful_rn(t, w)
-        return 0, {
-            "matrix": matrix_to_json(fr.matrix),
-            "constant": float(fr.constant),
-        }
-
-    raise SchemaError(f"unknown command {req.command}")
+    try:
+        loaded = [_load(path, max_dim) for path in req.inputs]
+    except SchemaError as exc:
+        if cmd.bad_input is None:
+            raise
+        return cmd.bad_input(exc)
+    for idx, (obj, path) in enumerate(zip(loaded, req.inputs)):
+        _expect(obj, cmd.kinds[min(idx, lo - 1)], path)
+    return cmd.run(options, *loaded)
 
 
 def _render_text(payload) -> str:

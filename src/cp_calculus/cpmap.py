@@ -116,6 +116,13 @@ class StinespringDilation:
         object.__setattr__(self, "matrix", _frozen(m))
 
 
+def _check_same_dims(s: CpMap, t: CpMap):
+    if (s.dim_in, s.dim_out) != (t.dim_in, t.dim_out):
+        raise DimMismatch(
+            f"maps have dims {(s.dim_in, s.dim_out)} and {(t.dim_in, t.dim_out)}"
+        )
+
+
 def apply(t: CpMap, a) -> np.ndarray:
     """Heisenberg action sum_x V_x* A V_x on a dim_in x dim_in matrix."""
     a = as_matrix(a)

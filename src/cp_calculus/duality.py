@@ -22,7 +22,6 @@ from .cpmap import (
     ChoiOperator,
     CpMap,
     apply,
-    canonicalize,
     kraus_stack,
     scale,
     to_choi,
@@ -38,7 +37,7 @@ from .numerics import (
     psd_leq,
     tensor,
 )
-from .radon import dominates, rn_derivative
+from .radon import _derivative, _prepare, dominates
 
 
 @dataclass(frozen=True)
@@ -91,12 +90,12 @@ def jam_forward(t: CpMap) -> ChoiOperator:
         c = m * m * max(1.0, norm_one * (1.0 + 1e-12))
         base = scale(reference_channel(m, n), c)
         assert dominates(t, base)
-        deriv = rn_derivative(t, base)
+        dom = _prepare(base)
+        deriv = _derivative(t, dom)
         # the natural family is orthogonal with equal norms, so the frame
         # change u to the canonical environment is exactly unitary
         w_ref = kraus_stack(base.kraus)
-        w_canon = kraus_stack(canonicalize(base).kraus)
-        u = (m / c) * (w_ref.conj().T @ w_canon)
+        u = (m / c) * (w_ref.conj().T @ dom.w)
         nat = u @ deriv.matrix @ u.conj().T
         dev = op_norm(nat - f.matrix / c)
         assert dev <= 1e-9 * max(1.0, op_norm(f.matrix) / c), dev

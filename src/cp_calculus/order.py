@@ -17,6 +17,7 @@ import numpy as np
 
 from .cpmap import (
     CpMap,
+    _check_same_dims,
     add,
     apply,
     canonicalize,
@@ -25,11 +26,10 @@ from .cpmap import (
     is_quantum_operation,
     scale,
     to_choi,
-    to_stinespring,
 )
 from .errors import (
     CpError,
-    DimMismatch,
+    InvariantViolation,
     NotAChannel,
     NotAnOperation,
     NotMonotone,
@@ -46,7 +46,13 @@ from .numerics import (
     recon_tol,
     tensor,
 )
-from .radon import PovmDecomposition, cp_difference, dominates, instrument_rn
+from .radon import (
+    PovmDecomposition,
+    _instrument_rn,
+    _prepare,
+    cp_difference,
+    dominates,
+)
 
 
 class DifferenceVerdict(enum.Enum):
@@ -65,14 +71,12 @@ def channel_difference_is_cp(
     apply(t, 1) within tolerance (same normalization); anything else raises
     NotAChannel.  Returns EQUAL when the maps agree on all inputs, NOT_CP
     otherwise.  For pairs separated by more than 1e-6 in process-operator
-    norm the NOT_CP verdict is cross-checked against ``dominates``; closer
+    norm the NOT_CP verdict is cross-checked against ``dominates`` (a
+    failure raises InvariantViolation, also under ``python -O``); closer
     ties sit inside the order check's tolerance window and are reported
     without the cross-check.
     """
-    if (s.dim_in, s.dim_out) != (t.dim_in, t.dim_out):
-        raise DimMismatch(
-            f"maps have dims {(s.dim_in, s.dim_out)} and {(t.dim_in, t.dim_out)}"
-        )
+    _check_same_dims(s, t)
     if not (is_channel(s, tol) and is_channel(t, tol)):
         norm_gap = op_norm(
             apply(s, np.eye(s.dim_in)) - apply(t, np.eye(t.dim_in))
@@ -84,8 +88,8 @@ def channel_difference_is_cp(
     gap = op_norm(to_choi(s).matrix - to_choi(t).matrix)
     if gap <= recon_tol(op_norm(to_choi(t).matrix)):
         return DifferenceVerdict.EQUAL
-    if gap > 1e-6:
-        assert not dominates(s, t, tol), "rigidity violated for a separated pair"
+    if gap > 1e-6 and dominates(s, t, tol):
+        raise InvariantViolation("rigidity violated for a separated pair")
     return DifferenceVerdict.NOT_CP
 
 
@@ -105,10 +109,7 @@ def c_min(s: CpMap, t: CpMap) -> DominationConstant:
     leaks outside that support no finite constant works and the sentinel
     (inf, attained=False) is returned.
     """
-    if (s.dim_in, s.dim_out) != (t.dim_in, t.dim_out):
-        raise DimMismatch(
-            f"maps have dims {(s.dim_in, s.dim_out)} and {(t.dim_in, t.dim_out)}"
-        )
+    _check_same_dims(s, t)
     cs = to_choi(s).matrix
     ct = to_choi(t).matrix
     e = herm_eig(ct)
@@ -131,10 +132,7 @@ def mix_channels(s1: CpMap, s2: CpMap, lam: float) -> CpMap:
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
-    if (s1.dim_in, s1.dim_out) != (s2.dim_in, s2.dim_out):
-        raise DimMismatch(
-            f"maps have dims {(s1.dim_in, s1.dim_out)} and {(s2.dim_in, s2.dim_out)}"
-        )
+    _check_same_dims(s1, s2)
     if not (is_channel(s1) and is_channel(s2)):
         raise NotAChannel("mixture inputs must be channels")
     return add(scale(s1, lam), scale(s2, 1.0 - lam))
@@ -255,7 +253,8 @@ def order_chain_dilation(chain) -> PvmChain:
     if padded:
         parts.append(cp_difference(base, last))
 
-    povm = instrument_rn(base, parts)
+    dom = _prepare(base)
+    povm = _instrument_rn(dom, parts)
     nai = naimark_dilate(povm)
     k_parts = len(povm.elements)
     env = povm.dim * k_parts
@@ -267,7 +266,7 @@ def order_chain_dilation(chain) -> PvmChain:
         projections.append(running.copy())
 
     big = tensor(np.eye(chain[0].dim_in), nai.isometry)
-    isometry = big @ to_stinespring(base).matrix
+    isometry = big @ dilation_matrix(dom.canon)
 
     return PvmChain(
         dim_in=chain[0].dim_in,

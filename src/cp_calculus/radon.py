@@ -15,12 +15,14 @@ no separate order check is run first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .cpmap import (
     ChoiOperator,
     CpMap,
+    _check_same_dims,
     canonicalize,
     choi_unnormalized,
     from_choi,
@@ -28,7 +30,6 @@ from .cpmap import (
     to_choi,
 )
 from .errors import (
-    DimMismatch,
     NotADecomposition,
     NotAResolution,
     NotDominated,
@@ -47,13 +48,6 @@ from .numerics import (
 )
 
 
-def _check_same_dims(s: CpMap, t: CpMap):
-    if (s.dim_in, s.dim_out) != (t.dim_in, t.dim_out):
-        raise DimMismatch(
-            f"maps have dims {(s.dim_in, s.dim_out)} and {(t.dim_in, t.dim_out)}"
-        )
-
-
 def dominates(s: CpMap, t: CpMap, tol: float = EPS_PSD) -> bool:
     """True when T - S is completely positive (process-operator order)."""
     _check_same_dims(s, t)
@@ -63,16 +57,6 @@ def dominates(s: CpMap, t: CpMap, tol: float = EPS_PSD) -> bool:
 @dataclass(frozen=True)
 class RnDerivative:
     """Derivative density on the canonical environment of the dominating map."""
-
-    dim_in: int
-    dim_out: int
-    env_dim: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Kernel K(x,y) indexed by the dominating map's canonical Kraus family."""
 
     dim_in: int
     dim_out: int
@@ -126,6 +110,22 @@ class PovmDecomposition:
         return self.elements[0].shape[0]
 
 
+class _Dominator(NamedTuple):
+    """A dominating map prepared once for every derivative taken against it:
+    its canonical form, that form's Kraus stack W and pinv(W)."""
+
+    t: CpMap
+    canon: CpMap
+    w: np.ndarray
+    wp: np.ndarray
+
+
+def _prepare(t: CpMap) -> _Dominator:
+    canon = canonicalize(t)
+    w = kraus_stack(canon.kraus)
+    return _Dominator(t, canon, w, pinv(w))
+
+
 def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     """Extract the unique density F with S(A) = V*(A (x) F)V.
 
@@ -134,12 +134,14 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     two checks are exactly the domination criterion.
     """
     _check_same_dims(s, t)
-    base = canonicalize(t)
-    w = kraus_stack(base.kraus)
+    return _derivative(s, _prepare(t))
+
+
+def _derivative(s: CpMap, dom: _Dominator) -> RnDerivative:
+    """rn_derivative against a prepared dominator of matching dims."""
     cs = choi_unnormalized(to_choi(s))
-    wp = pinv(w)
-    f = hermitize(wp @ cs @ wp.conj().T)
-    resid = op_norm(w @ f @ w.conj().T - cs)
+    f = hermitize(dom.wp @ cs @ dom.wp.conj().T)
+    resid = op_norm(dom.w @ f @ dom.w.conj().T - cs)
     if resid > recon_tol(op_norm(cs)):
         raise NotDominated(
             f"residual {resid:.3e} outside the dominating map's support"
@@ -150,7 +152,10 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
             f"density spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] escapes [0, 1]"
         )
     return RnDerivative(
-        dim_in=t.dim_in, dim_out=t.dim_out, env_dim=len(base.kraus), matrix=f
+        dim_in=dom.t.dim_in,
+        dim_out=dom.t.dim_out,
+        env_dim=len(dom.canon.kraus),
+        matrix=f,
     )
 
 
@@ -175,21 +180,6 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     return from_choi(ChoiOperator(t.dim_in, t.dim_out, hermitize(choi)))
 
 
-def kernel_form(s: CpMap, t: CpMap) -> KernelMatrix:
-    """Derivative as a kernel on the canonical Kraus index set of ``t``.
-
-    The kernel satisfies 0 <= K <= Kronecker kernel (identity matrix) and
-    S(A) = sum_{x,y} K(x,y) V_x* A V_y.
-    """
-    der = rn_derivative(s, t)
-    return KernelMatrix(
-        dim_in=der.dim_in,
-        dim_out=der.dim_out,
-        env_dim=der.env_dim,
-        matrix=der.matrix,
-    )
-
-
 def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     """Rotate T's canonical family so S becomes a spectral reweighting.
 
@@ -197,11 +187,11 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     W_x = sum_y conj(phi_x[y]) V_y gives T(A) = sum W_x* A W_x and
     S(A) = sum lam_x W_x* A W_x with weights descending in [0, 1].
     """
-    der = rn_derivative(s, t)
-    base = canonicalize(t)
-    e = herm_eig(der.matrix)
+    _check_same_dims(s, t)
+    dom = _prepare(t)
+    e = herm_eig(_derivative(s, dom).matrix)
     weights = np.clip(e.values, 0.0, 1.0)
-    stack = np.stack(base.kraus, axis=0)
+    stack = np.stack(dom.canon.kraus, axis=0)
     rotated = np.einsum("yx,ymn->xmn", e.vectors.conj(), stack)
     return RescaledKraus(
         dim_in=t.dim_in,
@@ -227,15 +217,19 @@ def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
     ``parts`` must sum to ``t``; each density F_i = D_T(part_i) is PSD and
     the family resolves the identity on the canonical environment.
     """
+    return _instrument_rn(_prepare(t), parts)
+
+
+def _instrument_rn(dom: _Dominator, parts) -> PovmDecomposition:
     parts = list(parts)
     if not parts:
         raise NotADecomposition("an instrument needs at least one part")
     for p in parts:
-        _check_same_dims(p, t)
+        _check_same_dims(p, dom.t)
     total = sum(to_choi(p).matrix for p in parts)
-    target = to_choi(t).matrix
+    target = to_choi(dom.t).matrix
     dev = op_norm(total - target)
     if dev > recon_tol(op_norm(target)):
         raise NotADecomposition(f"parts sum differs from the map by {dev:.3e}")
-    elements = [rn_derivative(p, t).matrix for p in parts]
+    elements = [_derivative(p, dom).matrix for p in parts]
     return PovmDecomposition(elements=tuple(elements))

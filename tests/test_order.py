@@ -15,6 +15,7 @@ from cp_calculus.cpmap import (
 from cp_calculus.errors import (
     CpError,
     DimMismatch,
+    InvariantViolation,
     NotAChannel,
     NotAnOperation,
     NotMonotone,
@@ -74,6 +75,16 @@ def test_distinct_channels_verdict():
             continue
         assert channel_difference_is_cp(a, b) is DifferenceVerdict.NOT_CP
         assert not dominates(a, b)
+
+
+def test_rigidity_check_raises_in_every_mode(monkeypatch):
+    # a separated channel pair that "dominates" breaks rigidity; the check
+    # is an explicit raise, so it also holds under python -O
+    a = CpMap(2, 2, (np.eye(2),))
+    b = CpMap(2, 2, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
+    monkeypatch.setattr("cp_calculus.order.dominates", lambda s, t, tol: True)
+    with pytest.raises(InvariantViolation, match="rigidity"):
+        channel_difference_is_cp(a, b)
 
 
 def test_equal_normalization_generalization():

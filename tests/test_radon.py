@@ -10,12 +10,12 @@ from cp_calculus.errors import (
     NotPsd,
     ShapeMismatch,
 )
+from cp_calculus.numerics import herm_eig
 from cp_calculus.radon import (
     PovmDecomposition,
     cp_difference,
     dominates,
     instrument_rn,
-    kernel_form,
     rescaled_kraus,
     rn_derivative,
     rn_reconstruct,
@@ -148,15 +148,30 @@ def test_distinct_channels_never_dominate():
             rn_derivative(a, b)
 
 
-def test_kernel_form_window():
+def test_derivative_window():
     t = rand_cp_map(RNG, 3, 3)
     d = rn_derivative(t, t).env_dim
     s = rn_reconstruct(t, rand_contraction(RNG, d))
-    k = kernel_form(s, t)
-    w = np.linalg.eigvalsh((k.matrix + k.matrix.conj().T) / 2)
+    f = rn_derivative(s, t).matrix
+    w = np.linalg.eigvalsh((f + f.conj().T) / 2)
     assert w[0] >= -1e-9
     assert w[-1] <= 1 + 1e-9
-    assert np.allclose(k.matrix, rn_derivative(s, t).matrix)
+
+
+def test_shared_dominator_matches_rn_derivative():
+    # instrument_rn and rescaled_kraus prepare the dominator once; their
+    # densities must be bit for bit those of separate rn_derivative calls
+    for m, n in [(2, 2), (3, 2), (2, 3)]:
+        t = rand_channel(RNG, m, n)
+        d = rn_derivative(t, t).env_dim
+        f1 = rand_contraction(RNG, d)
+        s = rn_reconstruct(t, f1)
+        parts = [s, cp_difference(t, s)]
+        povm = instrument_rn(t, parts)
+        for elem, part in zip(povm.elements, parts):
+            assert np.array_equal(elem, rn_derivative(part, t).matrix)
+        weights = np.clip(herm_eig(rn_derivative(s, t).matrix).values, 0.0, 1.0)
+        assert np.array_equal(rescaled_kraus(s, t).weights, weights)
 
 
 def test_rescaled_kraus_reweights():
