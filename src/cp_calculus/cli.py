@@ -168,7 +168,7 @@ def _fields(res) -> dict:
 def _apply(o, first, a):
     if isinstance(first, ChoiOperator):
         return 0, matrix_to_json(jam_apply(first, a))
-    return 0, matrix_to_json(apply(_expect(first, CpMap, o["paths"][0]), a))
+    return 0, matrix_to_json(apply(first, a))
 
 
 def _dominate(o, s, t):
@@ -219,7 +219,7 @@ _COMMANDS = {
     ),
     "choi": _Command((CpMap,), lambda o, t: (0, choi_to_json(to_choi(t)))),
     "canonical": _Command((CpMap,), lambda o, t: (0, cpmap_to_json(canonicalize(t)))),
-    "apply": _Command((object, np.ndarray), _apply),
+    "apply": _Command(((CpMap, ChoiOperator), np.ndarray), _apply),
     "dominate": _Command((CpMap, CpMap), _dominate),
     "derivative": _Command(
         (CpMap, CpMap), lambda o, s, t: (0, _fields(rn_derivative(s, t)))
@@ -247,7 +247,9 @@ _COMMANDS = {
 
 def dispatch(req: AnalysisRequest):
     """Run one request; returns (exit_code, payload)."""
-    cmd = _COMMANDS[req.command]
+    cmd = _COMMANDS.get(req.command)
+    if cmd is None:
+        raise SchemaError(f"unknown command {req.command!r}")
     count, lo = len(req.inputs), len(cmd.kinds)
     if count < lo or (count > lo and not cmd.variadic):
         expected = f"at least {lo}" if cmd.variadic else str(lo)
@@ -259,7 +261,6 @@ def dispatch(req: AnalysisRequest):
         "tol": EPS_PSD if tol is None else float(tol),
         "seed": int(opts.get("seed", 0)),
         "restarts": int(opts.get("restarts", 32)),
-        "paths": req.inputs,
     }
     max_dim = MAX_DIM if max_dim is None else int(max_dim)
     try:

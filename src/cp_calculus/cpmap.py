@@ -211,13 +211,14 @@ def dilation_matrix(t: CpMap) -> np.ndarray:
 def to_stinespring(t: CpMap) -> StinespringDilation:
     """Dilation built on the canonical Kraus family.
 
-    env_dim equals the number of canonical operators; the dilation is
-    minimal exactly when that matches the process-operator rank (the zero
-    map keeps one zero operator and is flagged non-minimal).
+    env_dim equals the number of canonical operators.  ``from_choi`` keeps
+    exactly the eigenvalues at or above RANK_TOL times the largest, so the
+    family is minimal unless the map is zero, which keeps one zero
+    operator and is flagged non-minimal.
     """
     canon = canonicalize(t)
     d = len(canon.kraus)
-    minimal = d == choi_rank(to_choi(t))
+    minimal = bool(np.any(canon.kraus[0]))
     return StinespringDilation(
         dim_in=t.dim_in,
         dim_out=t.dim_out,

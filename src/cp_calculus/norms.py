@@ -17,13 +17,10 @@ import numpy as np
 
 from .cpmap import (
     CpMap,
-    StinespringDilation,
     _check_same_dims,
     add,
     apply,
     dilation_matrix,
-    from_stinespring,
-    to_choi,
 )
 from .duality import jam_forward, reference_channel
 from .errors import InvariantViolation, ShapeMismatch
@@ -32,7 +29,6 @@ from .numerics import (
     hermitize,
     op_norm,
     psd_sqrt,
-    recon_tol,
     tensor,
 )
 from .radon import _derivative, _prepare, dominates
@@ -165,18 +161,11 @@ def common_dilation(t1: CpMap, t2: CpMap) -> CommonDilationPair:
     V_i = (1 (x) sqrt(F_i)) V_ref, with F_i the process operator of t_i
     and V_ref the canonical dilation of the reference channel.  The pair
     satisfies ||v1 - v2|| <= dim_in * sqrt(cb norm of the difference);
-    the inequality is asserted against the derivative-density upper bound,
-    which keeps it sound.  The constant is the input dimension; dilating
-    the dual representation instead would carry the output dimension, and
-    the two conventions can differ.
+    ``norm_report`` checks the inequality against the derivative-density
+    upper bound, which keeps it sound.  The constant is the input
+    dimension; dilating the dual representation instead would carry the
+    output dimension, and the two conventions can differ.
     """
-    return _common_dilation(t1, t2, bound_rn(t1, t2) if __debug__ else None)
-
-
-def _common_dilation(
-    t1: CpMap, t2: CpMap, upper_rn: float | None
-) -> CommonDilationPair:
-    """common_dilation, checked in debug mode against a known bound_rn."""
     _check_same_dims(t1, t2)
     m, n = t1.dim_in, t1.dim_out
     v_ref = dilation_matrix(reference_channel(m, n))
@@ -184,18 +173,7 @@ def _common_dilation(
     f2 = jam_forward(t2).matrix
     v1 = tensor(np.eye(m), psd_sqrt(f1)) @ v_ref
     v2 = tensor(np.eye(m), psd_sqrt(f2)) @ v_ref
-    pair = CommonDilationPair(dim_in=m, dim_out=n, v1=v1, v2=v2)
-    if __debug__:
-        for v, f in ((v1, f1), (v2, f2)):
-            rec = from_stinespring(
-                StinespringDilation(
-                    dim_in=m, dim_out=n, env_dim=m * n, matrix=v, minimal=False
-                )
-            )
-            assert op_norm(to_choi(rec).matrix - f) <= recon_tol(op_norm(f))
-        limit = m * np.sqrt(upper_rn) * (1.0 + 1e-9) + 1e-12
-        assert op_norm(v1 - v2) <= limit
-    return pair
+    return CommonDilationPair(dim_in=m, dim_out=n, v1=v1, v2=v2)
 
 
 def bound_dilation_diff(p: CommonDilationPair) -> float:
@@ -240,14 +218,22 @@ def norm_report(
     When the difference of the maps is itself CP in either direction the
     CB norm has the closed form ||(t1 - t2)(1)|| and is reported as
     cb_exact; otherwise that field is None.  ``workers`` is accepted for
-    compatibility and ignored.  A lower estimate above either upper bound
+    compatibility and ignored.  A lower estimate above either upper bound,
+    or a common-dilation gap ||v1 - v2|| above dim_in * sqrt(upper_rn),
     raises InvariantViolation.
     """
     lower, iterations = _diamond_search(t1, t2, seed, restarts, None, 200, 1e-10)
     upper_rn = _upper_bound("upper_rn", bound_rn(t1, t2), lower)
+    pair = common_dilation(t1, t2)
+    gap = op_norm(pair.v1 - pair.v2)
+    limit = pair.dim_in * np.sqrt(upper_rn) * (1.0 + 1e-9) + 1e-12
+    if gap > limit:
+        raise InvariantViolation(
+            f"dilation gap {gap!r} exceeds dim_in * sqrt(upper_rn) = {limit!r}"
+        )
     upper_dilation = _upper_bound(
         "upper_dilation",
-        bound_dilation_diff(_common_dilation(t1, t2, upper_rn)),
+        bound_dilation_diff(pair),
         lower,
     )
     cb_exact = None

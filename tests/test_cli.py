@@ -232,6 +232,10 @@ def test_wrong_input_kind_is_usage_error(files, capsys):
     code, out, err = run(["dominate", mat, ident], capsys)
     assert code == 2 and out == ""
     assert "expected a CP map" in err
+    # with both inputs of the wrong kind, the first one is reported
+    code, out, err = run(["apply", mat, ident], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {mat}: expected a CP map or a Choi operator, got ndarray\n"
 
 
 def test_arity_and_unknown_command(files, capsys):
@@ -265,6 +269,8 @@ def test_text_format_matches_json_values(files, capsys):
 def test_dispatch_level_requests():
     with pytest.raises(SchemaError, match="takes"):
         dispatch(AnalysisRequest(command="choi", inputs=[]))
+    with pytest.raises(SchemaError, match="unknown command 'frobnicate'"):
+        dispatch(AnalysisRequest(command="frobnicate", inputs=["x.json"]))
 
 
 def test_subprocess_byte_determinism(files):

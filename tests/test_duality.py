@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from cp_calculus import duality
 from cp_calculus.cpmap import (
     CpMap,
     ChoiOperator,
     apply,
     add,
+    canonicalize,
     compose,
     from_choi,
     is_channel,
     is_quantum_operation,
+    kraus_stack,
     scale,
     to_choi,
     to_stinespring,
@@ -25,8 +28,9 @@ from cp_calculus.duality import (
     jam_is_operation,
     reference_channel,
 )
-from cp_calculus.errors import DimMismatch, NotPsd, ShapeMismatch
-from cp_calculus.numerics import partial_trace
+from cp_calculus.errors import DimMismatch, InvariantViolation, NotPsd, ShapeMismatch
+from cp_calculus.numerics import op_norm, partial_trace
+from cp_calculus.radon import dominates, rn_derivative
 from helpers import (
     heisenberg_sum,
     matrix_units,
@@ -98,10 +102,34 @@ def test_jam_forward_window_for_operations():
 
 
 def test_jam_forward_accepts_unnormalized_maps():
-    # the debug cross-check rescales, so large maps pass through
+    # no normalisation is assumed: maps with ||T(1)|| > 1 pass through
     t = rand_cp_map(RNG, 3, 2, norm=7.5)
     f = jam_forward(t)
     assert np.linalg.norm(f.matrix, 2) > 9.0
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 4)])
+@pytest.mark.parametrize("kind", ["channel", "operation", "norm7.5"])
+def test_jam_forward_is_reference_derivative(m, n, kind):
+    # F / c is the derivative density of t against c times the reference
+    # channel, rotated from the canonical to the natural environment
+    rng = np.random.default_rng([m, n])
+    t = {
+        "channel": lambda: rand_channel(rng, m, n),
+        "operation": lambda: rand_operation(rng, m, n),
+        "norm7.5": lambda: rand_cp_map(rng, m, n, norm=7.5),
+    }[kind]()
+    f = jam_forward(t).matrix
+    c = m * m * max(1.0, op_norm(apply(t, np.eye(m))) * (1.0 + 1e-12))
+    base = scale(reference_channel(m, n), c)
+    assert dominates(t, base)
+    deriv = rn_derivative(t, base)
+    # the natural family is orthogonal with equal norms, so the frame
+    # change u to the canonical environment is exactly unitary
+    w_canon = kraus_stack(canonicalize(base).kraus)
+    u = (m / c) * (kraus_stack(base.kraus).conj().T @ w_canon)
+    nat = u @ deriv.matrix @ u.conj().T
+    assert op_norm(nat - f / c) <= 1e-9 * max(1.0, op_norm(f) / c)
 
 
 def test_jam_apply_matches_action():
@@ -289,6 +317,13 @@ def test_faithful_rn_skewed_identity_bound():
     # ||F|| = 1/0.9 + 1/0.1 for the identity map, under the 100 cap
     assert abs(fr.constant - (1.0 / 0.9 + 10.0)) < 1e-9
     assert fr.constant <= 100.0
+
+
+def test_faithful_rn_raises_when_constant_fails_to_dominate(monkeypatch):
+    monkeypatch.setattr(duality, "dominates", lambda *args: False)
+    w = FaithfulState(p=np.array([0.5, 0.5]))
+    with pytest.raises(InvariantViolation, match="not dominated"):
+        faithful_rn(CpMap(2, 2, (np.eye(2),)), w)
 
 
 def test_faithful_rn_dim_mismatch():

@@ -191,6 +191,13 @@ def test_norm_report_rejects_inverted_bracket(monkeypatch, bound, name):
         norm_report(IDENT, XCONJ, seed=0, restarts=2)
 
 
+def test_norm_report_rejects_dilation_gap(monkeypatch):
+    far = CommonDilationPair(2, 2, np.zeros((8, 2)), 10.0 * np.ones((8, 2)))
+    monkeypatch.setattr(norms, "common_dilation", lambda *args: far)
+    with pytest.raises(InvariantViolation, match="dilation gap"):
+        norm_report(IDENT, XCONJ, seed=0, restarts=2)
+
+
 # norm_report(...).lower and .iterations of the reference ascent for fixed
 # channel pairs (m, n, Kraus count).  Every restart of these pairs converges
 # far below the 200-step cap, so the values do not hinge on rounding.
