@@ -27,8 +27,8 @@ from .numerics import (
     EPS_HERM,
     EPS_PSD,
     RANK_TOL,
+    _canonical_eig,
     as_matrix,
-    herm_eig,
     hermitize,
     op_norm,
     psd_leq,
@@ -179,11 +179,11 @@ def from_choi(c: ChoiOperator) -> CpMap:
 
     Eigenvectors with eigenvalue >= RANK_TOL * largest become Kraus
     operators sqrt(lam / dim_in) * unvec; the deterministic eigensystem
-    makes the family canonical.  A rank-zero input yields the zero map as
-    a single all-zero operator.
+    makes the family canonical (ChoiOperator has checked Hermiticity).  A
+    rank-zero input yields the zero map as a single all-zero operator.
     """
     m, n = c.dim_in, c.dim_out
-    e = herm_eig(c.matrix)
+    e = _canonical_eig(c.matrix)
     top = float(e.values[0]) if e.values.size else 0.0
     kraus = []
     if top > 0.0:

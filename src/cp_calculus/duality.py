@@ -42,7 +42,7 @@ from .numerics import (
     psd_leq,
     tensor,
 )
-from .radon import dominates
+from .radon import _density, _prepare, dominates
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,23 @@ class ReferenceChannel(CpMap):
         return self.dim_out
 
 
+def _trace_channel(cls, m: int, n: int, scaled_cols) -> CpMap:
+    """Channel with Kraus operators |c_i><f_mu|, input index i fastest.
+
+    ``scaled_cols()`` gives the m x m matrix whose column i is c_i; it runs
+    only after the dimension guards, so no out-of-range size is allocated.
+    """
+    if m < 1 or n < 1:
+        raise ShapeMismatch("dimensions must be at least 1")
+    if m * n > MAX_DIM:
+        raise DimensionLimit(f"environment dimension {m * n} exceeds {MAX_DIM}")
+    cols = scaled_cols()
+    ops = np.zeros((n, m, m, n), dtype=complex)
+    for mu in range(n):
+        ops[mu, :, :, mu] = cols.T
+    return cls(dim_in=m, dim_out=n, kraus=tuple(ops.reshape(n * m, m, n)))
+
+
 def reference_channel(m: int, n: int) -> ReferenceChannel:
     """Build the channel sending a to tau(a)1_n, tau = normalized trace.
 
@@ -65,18 +82,9 @@ def reference_channel(m: int, n: int) -> ReferenceChannel:
     input index fastest, so the environment index (mu, i) -> mu * m + i
     matches the row convention of the process operator.
     """
-    if m < 1 or n < 1:
-        raise ShapeMismatch("dimensions must be at least 1")
-    if m * n > MAX_DIM:
-        raise DimensionLimit(f"environment dimension {m * n} exceeds {MAX_DIM}")
-    root = 1.0 / np.sqrt(m)
-    ops = []
-    for mu in range(n):
-        for i in range(m):
-            v = np.zeros((m, n), dtype=complex)
-            v[i, mu] = root
-            ops.append(v)
-    return ReferenceChannel(dim_in=m, dim_out=n, kraus=tuple(ops))
+    return _trace_channel(
+        ReferenceChannel, m, n, lambda: np.eye(m) * (1.0 / np.sqrt(m))
+    )
 
 
 def jam_forward(t: CpMap) -> ChoiOperator:
@@ -187,19 +195,7 @@ def faithful_channel(w: FaithfulState, n: int) -> CpMap:
     as the reference channel; the uniform state in the standard basis
     reproduces reference_channel(w.dim, n) exactly.
     """
-    if n < 1:
-        raise ShapeMismatch("dimensions must be at least 1")
-    m = w.dim
-    if m * n > MAX_DIM:
-        raise DimensionLimit(f"environment dimension {m * n} exceeds {MAX_DIM}")
-    root = np.sqrt(w.p)
-    ops = []
-    for mu in range(n):
-        for i in range(m):
-            v = np.zeros((m, n), dtype=complex)
-            v[:, mu] = root[i] * w.basis[:, i]
-            ops.append(v)
-    return CpMap(dim_in=m, dim_out=n, kraus=tuple(ops))
+    return _trace_channel(CpMap, w.dim, n, lambda: w.basis * np.sqrt(w.p))
 
 
 class FaithfulDerivative(NamedTuple):
@@ -212,25 +208,22 @@ class FaithfulDerivative(NamedTuple):
 def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     """Derivative density of ``t`` on its faithful reference environment.
 
-    Entries are <f_mu|T(|b_i><b_j|)f_nu> / sqrt(p_i p_j) at environment
-    index (mu, i) -> mu * m + i, and ``constant`` is the operator norm,
-    the least c with t dominated by c times the faithful channel.  The
-    uniform state in the standard basis returns the process operator.
+    The faithful channel's own Kraus operators are linearly independent,
+    so radon's compression pinv(W) C pinv(W)* on them gives the density:
+    entries <f_mu|T(|b_i><b_j|)f_nu> / sqrt(p_i p_j) at environment index
+    (mu, i) -> mu * m + i.  ``constant`` is its operator norm, the least c
+    with t dominated by c times the faithful channel.  The uniform state
+    in the standard basis returns the process operator.
     Raises InvariantViolation if c fails to dominate or exceeds
     p_min**-2 * ||T(1)||.
     """
     m, n = t.dim_in, t.dim_out
     if w.dim != m:
         raise DimMismatch(f"state dim {w.dim} does not match input dim {m}")
-    f = np.zeros((n * m, n * m), dtype=complex)
-    root = np.sqrt(w.p)
-    for i in range(m):
-        for j in range(m):
-            img = apply(t, np.outer(w.basis[:, i], w.basis[:, j].conj()))
-            f[i::m, j::m] = img / (root[i] * root[j])
-    f = hermitize(f)
+    phi = faithful_channel(w, n)
+    f = _density(to_choi(t), _prepare(phi, phi))
     c = float(op_norm(f))
-    if not dominates(t, scale(faithful_channel(w, n), c)):
+    if not dominates(t, scale(phi, c)):
         raise InvariantViolation(
             f"map is not dominated by {c!r} times the faithful channel"
         )

@@ -1,10 +1,10 @@
 """Dense complex linear algebra kernel used by the higher layers.
 
-Conventions: matrices are numpy arrays of complex128; ``vec`` flattens
-row-major, so vec(A X B) = (A (x) B^T) vec(X); Hermitian eigensystems come
-back with eigenvalues descending and eigenvector phases fixed, which makes
-every decomposition built on top of them deterministic for identical input.
-Tolerances are module constants rather than per-call magic numbers.
+Conventions: matrices are numpy arrays of complex128; vec flattens row-major
+(reshape(-1)), so vec(A X B) = (A (x) B^T) vec(X); Hermitian eigensystems
+come back with eigenvalues descending and eigenvector phases fixed, which
+makes every decomposition built on top of them deterministic for identical
+input.  Tolerances are module constants rather than per-call magic numbers.
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ def op_norm(m) -> float:
     return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(as_matrix(m), compute_uv=False).sum())
-
-
 @dataclass(frozen=True)
 class HermEig:
     """Eigensystem of a Hermitian matrix, eigenvalues descending.
@@ -99,14 +94,15 @@ class HermEig:
     vectors: np.ndarray
 
 
-def _canonical_eig(w: np.ndarray, u: np.ndarray) -> HermEig:
-    """Turn ``np.linalg.eigh``'s ascending ``(w, u)`` into a :class:`HermEig`.
+def _canonical_eig(m) -> HermEig:
+    """herm_eig without its checks, for input known to be Hermitian.
 
-    Each column is scaled so that its first component of magnitude above
-    EPS_PHASE is real positive; eigh's columns have unit norm, so every
-    column has one.  Pairs are then sorted by descending eigenvalue, exact
-    ties by the phase-fixed components' (real, imag) parts, largest first.
+    Each column of eigh's eigenvectors of hermitize(m) is scaled so that its
+    first component of magnitude above EPS_PHASE is real positive (they have
+    unit norm, so each has one).  Pairs are sorted by descending eigenvalue,
+    exact ties by the phase-fixed components' (real, imag) parts, largest first.
     """
+    w, u = np.linalg.eigh(hermitize(m))
     n = u.shape[1]
     # np.hypot rounds like the scalar abs(); the vectorised np.abs does not
     mag = np.hypot(u.real, u.imag)
@@ -135,7 +131,7 @@ def herm_eig(m) -> HermEig:
     scale = op_norm(m)
     if dev > EPS_HERM * max(1.0, scale):
         raise NotHermitian(f"deviation from Hermiticity {dev:.3e} at scale {scale:.3e}")
-    return _canonical_eig(*np.linalg.eigh(hermitize(m)))
+    return _canonical_eig(m)
 
 
 def psd_leq(a, b, tol: float = EPS_PSD) -> bool:
@@ -166,16 +162,3 @@ def psd_sqrt(m) -> np.ndarray:
         raise NotPsd(f"eigenvalue {low:.3e} below zero at scale {scale:.3e}")
     w = np.sqrt(np.clip(e.values, 0.0, None))
     return (e.vectors * w) @ e.vectors.conj().T
-
-
-def vec(m) -> np.ndarray:
-    """Row-major flattening of a matrix."""
-    return as_matrix(m).reshape(-1)
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for the given shape."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.size != rows * cols:
-        raise ShapeMismatch(f"cannot reshape {v.shape} into {rows}x{cols}")
-    return v.reshape(rows, cols)

@@ -32,6 +32,7 @@ from .errors import (
     InvariantViolation,
     NotAChannel,
     NotAnOperation,
+    NotDominated,
     NotMonotone,
     ShapeMismatch,
 )
@@ -48,6 +49,7 @@ from .numerics import (
 )
 from .radon import (
     PovmDecomposition,
+    _density,
     _instrument_rn,
     _prepare,
     cp_difference,
@@ -85,8 +87,9 @@ def channel_difference_is_cp(
             raise NotAChannel(
                 f"normalizations differ by {norm_gap:.3e}; rigidity needs equality"
             )
-    gap = op_norm(to_choi(s).matrix - to_choi(t).matrix)
-    if gap <= recon_tol(op_norm(to_choi(t).matrix)):
+    ct = to_choi(t).matrix
+    gap = op_norm(to_choi(s).matrix - ct)
+    if gap <= recon_tol(op_norm(ct)):
         return DifferenceVerdict.EQUAL
     if gap > 1e-6 and dominates(s, t, tol):
         raise InvariantViolation("rigidity violated for a separated pair")
@@ -104,27 +107,18 @@ class DominationConstant:
 def c_min(s: CpMap, t: CpMap) -> DominationConstant:
     """Least constant c such that c * t dominates s.
 
-    Computed as the operator norm of the compression of s's process
-    operator by the inverse square root of t's, on t's support.  When s
-    leaks outside that support no finite constant works and the sentinel
-    (inf, attained=False) is returned.
+    The largest eigenvalue of s's density on t's canonical environment,
+    the matrix rn_derivative returns before its [0, 1] window check.  It
+    is infinite, as the sentinel (inf, attained=False), exactly when
+    rn_derivative reports that s leaks outside t's support.
     """
     _check_same_dims(s, t)
-    cs = to_choi(s).matrix
-    ct = to_choi(t).matrix
-    e = herm_eig(ct)
-    top = float(e.values[0]) if e.values.size else 0.0
-    keep = e.values >= RANK_TOL * top if top > 0.0 else np.zeros(len(e.values), bool)
-    basis = e.vectors[:, keep]
-    proj = basis @ basis.conj().T
-    leak = op_norm(cs - proj @ cs @ proj)
-    if leak > recon_tol(op_norm(cs)):
+    try:
+        f = _density(to_choi(s), _prepare(t))
+    except NotDominated:
         return DominationConstant(value=float("inf"), attained=False)
-    if not keep.any():
-        return DominationConstant(value=0.0, attained=True)
-    inv_root = (basis / np.sqrt(e.values[keep])) @ basis.conj().T
-    value = op_norm(inv_root @ cs @ inv_root)
-    return DominationConstant(value=float(value), attained=True)
+    top = float(np.linalg.eigvalsh(f)[-1])
+    return DominationConstant(value=max(0.0, top), attained=True)
 
 
 def mix_channels(s1: CpMap, s2: CpMap, lam: float) -> CpMap:
@@ -266,7 +260,7 @@ def order_chain_dilation(chain) -> PvmChain:
         projections.append(running.copy())
 
     big = tensor(np.eye(chain[0].dim_in), nai.isometry)
-    isometry = big @ dilation_matrix(dom.canon)
+    isometry = big @ dilation_matrix(dom.family)
 
     return PvmChain(
         dim_in=chain[0].dim_in,

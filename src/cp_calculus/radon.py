@@ -9,7 +9,9 @@ Extraction works on the canonical Kraus stack W (columns vec(V_x*)): the
 unnormalized process matrix of S equals W F W^T-conjugate up to scaling, so
 F = pinv(W) @ choi_unnormalized(S) @ pinv(W)*.  Reconstruction residual and
 the eigenvalue window of F together decide domination exactly, which is why
-no separate order check is run first.
+no separate order check is run first.  This compression is the library's
+one density computation: c_min is F's top eigenvalue, and faithful_rn takes
+F on the faithful channel's own, linearly independent, Kraus family.
 """
 
 from __future__ import annotations
@@ -111,19 +113,22 @@ class PovmDecomposition:
 
 
 class _Dominator(NamedTuple):
-    """A dominating map prepared once for every derivative taken against it:
-    its canonical form, that form's Kraus stack W and pinv(W)."""
+    """A dominating map prepared once for every density taken against it:
+    the Kraus family whose environment the densities live on (canonical, or
+    one the caller fixes), its stack W and pinv(W) with no cutoff (canonical
+    stacks keep singular values >= sqrt(RANK_TOL) * largest)."""
 
     t: CpMap
-    canon: CpMap
+    family: CpMap
     w: np.ndarray
     wp: np.ndarray
 
 
-def _prepare(t: CpMap) -> _Dominator:
-    canon = canonicalize(t)
-    w = kraus_stack(canon.kraus)
-    return _Dominator(t, canon, w, pinv(w))
+def _prepare(t: CpMap, family: CpMap | None = None) -> _Dominator:
+    """Prepare ``t`` on ``family``, by default its canonical Kraus family."""
+    family = canonicalize(t) if family is None else family
+    w = kraus_stack(family.kraus)
+    return _Dominator(t, family, w, pinv(w, 0.0))
 
 
 def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
@@ -134,27 +139,39 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     two checks are exactly the domination criterion.
     """
     _check_same_dims(s, t)
-    return _derivative(s, _prepare(t))
+    return _derivative(to_choi(s), _prepare(t))
 
 
-def _derivative(s: CpMap, dom: _Dominator) -> RnDerivative:
-    """rn_derivative against a prepared dominator of matching dims."""
-    cs = choi_unnormalized(to_choi(s))
+def _density(c: ChoiOperator, dom: _Dominator) -> np.ndarray:
+    """F = pinv(W) C pinv(W)* for c's unnormalized process matrix C; raises
+    NotDominated when W F W* misses C, a leak outside the dominator's support."""
+    cs = choi_unnormalized(c)
     f = hermitize(dom.wp @ cs @ dom.wp.conj().T)
     resid = op_norm(dom.w @ f @ dom.w.conj().T - cs)
     if resid > recon_tol(op_norm(cs)):
         raise NotDominated(
             f"residual {resid:.3e} outside the dominating map's support"
         )
+    return f
+
+
+def _check_window(f: np.ndarray, error) -> None:
+    """Raise ``error`` unless the Hermitian f has spectrum in [0, 1]."""
     eigs = np.linalg.eigvalsh(f)
     if eigs[0] < -EPS_PSD or eigs[-1] > 1.0 + EPS_PSD:
-        raise NotDominated(
+        raise error(
             f"density spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] escapes [0, 1]"
         )
+
+
+def _derivative(c: ChoiOperator, dom: _Dominator) -> RnDerivative:
+    """rn_derivative of the map with process operator ``c`` on a dominator."""
+    f = _density(c, dom)
+    _check_window(f, NotDominated)
     return RnDerivative(
         dim_in=dom.t.dim_in,
         dim_out=dom.t.dim_out,
-        env_dim=len(dom.canon.kraus),
+        env_dim=len(dom.family.kraus),
         matrix=f,
     )
 
@@ -165,18 +182,14 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     Accepts an RnDerivative or a bare matrix; the result is returned in
     canonical Kraus form and is dominated by ``t`` by construction.
     """
-    base = canonicalize(t)
-    d = len(base.kraus)
+    dom = _prepare(t)
+    d = len(dom.family.kraus)
     mat = as_matrix(f.matrix if isinstance(f, RnDerivative) else f)
     if mat.shape != (d, d):
         raise ShapeMismatch(f"density has shape {mat.shape}, environment dim is {d}")
-    eigs = np.linalg.eigvalsh(hermitize(mat))
-    if eigs[0] < -EPS_PSD or eigs[-1] > 1.0 + EPS_PSD:
-        raise NotPsd(
-            f"density spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] escapes [0, 1]"
-        )
-    w = kraus_stack(base.kraus)
-    choi = t.dim_in * (w @ hermitize(mat) @ w.conj().T)
+    h = hermitize(mat)
+    _check_window(h, NotPsd)
+    choi = t.dim_in * (dom.w @ h @ dom.w.conj().T)
     return from_choi(ChoiOperator(t.dim_in, t.dim_out, hermitize(choi)))
 
 
@@ -189,9 +202,9 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     """
     _check_same_dims(s, t)
     dom = _prepare(t)
-    e = herm_eig(_derivative(s, dom).matrix)
+    e = herm_eig(_derivative(to_choi(s), dom).matrix)
     weights = np.clip(e.values, 0.0, 1.0)
-    stack = np.stack(dom.canon.kraus, axis=0)
+    stack = np.stack(dom.family.kraus, axis=0)
     rotated = np.einsum("yx,ymn->xmn", e.vectors.conj(), stack)
     return RescaledKraus(
         dim_in=t.dim_in,
@@ -226,10 +239,11 @@ def _instrument_rn(dom: _Dominator, parts) -> PovmDecomposition:
         raise NotADecomposition("an instrument needs at least one part")
     for p in parts:
         _check_same_dims(p, dom.t)
-    total = sum(to_choi(p).matrix for p in parts)
+    chois = [to_choi(p) for p in parts]
+    total = sum(c.matrix for c in chois)
     target = to_choi(dom.t).matrix
     dev = op_norm(total - target)
     if dev > recon_tol(op_norm(target)):
         raise NotADecomposition(f"parts sum differs from the map by {dev:.3e}")
-    elements = [_derivative(p, dom).matrix for p in parts]
+    elements = [_derivative(c, dom).matrix for c in chois]
     return PovmDecomposition(elements=tuple(elements))

@@ -5,12 +5,19 @@ positivity-order oracle samples the defining quadratic forms directly, and
 the direct Heisenberg sum re-implements the Kraus action with a plain loop.
 ``reference_herm_eig`` is the per-column, tuple-sorted form of
 ``numerics.herm_eig``, kept to check the vectorised one bit for bit.
+``reference_c_min`` (inverse square root of t's process operator on its
+support) and ``reference_faithful_rn`` (one ``apply`` per pair of basis
+vectors) compute by a second route what the library reads off one
+Radon-Nikodym compression.
+
+No ``assert`` here: pytest rewrites asserts only in test modules, so
+``python -O`` would strip them from this file.
 """
 
 import numpy as np
 
-from cp_calculus.cpmap import CpMap, add, apply, scale
-from cp_calculus.numerics import EPS_PHASE
+from cp_calculus.cpmap import CpMap, add, apply, scale, to_choi
+from cp_calculus.numerics import EPS_PHASE, RANK_TOL, herm_eig, hermitize, op_norm, recon_tol
 
 
 def rand_complex(rng, rows, cols):
@@ -157,3 +164,34 @@ def reference_herm_eig(m):
     values = np.array([float(w[k]) for k in order])
     vectors = np.column_stack([cols[k] for k in order]) if order else u
     return values, vectors
+
+
+def reference_c_min(s, t):
+    """Least c with s <= c * t, or inf, by compressing s's process operator
+    with the inverse square root of t's on t's support."""
+    cs = to_choi(s).matrix
+    e = herm_eig(to_choi(t).matrix)
+    top = float(e.values[0])
+    keep = e.values >= RANK_TOL * top if top > 0.0 else np.zeros(len(e.values), bool)
+    basis = e.vectors[:, keep]
+    proj = basis @ basis.conj().T
+    if op_norm(cs - proj @ cs @ proj) > recon_tol(op_norm(cs)):
+        return float("inf")
+    if not keep.any():
+        return 0.0
+    inv_root = (basis / np.sqrt(e.values[keep])) @ basis.conj().T
+    return op_norm(inv_root @ cs @ inv_root)
+
+
+def reference_faithful_rn(t, w):
+    """(density, constant) of t against the faithful state w, entry by entry:
+    <f_mu|T(|b_i><b_j|)f_nu> / sqrt(p_i p_j) at index (mu, i) -> mu * m + i."""
+    m, n = t.dim_in, t.dim_out
+    f = np.zeros((n * m, n * m), dtype=complex)
+    root = np.sqrt(w.p)
+    for i in range(m):
+        for j in range(m):
+            img = apply(t, np.outer(w.basis[:, i], w.basis[:, j].conj()))
+            f[i::m, j::m] = img / (root[i] * root[j])
+    f = hermitize(f)
+    return f, op_norm(f)

@@ -40,6 +40,7 @@ from helpers import (
     rand_operation,
     rand_psd,
     rand_unitary,
+    reference_faithful_rn,
 )
 
 RNG = np.random.default_rng(20240821)
@@ -317,6 +318,31 @@ def test_faithful_rn_skewed_identity_bound():
     # ||F|| = 1/0.9 + 1/0.1 for the identity map, under the 100 cap
     assert abs(fr.constant - (1.0 / 0.9 + 10.0)) < 1e-9
     assert fr.constant <= 100.0
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 4)])
+@pytest.mark.parametrize("basis", ["standard", "random"])
+@pytest.mark.parametrize("p_min", [None, 1e-3, 1e-6])
+def test_faithful_rn_matches_entrywise_reference(m, n, basis, p_min):
+    rng = np.random.default_rng(100 * m + n)
+    p = rng.dirichlet(np.ones(m))
+    if p_min is not None:
+        p[0] = p_min
+        p = p / p.sum()
+    w = FaithfulState(p=p, basis=None if basis == "standard" else rand_unitary(rng, m))
+    t = rand_cp_map(rng, m, n)
+    fr = faithful_rn(t, w)
+    ref, ref_constant = reference_faithful_rn(t, w)
+    assert np.abs(fr.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert abs(fr.constant - ref_constant) <= 1e-12 * ref_constant
+
+
+def test_faithful_rn_extreme_weights():
+    # sqrt(1e-21) is below RANK_TOL times the largest singular value of the
+    # faithful channel's Kraus stack; the density needs the exact inverse
+    w = FaithfulState(p=np.array([1e-21, 1.0 - 1e-21]))
+    fr = faithful_rn(CpMap(2, 2, (np.eye(2),)), w)
+    assert fr.constant == pytest.approx(1e21 + 1.0, rel=1e-12)
 
 
 def test_faithful_rn_raises_when_constant_fails_to_dominate(monkeypatch):

@@ -18,8 +18,10 @@ from cp_calculus.errors import (
     InvariantViolation,
     NotAChannel,
     NotAnOperation,
+    NotDominated,
     NotMonotone,
 )
+from cp_calculus.numerics import EPS_PSD
 from cp_calculus.order import (
     DifferenceVerdict,
     DominationConstant,
@@ -41,9 +43,11 @@ from helpers import (
     rand_operation,
     rand_psd,
     rand_unitary,
+    reference_c_min,
 )
 
 RNG = np.random.default_rng(20240820)
+SHAPES = [(1, 3), (2, 2), (2, 3), (3, 2), (4, 4)]
 
 
 def matrix_units(d):
@@ -135,6 +139,66 @@ def test_c_min_zero_map():
     res = c_min(zero, t)
     assert res.attained
     assert res.value == pytest.approx(0.0, abs=1e-12)
+
+
+def near_support_pair(leak):
+    """t the identity channel on C^2; s = 0.01 t plus a Pauli-X part of weight leak."""
+    t = CpMap(2, 2, (np.eye(2),))
+    x = CpMap(2, 2, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
+    return add(scale(t, 0.01), scale(x, leak)), t
+
+
+def test_c_min_finite_when_derivative_exists():
+    # the leak is inside rn_derivative's residual tolerance, so c_min is finite
+    s, t = near_support_pair(3e-10)
+    assert np.linalg.norm(rn_derivative(s, t).matrix, 2) == pytest.approx(0.01, abs=1e-12)
+    res = c_min(s, t)
+    assert res.attained
+    assert abs(res.value - 0.01) < 1e-12
+
+
+def comparison_pairs(rng):
+    """Dominated, scaled-up and generic pairs at every shape of SHAPES."""
+    for m, n in SHAPES:
+        for _ in range(3):
+            t = rand_cp_map(rng, m, n)
+            d = rn_derivative(t, t).env_dim
+            s = rn_reconstruct(t, rand_contraction(rng, d))
+            yield s, t
+            yield scale(s, 3.0), t
+            yield rand_cp_map(rng, m, n), t
+
+
+def test_c_min_agrees_with_rn_derivative():
+    rng = np.random.default_rng(11)
+    pairs = [near_support_pair(leak) for leak in (1e-10, 3e-10, 6e-10, 1e-9, 2e-9)]
+    pairs += list(comparison_pairs(rng))
+    outcomes = set()
+    for s, t in pairs:
+        res = c_min(s, t)
+        try:
+            rn_derivative(s, t)
+            outcome = "ok"
+        except NotDominated as exc:
+            outcome = "leak" if str(exc).startswith("residual") else "window"
+        outcomes.add(outcome)
+        assert (res.value == float("inf")) == (outcome == "leak")
+        assert (outcome == "ok") == (res.value <= 1.0 + EPS_PSD)
+    assert outcomes == {"ok", "leak", "window"}
+
+
+def test_c_min_matches_inverse_root_reference():
+    rng = np.random.default_rng(12)
+    finite = 0
+    for s, t in comparison_pairs(rng):
+        ref = reference_c_min(s, t)
+        value = c_min(s, t).value
+        if ref == float("inf"):
+            assert value == ref
+        else:
+            finite += 1
+            assert abs(value - ref) <= 1e-12 * ref
+    assert finite >= 2 * 3 * len(SHAPES)
 
 
 def test_mixture_bound():

@@ -4,6 +4,8 @@
 so either would give the library a second behaviour under ``-O``.  A check
 that guards a returned value raises InvariantViolation instead; a second
 derivation of an identity that holds by construction belongs in the tests.
+pytest rewrites asserts only in test modules, so the shared test helpers
+and conftest, which hold reference code, are held to the same rule.
 """
 
 import ast
@@ -11,10 +13,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cp_calculus"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cp_calculus"
+PATHS = [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))] + [
+    pytest.param(TESTS / name, id=f"tests/{name}") for name in ("helpers.py", "conftest.py")
+]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PATHS)
 def test_no_mode_dependent_code(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [
