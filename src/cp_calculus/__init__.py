@@ -9,6 +9,8 @@ channel, and norm brackets for distinguishing map pairs.  A JSON CLI
 (``cp-calculus``) fronts the same analyses.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cpmap import (
     ChoiOperator,
     CpMap,
@@ -96,77 +98,8 @@ from .radon import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChoiOperator",
-    "CommonDilationPair",
-    "CpError",
-    "CpMap",
-    "DifferenceVerdict",
-    "DimMismatch",
-    "DimensionLimit",
-    "DominationConstant",
-    "FaithfulDerivative",
-    "FaithfulState",
-    "InvariantViolation",
-    "IoError",
-    "NaimarkDilation",
-    "NormReport",
-    "NotAChannel",
-    "NotADecomposition",
-    "NotAResolution",
-    "NotAnOperation",
-    "NotDominated",
-    "NotHermitian",
-    "NotMonotone",
-    "NotPsd",
-    "PovmDecomposition",
-    "PvmChain",
-    "ReferenceChannel",
-    "RescaledKraus",
-    "RnDerivative",
-    "SchemaError",
-    "ShapeMismatch",
-    "StinespringDilation",
-    "add",
-    "apply",
-    "apply_dual",
-    "bound_dilation_diff",
-    "bound_rn",
-    "c_min",
-    "canonicalize",
-    "cb_norm_cp",
-    "channel_difference_is_cp",
-    "choi_rank",
-    "choi_unnormalized",
-    "common_dilation",
-    "compose",
-    "cp_difference",
-    "diamond_lower",
-    "dilation_matrix",
-    "dominates",
-    "faithful_channel",
-    "faithful_rn",
-    "from_choi",
-    "from_stinespring",
-    "instrument_rn",
-    "is_channel",
-    "is_pure",
-    "is_quantum_operation",
-    "jam_apply",
-    "jam_compose",
-    "jam_forward",
-    "jam_is_operation",
-    "kraus_stack",
-    "mix_channels",
-    "naimark_dilate",
-    "norm_report",
-    "order_chain_dilation",
-    "pad_to_channel",
-    "rescaled_kraus",
-    "reference_channel",
-    "rn_derivative",
-    "rn_reconstruct",
-    "scale",
-    "to_choi",
-    "to_stinespring",
-]
+# the public names are the ones imported above, so they are listed once
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+)

@@ -18,7 +18,7 @@ unnormalized convention is F / dim_in; see :func:`choi_unnormalized`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,19 +35,31 @@ from .numerics import (
 )
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m = np.array(m, dtype=complex)
+def _frozen(m) -> np.ndarray:
+    """``m`` as a C-ordered complex array, frozen in place; its entries must
+    be finite.  Callers pass a copy, or on the trusted path an array no one
+    else writes to; there finiteness is the one check kept, as products
+    of finite numbers can overflow."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ShapeMismatch("matrix entries must be finite")
     m.setflags(write=False)
     return m
 
 
 @dataclass(frozen=True)
 class CpMap:
-    """Kraus representation of a CP map, Heisenberg picture."""
+    """Kraus representation of a CP map, Heisenberg picture.
+
+    The family is one frozen (k, dim_in, dim_out) array, ``kraus_array``;
+    ``kraus`` holds its read-only slices.  The constructor validates each
+    operator; maps derived from validated ones take ``_trusted_map``.
+    """
 
     dim_in: int
     dim_out: int
     kraus: tuple[np.ndarray, ...]
+    kraus_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
@@ -62,13 +74,18 @@ class CpMap:
                     f"kraus operator {idx} has shape {v.shape}, "
                     f"expected {(self.dim_in, self.dim_out)}"
                 )
-            ops.append(_frozen(v))
-        object.__setattr__(self, "kraus", tuple(ops))
+            ops.append(v)
+        ops = _frozen(ops)
+        self.__dict__.update(kraus=tuple(ops), kraus_array=ops)
 
 
 @dataclass(frozen=True)
 class ChoiOperator:
-    """Process operator of a CP map on the output (x) input space."""
+    """Process operator of a CP map on the output (x) input space.
+
+    The constructor checks shape, finiteness, Hermiticity and positivity;
+    ``to_choi``, PSD by construction, takes the trusted ``_trusted_choi``.
+    """
 
     dim_in: int
     dim_out: int
@@ -88,7 +105,22 @@ class ChoiOperator:
         low = float(np.linalg.eigvalsh(hermitize(m))[0])
         if low < -EPS_PSD * max(1.0, scale):
             raise NotPsd(f"eigenvalue {low:.3e} below zero at scale {scale:.3e}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", _frozen(m.copy()))
+
+
+def _trusted_map(m: int, n: int, ops: np.ndarray, cls=CpMap) -> CpMap:
+    """CpMap on a (k, m, n) Kraus array derived from validated maps."""
+    t = object.__new__(cls)
+    ops = _frozen(ops)
+    t.__dict__.update(dim_in=m, dim_out=n, kraus=tuple(ops), kraus_array=ops)
+    return t
+
+
+def _trusted_choi(m: int, n: int, matrix: np.ndarray) -> ChoiOperator:
+    """ChoiOperator on a matrix that is Hermitian PSD by construction."""
+    c = object.__new__(ChoiOperator)
+    c.__dict__.update(dim_in=m, dim_out=n, matrix=_frozen(matrix))
+    return c
 
 
 @dataclass(frozen=True)
@@ -113,7 +145,7 @@ class StinespringDilation:
                 f"expected shape {(self.dim_in * self.env_dim, self.dim_out)}, "
                 f"got {m.shape}"
             )
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", _frozen(m.copy()))
 
 
 def _check_same_dims(s: CpMap, t: CpMap):
@@ -128,10 +160,8 @@ def apply(t: CpMap, a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape != (t.dim_in, t.dim_in):
         raise ShapeMismatch(f"expected {(t.dim_in, t.dim_in)}, got {a.shape}")
-    out = np.zeros((t.dim_out, t.dim_out), dtype=complex)
-    for v in t.kraus:
-        out += v.conj().T @ a @ v
-    return out
+    ops = t.kraus_array
+    return (ops.conj().transpose(0, 2, 1) @ a @ ops).sum(axis=0)
 
 
 def apply_dual(t: CpMap, rho) -> np.ndarray:
@@ -139,10 +169,8 @@ def apply_dual(t: CpMap, rho) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (t.dim_out, t.dim_out):
         raise ShapeMismatch(f"expected {(t.dim_out, t.dim_out)}, got {rho.shape}")
-    out = np.zeros((t.dim_in, t.dim_in), dtype=complex)
-    for v in t.kraus:
-        out += v @ rho @ v.conj().T
-    return out
+    ops = t.kraus_array
+    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def kraus_stack(kraus) -> np.ndarray:
@@ -151,13 +179,22 @@ def kraus_stack(kraus) -> np.ndarray:
     The Choi operator equals dim_in times the outer product W W* of this
     stack, which is what ties the kernel calculus to plain linear algebra.
     """
-    return np.column_stack([as_matrix(v).conj().T.reshape(-1) for v in kraus])
+    return _columns(np.array([as_matrix(v) for v in kraus]))
+
+
+def _columns(ops: np.ndarray) -> np.ndarray:
+    """kraus_stack of a validated (k, m, n) Kraus array, in one expression."""
+    k, m, n = ops.shape
+    return ops.conj().transpose(2, 1, 0).reshape(n * m, k)
 
 
 def to_choi(t: CpMap) -> ChoiOperator:
-    """Process operator of ``t`` (amplification scaling, see module docs)."""
-    w = kraus_stack(t.kraus)
-    return ChoiOperator(t.dim_in, t.dim_out, t.dim_in * (w @ w.conj().T))
+    """Process operator of ``t`` (amplification scaling, see module docs).
+
+    m W W* is Hermitian PSD by construction, so it takes the trusted path:
+    only an overflowed, non-finite product raises."""
+    w = _columns(t.kraus_array)
+    return _trusted_choi(t.dim_in, t.dim_out, t.dim_in * (w @ w.conj().T))
 
 
 def choi_unnormalized(c: ChoiOperator) -> np.ndarray:
@@ -179,22 +216,20 @@ def from_choi(c: ChoiOperator) -> CpMap:
 
     Eigenvectors with eigenvalue >= RANK_TOL * largest become Kraus
     operators sqrt(lam / dim_in) * unvec; the deterministic eigensystem
-    makes the family canonical (ChoiOperator has checked Hermiticity).  A
-    rank-zero input yields the zero map as a single all-zero operator.
+    makes the family canonical (a ChoiOperator is Hermitian, by check or
+    by construction).  A rank-zero input yields the zero map as a single
+    all-zero operator.  The family is built on the trusted path.
     """
     m, n = c.dim_in, c.dim_out
     e = _canonical_eig(c.matrix)
     top = float(e.values[0]) if e.values.size else 0.0
-    kraus = []
-    if top > 0.0:
-        for k, lam in enumerate(e.values):
-            if lam < RANK_TOL * top:
-                break
-            u = e.vectors[:, k].reshape(n, m)
-            kraus.append(np.sqrt(lam / m) * u.conj().T)
-    if not kraus:
-        kraus.append(np.zeros((m, n), dtype=complex))
-    return CpMap(m, n, tuple(kraus))
+    if top <= 0.0:
+        return _trusted_map(m, n, np.zeros((1, m, n), dtype=complex))
+    lam = e.values[e.values >= RANK_TOL * top]
+    u = e.vectors[:, : lam.size].T.reshape(lam.size, n, m)
+    return _trusted_map(
+        m, n, np.sqrt(lam / m)[:, None, None] * u.conj().transpose(0, 2, 1)
+    )
 
 
 def canonicalize(t: CpMap) -> CpMap:
@@ -205,7 +240,8 @@ def canonicalize(t: CpMap) -> CpMap:
 def dilation_matrix(t: CpMap) -> np.ndarray:
     """Stack the Kraus family as given into a single dilation operator."""
     m, n = t.dim_in, t.dim_out
-    return np.stack(t.kraus, axis=1).reshape(m * len(t.kraus), n)
+    rows = np.array(t.kraus_array.swapaxes(0, 1), order="C")
+    return rows.reshape(m * len(t.kraus), n)
 
 
 def to_stinespring(t: CpMap) -> StinespringDilation:
@@ -231,7 +267,7 @@ def to_stinespring(t: CpMap) -> StinespringDilation:
 def from_stinespring(s: StinespringDilation) -> CpMap:
     """Read the Kraus family back off a dilation (inverse stacking)."""
     arr = s.matrix.reshape(s.dim_in, s.env_dim, s.dim_out)
-    return CpMap(s.dim_in, s.dim_out, tuple(arr[:, x, :] for x in range(s.env_dim)))
+    return _trusted_map(s.dim_in, s.dim_out, arr.swapaxes(0, 1))
 
 
 def scale(t: CpMap, c: float) -> CpMap:
@@ -239,8 +275,7 @@ def scale(t: CpMap, c: float) -> CpMap:
     c = float(c)
     if c < 0.0:
         raise ValueError("scale factor must be nonnegative")
-    root = np.sqrt(c)
-    return CpMap(t.dim_in, t.dim_out, tuple(root * v for v in t.kraus))
+    return _trusted_map(t.dim_in, t.dim_out, np.sqrt(c) * t.kraus_array)
 
 
 def add(t1: CpMap, t2: CpMap) -> CpMap:
@@ -250,7 +285,9 @@ def add(t1: CpMap, t2: CpMap) -> CpMap:
             f"cannot add maps of dims {(t1.dim_in, t1.dim_out)} "
             f"and {(t2.dim_in, t2.dim_out)}"
         )
-    return CpMap(t1.dim_in, t1.dim_out, t1.kraus + t2.kraus)
+    return _trusted_map(
+        t1.dim_in, t1.dim_out, np.concatenate((t1.kraus_array, t2.kraus_array))
+    )
 
 
 def compose(second: CpMap, first: CpMap) -> CpMap:
@@ -259,8 +296,8 @@ def compose(second: CpMap, first: CpMap) -> CpMap:
         raise DimMismatch(
             f"cannot compose output dim {first.dim_out} into input dim {second.dim_in}"
         )
-    kraus = tuple(v @ w for v in first.kraus for w in second.kraus)
-    return CpMap(first.dim_in, second.dim_out, kraus)
+    ops = first.kraus_array[:, None] @ second.kraus_array[None, :]
+    return _trusted_map(first.dim_in, second.dim_out, ops.reshape(-1, *ops.shape[2:]))
 
 
 def is_quantum_operation(t: CpMap, tol: float = EPS_PSD) -> bool:

@@ -21,6 +21,7 @@ import numpy as np
 from .cpmap import (
     ChoiOperator,
     CpMap,
+    _trusted_map,
     apply,
     scale,
     to_choi,
@@ -42,7 +43,7 @@ from .numerics import (
     psd_leq,
     tensor,
 )
-from .radon import _density, _prepare, dominates
+from .radon import _density, _prepare
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def _trace_channel(cls, m: int, n: int, scaled_cols) -> CpMap:
     ops = np.zeros((n, m, m, n), dtype=complex)
     for mu in range(n):
         ops[mu, :, :, mu] = cols.T
-    return cls(dim_in=m, dim_out=n, kraus=tuple(ops.reshape(n * m, m, n)))
+    return _trusted_map(m, n, ops.reshape(n * m, m, n), cls)
 
 
 def reference_channel(m: int, n: int) -> ReferenceChannel:
@@ -221,9 +222,10 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     if w.dim != m:
         raise DimMismatch(f"state dim {w.dim} does not match input dim {m}")
     phi = faithful_channel(w, n)
-    f = _density(to_choi(t), _prepare(phi, phi))
+    ct = to_choi(t)
+    f = _density(ct, _prepare(phi, phi))
     c = float(op_norm(f))
-    if not dominates(t, scale(phi, c)):
+    if not psd_leq(ct.matrix, to_choi(scale(phi, c)).matrix):
         raise InvariantViolation(
             f"map is not dominated by {c!r} times the faithful channel"
         )

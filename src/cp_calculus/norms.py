@@ -76,10 +76,11 @@ def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol):
     r = t1.dim_out if ancilla_dim is None else int(ancilla_dim)
     if r < 1:
         raise ValueError("ancilla dimension must be at least 1")
-    eye_r = np.eye(r)
-    k1 = np.stack([np.kron(v, eye_r) for v in t1.kraus])
-    k2 = np.stack([np.kron(v, eye_r) for v in t2.kraus])
     dim = t1.dim_out * r
+    # every kron(V_x, 1_r) at once, each product formed as np.kron forms it
+    eye_r = np.eye(r)[:, None, :]
+    k1 = (t1.kraus_array[:, :, None, :, None] * eye_r).reshape(len(t1.kraus), -1, dim)
+    k2 = (t2.kraus_array[:, :, None, :, None] * eye_r).reshape(len(t2.kraus), -1, dim)
     results = [
         _ascend(k1, k2, dim, np.random.default_rng([seed, ridx]), max_iter, tol)
         for ridx in range(restarts)

@@ -18,6 +18,7 @@ import numpy as np
 from .cpmap import (
     CpMap,
     _check_same_dims,
+    _trusted_map,
     add,
     apply,
     canonicalize,
@@ -160,7 +161,7 @@ def pad_to_channel(t: CpMap) -> CpMap:
             )
         basis = e.vectors[:, :rank]
         pad = np.eye(m, rank) @ (np.sqrt(vals[:rank])[:, None] * basis.conj().T)
-    return canonicalize(add(t, CpMap(m, n, (pad,))))
+    return canonicalize(add(t, _trusted_map(m, n, pad[None])))
 
 
 class NaimarkDilation(NamedTuple):

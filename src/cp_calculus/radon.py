@@ -25,10 +25,10 @@ from .cpmap import (
     ChoiOperator,
     CpMap,
     _check_same_dims,
+    _columns,
     canonicalize,
     choi_unnormalized,
     from_choi,
-    kraus_stack,
     to_choi,
 )
 from .errors import (
@@ -127,7 +127,7 @@ class _Dominator(NamedTuple):
 def _prepare(t: CpMap, family: CpMap | None = None) -> _Dominator:
     """Prepare ``t`` on ``family``, by default its canonical Kraus family."""
     family = canonicalize(t) if family is None else family
-    w = kraus_stack(family.kraus)
+    w = _columns(family.kraus_array)
     return _Dominator(t, family, w, pinv(w, 0.0))
 
 
@@ -182,14 +182,15 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     Accepts an RnDerivative or a bare matrix; the result is returned in
     canonical Kraus form and is dominated by ``t`` by construction.
     """
-    dom = _prepare(t)
-    d = len(dom.family.kraus)
+    family = canonicalize(t)
+    d = len(family.kraus)
     mat = as_matrix(f.matrix if isinstance(f, RnDerivative) else f)
     if mat.shape != (d, d):
         raise ShapeMismatch(f"density has shape {mat.shape}, environment dim is {d}")
     h = hermitize(mat)
     _check_window(h, NotPsd)
-    choi = t.dim_in * (dom.w @ h @ dom.w.conj().T)
+    w = _columns(family.kraus_array)
+    choi = t.dim_in * (w @ h @ w.conj().T)
     return from_choi(ChoiOperator(t.dim_in, t.dim_out, hermitize(choi)))
 
 
@@ -204,8 +205,7 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     dom = _prepare(t)
     e = herm_eig(_derivative(to_choi(s), dom).matrix)
     weights = np.clip(e.values, 0.0, 1.0)
-    stack = np.stack(dom.family.kraus, axis=0)
-    rotated = np.einsum("yx,ymn->xmn", e.vectors.conj(), stack)
+    rotated = np.einsum("yx,ymn->xmn", e.vectors.conj(), dom.family.kraus_array)
     return RescaledKraus(
         dim_in=t.dim_in,
         dim_out=t.dim_out,

@@ -8,7 +8,12 @@ the direct Heisenberg sum re-implements the Kraus action with a plain loop.
 ``reference_c_min`` (inverse square root of t's process operator on its
 support) and ``reference_faithful_rn`` (one ``apply`` per pair of basis
 vectors) compute by a second route what the library reads off one
-Radon-Nikodym compression.
+Radon-Nikodym compression.  ``reference_kraus_stack`` and
+``reference_to_choi`` are the per-operator ``column_stack`` and the fully
+validated ``ChoiOperator`` that the stacked Kraus array and the trusted
+``to_choi`` replace; ``reference_canonical_kraus``, ``reference_density``
+and the plain Kraus loops below build on them, to pin the stacked forms
+bit for bit.
 
 No ``assert`` here: pytest rewrites asserts only in test modules, so
 ``python -O`` would strip them from this file.
@@ -16,7 +21,7 @@ No ``assert`` here: pytest rewrites asserts only in test modules, so
 
 import numpy as np
 
-from cp_calculus.cpmap import CpMap, add, apply, scale, to_choi
+from cp_calculus.cpmap import ChoiOperator, CpMap, add, apply, scale, to_choi
 from cp_calculus.numerics import EPS_PHASE, RANK_TOL, herm_eig, hermitize, op_norm, recon_tol
 
 
@@ -195,3 +200,54 @@ def reference_faithful_rn(t, w):
             f[i::m, j::m] = img / (root[i] * root[j])
     f = hermitize(f)
     return f, op_norm(f)
+
+
+def reference_kraus_stack(kraus):
+    """Column-stack vec(V_x*), one operator at a time."""
+    return np.column_stack([np.asarray(v, dtype=complex).conj().T.reshape(-1) for v in kraus])
+
+
+def reference_to_choi(t):
+    """m W W* through the public, fully checked ChoiOperator constructor."""
+    w = reference_kraus_stack(t.kraus)
+    return ChoiOperator(t.dim_in, t.dim_out, t.dim_in * (w @ w.conj().T))
+
+
+def reference_canonical_kraus(t):
+    """Canonical Kraus operators of t, one eigenvector at a time."""
+    m, n = t.dim_in, t.dim_out
+    e = herm_eig(reference_to_choi(t).matrix)
+    top = float(e.values[0])
+    kraus = []
+    for k, lam in enumerate(e.values):
+        if top <= 0.0 or lam < RANK_TOL * top:
+            break
+        u = e.vectors[:, k].reshape(n, m)
+        kraus.append(np.sqrt(lam / m) * u.conj().T)
+    return kraus or [np.zeros((m, n), dtype=complex)]
+
+
+def reference_density(s, t):
+    """Density pinv(W) C_s pinv(W)* of s on t's canonical stack W."""
+    w = reference_kraus_stack(reference_canonical_kraus(t))
+    wp = np.linalg.pinv(w, rcond=0.0)
+    cs = reference_to_choi(s).matrix / s.dim_in
+    return hermitize(wp @ cs @ wp.conj().T)
+
+
+def reference_apply(t, a):
+    out = np.zeros((t.dim_out, t.dim_out), dtype=complex)
+    for v in t.kraus:
+        out += v.conj().T @ a @ v
+    return out
+
+
+def reference_apply_dual(t, rho):
+    out = np.zeros((t.dim_in, t.dim_in), dtype=complex)
+    for v in t.kraus:
+        out += v @ rho @ v.conj().T
+    return out
+
+
+def reference_compose_kraus(second, first):
+    return [v @ w for v in first.kraus for w in second.kraus]

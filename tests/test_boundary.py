@@ -1,0 +1,263 @@
+"""Validated at the boundary, trusted by construction inside.
+
+Every public constructor and every ``serialize`` loader rejects non-finite
+entries, wrong shapes, non-Hermitian and non-PSD input with a fixed error
+class and message.  Objects the library derives from validated ones skip
+those checks, but ``to_choi`` still raises when its Gram product
+overflows, and every array a map or process operator holds is read-only.
+CI runs this module in default mode and under ``python -O``.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from cp_calculus import errors
+from cp_calculus.cpmap import (
+    ChoiOperator,
+    CpMap,
+    StinespringDilation,
+    add,
+    canonicalize,
+    compose,
+    from_stinespring,
+    scale,
+    to_choi,
+    to_stinespring,
+)
+from cp_calculus.duality import FaithfulState, faithful_channel, jam_forward, reference_channel
+from cp_calculus.radon import PovmDecomposition
+from cp_calculus.serialize import (
+    choi_from_json,
+    cpmap_from_json,
+    matrix_from_json,
+    parse_input,
+    parse_obj,
+    povm_from_json,
+    state_from_json,
+)
+from helpers import rand_cp_map
+
+NAN = float("nan")
+INF = float("inf")
+I2 = np.eye(2, dtype=complex)
+NON_HERMITIAN = np.eye(4, dtype=complex) + np.diag([1.0, 0.0, 0.0], k=1)
+NON_PSD = np.diag([1.0, -1.0, 0.5, 0.5]).astype(complex)
+FINITE = "matrix entries must be finite"
+HERM = "deviation from Hermiticity 1.000e+00"
+PSD = "eigenvalue -1.000e+00 below zero at scale 1.000e+00"
+
+
+def entry(m, i, j, value):
+    m = np.array(m, dtype=complex)
+    m[i, j] = value
+    return m
+
+
+def js(m):
+    m = np.asarray(m, dtype=complex)
+    data = [[z.real, z.imag] for z in m.reshape(-1)]
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": data}
+
+
+def choi_doc(m):
+    return {"dim_in": 2, "dim_out": 2, "matrix": js(m)}
+
+
+def kraus_doc(*ops):
+    return {"dim_in": 2, "dim_out": 2, "kraus": [js(v) for v in ops]}
+
+
+CONSTRUCTORS = {
+    "cpmap_nan": (lambda: CpMap(2, 2, (I2, entry(I2, 0, 0, NAN))), "ShapeMismatch", FINITE),
+    "cpmap_inf": (lambda: CpMap(2, 2, (entry(I2, 1, 1, INF),)), "ShapeMismatch", FINITE),
+    "cpmap_shape": (
+        lambda: CpMap(2, 2, (I2, np.ones((2, 3)))),
+        "ShapeMismatch",
+        "kraus operator 1 has shape (2, 3), expected (2, 2)",
+    ),
+    "cpmap_ndim": (
+        lambda: CpMap(2, 2, (np.ones(4),)),
+        "ShapeMismatch",
+        "expected a matrix, got array of ndim 1",
+    ),
+    "cpmap_empty": (
+        lambda: CpMap(2, 2, ()),
+        "ShapeMismatch",
+        "a CP map needs at least one Kraus operator",
+    ),
+    "cpmap_dims": (
+        lambda: CpMap(0, 2, (I2,)), "ShapeMismatch", "dimensions must be at least 1"
+    ),
+    "choi_nan": (lambda: ChoiOperator(2, 2, entry(np.eye(4), 0, 0, NAN)), "ShapeMismatch", FINITE),
+    "choi_inf": (lambda: ChoiOperator(2, 2, entry(np.eye(4), 2, 3, INF)), "ShapeMismatch", FINITE),
+    "choi_shape": (
+        lambda: ChoiOperator(2, 2, np.eye(3)),
+        "ShapeMismatch",
+        "expected shape (4, 4), got (3, 3)",
+    ),
+    "choi_non_hermitian": (lambda: ChoiOperator(2, 2, NON_HERMITIAN), "NotHermitian", HERM),
+    "choi_non_psd": (lambda: ChoiOperator(2, 2, NON_PSD), "NotPsd", PSD),
+    "stinespring_nan": (
+        lambda: StinespringDilation(2, 2, 1, entry(I2, 0, 1, NAN), True),
+        "ShapeMismatch",
+        FINITE,
+    ),
+    "stinespring_shape": (
+        lambda: StinespringDilation(2, 2, 2, I2, True),
+        "ShapeMismatch",
+        "expected shape (4, 2), got (2, 2)",
+    ),
+    "povm_nan": (lambda: PovmDecomposition((entry(I2, 0, 0, NAN),)), "ShapeMismatch", FINITE),
+    "povm_shape": (
+        lambda: PovmDecomposition((np.ones((2, 3)),)),
+        "ShapeMismatch",
+        "element 0 is not square: (2, 3)",
+    ),
+    "povm_non_psd": (
+        lambda: PovmDecomposition((np.diag([2.0, 1.0]), np.diag([-1.0, 0.0]))),
+        "NotPsd",
+        "element 1 has eigenvalue -1.000e+00",
+    ),
+    "state_nan": (
+        lambda: FaithfulState(p=np.array([NAN, 1.0])),
+        "ShapeMismatch",
+        "p must be a finite probability vector",
+    ),
+    "state_basis_shape": (
+        lambda: FaithfulState(p=np.array([0.5, 0.5]), basis=np.eye(3)),
+        "ShapeMismatch",
+        "basis has shape (3, 3), expected (2, 2)",
+    ),
+}
+
+LOADERS = {
+    "cpmap_inf": (
+        lambda: cpmap_from_json(
+            {"dim_in": 2, "dim_out": 2, "kraus": [
+                {"rows": 2, "cols": 2, "data": [[1e999, 0], [0, 0], [0, 0], [1, 0]]}
+            ]}
+        ),
+        "SchemaError",
+        "/kraus/0/data/0/0: non-finite value",
+    ),
+    "cpmap_shape": (
+        lambda: cpmap_from_json(kraus_doc(I2, np.ones((2, 3)))),
+        "SchemaError",
+        "/kraus/1: shape (2, 3) does not match dims (2, 2)",
+    ),
+    "choi_inf": (
+        lambda: choi_from_json(
+            {"dim_in": 2, "dim_out": 2, "matrix": {
+                "rows": 4, "cols": 4, "data": [[-1e999, 0]] + [[0, 0]] * 15
+            }}
+        ),
+        "SchemaError",
+        "/matrix/data/0/0: non-finite value",
+    ),
+    "choi_shape": (
+        lambda: choi_from_json(choi_doc(np.eye(3))),
+        "SchemaError",
+        "/matrix: shape (3, 3) does not match dims (4, 4)",
+    ),
+    "choi_non_hermitian": (lambda: choi_from_json(choi_doc(NON_HERMITIAN)), "NotHermitian", HERM),
+    "choi_non_psd": (lambda: choi_from_json(choi_doc(NON_PSD)), "NotPsd", PSD),
+    "parse_choi_non_psd": (lambda: parse_obj(choi_doc(NON_PSD)), "NotPsd", PSD),
+    "povm_shape": (
+        lambda: povm_from_json({"elements": [js(np.ones((2, 3)))]}),
+        "ShapeMismatch",
+        "element 0 is not square: (2, 3)",
+    ),
+    "povm_non_psd": (
+        lambda: povm_from_json({"elements": [js(np.diag([2.0, 1.0])), js(np.diag([-1.0, 0.0]))]}),
+        "NotPsd",
+        "element 1 has eigenvalue -1.000e+00",
+    ),
+    "state_not_faithful": (
+        lambda: state_from_json({"p": [0.0, 1.0]}),
+        "NotPsd",
+        "state is not faithful: p[0] = 0.000e+00",
+    ),
+    "matrix_count": (
+        lambda: matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]}),
+        "SchemaError",
+        "/data: expected 4 entries, got 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTORS))
+def test_public_constructor_rejects(case):
+    build, cls, message = CONSTRUCTORS[case]
+    with pytest.raises(getattr(errors, cls)) as info:
+        build()
+    assert type(info.value).__name__ == cls
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(LOADERS))
+def test_serialize_loader_rejects(case):
+    load, cls, message = LOADERS[case]
+    with pytest.raises(getattr(errors, cls)) as info:
+        load()
+    assert type(info.value).__name__ == cls
+    assert str(info.value) == message
+
+
+def test_parse_input_rejects_non_psd_choi(tmp_path):
+    path = tmp_path / "choi.json"
+    path.write_text(json.dumps(choi_doc(NON_PSD)))
+    with pytest.raises(errors.NotPsd, match=r"^eigenvalue -1\.000e\+00 below zero"):
+        parse_input(str(path))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [CpMap(2, 2, (1e200 * I2,)), CpMap(1, 2, (np.array([[1e300, 1e300]]),))],
+    ids=["square", "row"],
+)
+def test_to_choi_overflow_raises(t):
+    for convert in (to_choi, jam_forward):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(errors.ShapeMismatch) as info:
+                convert(t)
+        assert str(info.value) == FINITE
+
+
+def derived_maps():
+    rng = np.random.default_rng(61)
+    t = rand_cp_map(rng, 2, 3, n_kraus=3)
+    return {
+        "public": t,
+        "canonical": canonicalize(t),
+        "scaled": scale(t, 0.5),
+        "sum": add(t, t),
+        "composed": compose(rand_cp_map(rng, 3, 2, n_kraus=2), t),
+        "from_stinespring": from_stinespring(to_stinespring(t)),
+        "reference": reference_channel(2, 3),
+        "faithful": faithful_channel(FaithfulState(p=np.array([0.25, 0.75])), 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(derived_maps()))
+def test_held_arrays_are_read_only(name):
+    t = derived_maps()[name]
+    for v in t.kraus:
+        with pytest.raises(ValueError):
+            v[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        t.kraus_array[0, 0, 0] = 5.0
+    assert all(np.shares_memory(v, t.kraus_array) for v in t.kraus)
+    c = to_choi(t)
+    with pytest.raises(ValueError):
+        c.matrix[0, 0] = 5.0
+
+
+def test_trusted_results_do_not_alias_their_inputs():
+    ops = np.stack([I2, 2.0 * I2])
+    t = CpMap(2, 2, tuple(ops))
+    ops[0, 0, 0] = 7.0
+    for derived in (t, scale(t, 1.0), add(t, t), canonicalize(t)):
+        assert not np.shares_memory(derived.kraus_array, ops)
+    assert t.kraus[0][0, 0] == 1.0

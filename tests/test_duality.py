@@ -346,7 +346,7 @@ def test_faithful_rn_extreme_weights():
 
 
 def test_faithful_rn_raises_when_constant_fails_to_dominate(monkeypatch):
-    monkeypatch.setattr(duality, "dominates", lambda *args: False)
+    monkeypatch.setattr(duality, "psd_leq", lambda *args: False)
     w = FaithfulState(p=np.array([0.5, 0.5]))
     with pytest.raises(InvariantViolation, match="not dominated"):
         faithful_rn(CpMap(2, 2, (np.eye(2),)), w)

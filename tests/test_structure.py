@@ -6,12 +6,18 @@ that guards a returned value raises InvariantViolation instead; a second
 derivation of an identity that holds by construction belongs in the tests.
 pytest rewrites asserts only in test modules, so the shared test helpers
 and conftest, which hold reference code, are held to the same rule.
+
+The loaders in ``serialize`` and the CLI must not reach the trusted
+constructors, and the package must not export them.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import cp_calculus
+from cp_calculus import cpmap
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "cp_calculus"
@@ -30,3 +36,47 @@ def test_no_mode_dependent_code(path):
         or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
     assert found == []
+
+
+# Validated at the boundary: what reads user input builds through the
+# checked public constructors, never the trusted ones the library uses
+# for objects it derives from validated inputs.
+TRUSTED = sorted(name for name in vars(cpmap) if name.startswith("_trusted"))
+BOUNDARY = ("serialize.py", "cli.py")
+
+
+def test_trusted_constructors_are_known():
+    assert TRUSTED == ["_trusted_choi", "_trusted_map"]
+
+
+def _names(node):
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    return []
+
+
+@pytest.mark.parametrize("name", BOUNDARY)
+def test_boundary_modules_use_checked_constructors(name):
+    path = SRC / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{name}:{getattr(node, 'lineno', '?')}: {ident}"
+        for node in ast.walk(tree)
+        for ident in _names(node)
+        if ident in TRUSTED or ident == "__new__"
+    ]
+    assert found == []
+
+
+def test_trusted_constructors_not_exported():
+    trusted = [getattr(cpmap, name) for name in TRUSTED]
+    exported = [
+        name
+        for name in cp_calculus.__all__
+        if name in TRUSTED or any(getattr(cp_calculus, name) is fn for fn in trusted)
+    ]
+    assert exported == []
