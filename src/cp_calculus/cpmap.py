@@ -27,8 +27,8 @@ from .numerics import (
     EPS_HERM,
     EPS_PSD,
     RANK_TOL,
-    _canonical_eig,
     as_matrix,
+    herm_eig,
     hermitize,
     op_norm,
     psd_leq,
@@ -221,7 +221,7 @@ def from_choi(c: ChoiOperator) -> CpMap:
     all-zero operator.  The family is built on the trusted path.
     """
     m, n = c.dim_in, c.dim_out
-    e = _canonical_eig(c.matrix)
+    e = herm_eig(c.matrix)
     top = float(e.values[0]) if e.values.size else 0.0
     if top <= 0.0:
         return _trusted_map(m, n, np.zeros((1, m, n), dtype=complex))

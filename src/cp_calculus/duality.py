@@ -21,6 +21,7 @@ import numpy as np
 from .cpmap import (
     ChoiOperator,
     CpMap,
+    _trusted_choi,
     _trusted_map,
     apply,
     scale,
@@ -130,7 +131,7 @@ def jam_compose(f2: ChoiOperator, f1: ChoiOperator) -> ChoiOperator:
 
         <x,i|F21|y,j> = (1/n) sum_{mu,nu} <x,mu|F2|y,nu> <mu,i|F1|nu,j>
 
-    which equals jam_forward of the composed maps.
+    which equals jam_forward of the composed maps and is PSD by construction.
     """
     if f1.dim_out != f2.dim_in:
         raise DimMismatch(
@@ -141,9 +142,7 @@ def jam_compose(f2: ChoiOperator, f1: ChoiOperator) -> ChoiOperator:
     f2r = f2.matrix.reshape(d, n, d, n)
     f1r = f1.matrix.reshape(n, m, n, m)
     out = np.einsum("xuyv,uivj->xiyj", f2r, f1r) / n
-    return ChoiOperator(
-        dim_in=m, dim_out=d, matrix=hermitize(out.reshape(d * m, d * m))
-    )
+    return _trusted_choi(m, d, hermitize(out.reshape(d * m, d * m)))
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,7 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
         raise DimMismatch(f"state dim {w.dim} does not match input dim {m}")
     phi = faithful_channel(w, n)
     ct = to_choi(t)
-    f = _density(ct, _prepare(phi, phi))
+    f = _density(ct, _prepare(phi))
     c = float(op_norm(f))
     if not psd_leq(ct.matrix, to_choi(scale(phi, c)).matrix):
         raise InvariantViolation(

@@ -20,13 +20,14 @@ from .cpmap import (
     _check_same_dims,
     add,
     apply,
+    canonicalize,
     dilation_matrix,
     to_choi,
 )
 from .duality import jam_forward, reference_channel
 from .errors import InvariantViolation, ShapeMismatch
 from .numerics import (
-    _canonical_eig,
+    herm_eig,
     op_norm,
     psd_sqrt,
     tensor,
@@ -44,7 +45,7 @@ def _ascend(k1, k2, dim, rng, max_iter, tol):
 
     ``k1`` and ``k2`` are the maps' ancilla-extended Kraus operators,
     stacked along the first axis.  x and y are Hermitian by construction,
-    so their eigensystems skip herm_eig's Hermiticity check.
+    which is all herm_eig assumes of its input.
     """
     k1h = k1.conj().transpose(0, 2, 1)
     k2h = k2.conj().transpose(0, 2, 1)
@@ -56,7 +57,7 @@ def _ascend(k1, k2, dim, rng, max_iter, tol):
     for _ in range(max_iter):
         rho = np.outer(psi, psi.conj())
         x = (k1 @ rho @ k1h).sum(axis=0) - (k2 @ rho @ k2h).sum(axis=0)
-        eig = _canonical_eig(x)
+        eig = herm_eig(x)
         value = float(np.sum(np.abs(eig.values)))
         steps += 1
         if value - prev <= tol * max(1.0, value):
@@ -65,7 +66,7 @@ def _ascend(k1, k2, dim, rng, max_iter, tol):
         signs = np.where(eig.values >= 0.0, 1.0, -1.0)
         sign_op = (eig.vectors * signs) @ eig.vectors.conj().T
         y = (k1h @ sign_op @ k1).sum(axis=0) - (k2h @ sign_op @ k2).sum(axis=0)
-        psi = _canonical_eig(y).vectors[:, 0]
+        psi = herm_eig(y).vectors[:, 0]
     return value, steps
 
 
@@ -124,7 +125,7 @@ def bound_rn(t1: CpMap, t2: CpMap) -> float:
     """
     _check_same_dims(t1, t2)
     total = add(t1, t2)
-    dom = _prepare(total)
+    dom = _prepare(canonicalize(total))
     f1 = _derivative(to_choi(t1), dom).matrix
     f2 = _derivative(to_choi(t2), dom).matrix
     return float(op_norm(apply(total, np.eye(total.dim_in))) * op_norm(f1 - f2))

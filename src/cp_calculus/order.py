@@ -23,6 +23,7 @@ from .cpmap import (
     apply,
     canonicalize,
     dilation_matrix,
+    from_choi,
     is_channel,
     is_quantum_operation,
     scale,
@@ -44,6 +45,7 @@ from .numerics import (
     herm_eig,
     hermitize,
     op_norm,
+    psd_leq,
     psd_sqrt,
     recon_tol,
     tensor,
@@ -51,10 +53,9 @@ from .numerics import (
 from .radon import (
     PovmDecomposition,
     _density,
+    _difference,
     _instrument_rn,
     _prepare,
-    cp_difference,
-    dominates,
 )
 
 
@@ -74,7 +75,7 @@ def channel_difference_is_cp(
     apply(t, 1) within tolerance (same normalization); anything else raises
     NotAChannel.  Returns EQUAL when the maps agree on all inputs, NOT_CP
     otherwise.  For pairs separated by more than 1e-6 in process-operator
-    norm the NOT_CP verdict is cross-checked against ``dominates`` (a
+    norm the NOT_CP verdict is cross-checked with ``psd_leq`` (a
     failure raises InvariantViolation, also under ``python -O``); closer
     ties sit inside the order check's tolerance window and are reported
     without the cross-check.
@@ -88,11 +89,11 @@ def channel_difference_is_cp(
             raise NotAChannel(
                 f"normalizations differ by {norm_gap:.3e}; rigidity needs equality"
             )
-    ct = to_choi(t).matrix
-    gap = op_norm(to_choi(s).matrix - ct)
+    cs, ct = to_choi(s).matrix, to_choi(t).matrix
+    gap = op_norm(cs - ct)
     if gap <= recon_tol(op_norm(ct)):
         return DifferenceVerdict.EQUAL
-    if gap > 1e-6 and dominates(s, t, tol):
+    if gap > 1e-6 and psd_leq(cs, ct, tol):
         raise InvariantViolation("rigidity violated for a separated pair")
     return DifferenceVerdict.NOT_CP
 
@@ -115,7 +116,7 @@ def c_min(s: CpMap, t: CpMap) -> DominationConstant:
     """
     _check_same_dims(s, t)
     try:
-        f = _density(to_choi(s), _prepare(t))
+        f = _density(to_choi(s), _prepare(canonicalize(t)))
     except NotDominated:
         return DominationConstant(value=float("inf"), attained=False)
     top = float(np.linalg.eigvalsh(f)[-1])
@@ -152,7 +153,7 @@ def pad_to_channel(t: CpMap) -> CpMap:
     if rank == 0:
         pad = np.zeros((m, n), dtype=complex)
     elif m >= n:
-        pad = np.eye(m, n) @ psd_sqrt(defect)
+        pad = np.eye(m, n) @ ((e.vectors * np.sqrt(vals)) @ e.vectors.conj().T)
     else:
         if rank > m:
             raise CpError(
@@ -234,22 +235,26 @@ def order_chain_dilation(chain) -> PvmChain:
     for k, t in enumerate(chain):
         if not is_quantum_operation(t):
             raise NotAnOperation(f"chain element {k} has T(1) > 1")
-    for k in range(len(chain) - 1):
-        if not dominates(chain[k], chain[k + 1]):
-            raise NotMonotone(f"element {k} is not dominated by element {k + 1}")
+    # each element's process operator is formed once, and only two are held
+    prev = to_choi(chain[0])
+    parts = [prev]
+    for k in range(1, len(chain)):
+        _check_same_dims(chain[k - 1], chain[k])
+        cur = to_choi(chain[k])
+        if not psd_leq(prev.matrix, cur.matrix):
+            raise NotMonotone(f"element {k - 1} is not dominated by element {k}")
+        parts.append(to_choi(_difference(cur, prev)))
+        prev = cur
 
     last = chain[-1]
     padded = not is_channel(last)
-    base = pad_to_channel(last) if padded else canonicalize(last)
-
-    parts = [chain[0]]
-    for k in range(1, len(chain)):
-        parts.append(cp_difference(chain[k], chain[k - 1]))
+    base = pad_to_channel(last) if padded else from_choi(prev)
+    ct = to_choi(base)
     if padded:
-        parts.append(cp_difference(base, last))
+        parts.append(to_choi(_difference(ct, prev)))
 
-    dom = _prepare(base)
-    povm = _instrument_rn(dom, parts)
+    dom = _prepare(from_choi(ct))
+    povm = _instrument_rn(dom, ct, parts)
     nai = naimark_dilate(povm)
     k_parts = len(povm.elements)
     env = povm.dim * k_parts

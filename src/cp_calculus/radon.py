@@ -26,6 +26,7 @@ from .cpmap import (
     CpMap,
     _check_same_dims,
     _columns,
+    _trusted_choi,
     canonicalize,
     choi_unnormalized,
     from_choi,
@@ -118,17 +119,16 @@ class _Dominator(NamedTuple):
     one the caller fixes), its stack W and pinv(W) with no cutoff (canonical
     stacks keep singular values >= sqrt(RANK_TOL) * largest)."""
 
-    t: CpMap
     family: CpMap
     w: np.ndarray
     wp: np.ndarray
 
 
-def _prepare(t: CpMap, family: CpMap | None = None) -> _Dominator:
-    """Prepare ``t`` on ``family``, by default its canonical Kraus family."""
-    family = canonicalize(t) if family is None else family
+def _prepare(family: CpMap) -> _Dominator:
+    """Prepare a dominating map on the Kraus family its densities live on:
+    ``canonicalize(t)``, or a linearly independent one the caller fixes."""
     w = _columns(family.kraus_array)
-    return _Dominator(t, family, w, pinv(w, 0.0))
+    return _Dominator(family, w, pinv(w, 0.0))
 
 
 def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
@@ -139,7 +139,7 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     two checks are exactly the domination criterion.
     """
     _check_same_dims(s, t)
-    return _derivative(to_choi(s), _prepare(t))
+    return _derivative(to_choi(s), _prepare(canonicalize(t)))
 
 
 def _density(c: ChoiOperator, dom: _Dominator) -> np.ndarray:
@@ -169,8 +169,8 @@ def _derivative(c: ChoiOperator, dom: _Dominator) -> RnDerivative:
     f = _density(c, dom)
     _check_window(f, NotDominated)
     return RnDerivative(
-        dim_in=dom.t.dim_in,
-        dim_out=dom.t.dim_out,
+        dim_in=c.dim_in,
+        dim_out=c.dim_out,
         env_dim=len(dom.family.kraus),
         matrix=f,
     )
@@ -191,7 +191,7 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     _check_window(h, NotPsd)
     w = _columns(family.kraus_array)
     choi = t.dim_in * (w @ h @ w.conj().T)
-    return from_choi(ChoiOperator(t.dim_in, t.dim_out, hermitize(choi)))
+    return from_choi(_trusted_choi(t.dim_in, t.dim_out, hermitize(choi)))
 
 
 def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
@@ -202,7 +202,7 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     S(A) = sum lam_x W_x* A W_x with weights descending in [0, 1].
     """
     _check_same_dims(s, t)
-    dom = _prepare(t)
+    dom = _prepare(canonicalize(t))
     e = herm_eig(_derivative(to_choi(s), dom).matrix)
     weights = np.clip(e.values, 0.0, 1.0)
     rotated = np.einsum("yx,ymn->xmn", e.vectors.conj(), dom.family.kraus_array)
@@ -215,13 +215,21 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
 
 
 def cp_difference(t: CpMap, s: CpMap) -> CpMap:
-    """The CP map T - S for a dominated pair, in canonical Kraus form."""
+    """The CP map T - S for a dominated pair, in canonical Kraus form.
+
+    S <= T is decided with psd_leq, the test ``dominates`` runs; the
+    difference is then PSD and is built without a second check."""
     _check_same_dims(s, t)
-    diff = to_choi(t).matrix - to_choi(s).matrix
-    try:
-        return from_choi(ChoiOperator(t.dim_in, t.dim_out, hermitize(diff)))
-    except NotPsd as exc:
-        raise NotDominated(f"difference is not completely positive: {exc}") from exc
+    ct, cs = to_choi(t), to_choi(s)
+    if not psd_leq(cs.matrix, ct.matrix):
+        raise NotDominated("difference is not completely positive")
+    return _difference(ct, cs)
+
+
+def _difference(ct: ChoiOperator, cs: ChoiOperator) -> CpMap:
+    """Canonical T - S from the process operators of a pair with S <= T."""
+    diff = hermitize(ct.matrix - cs.matrix)
+    return from_choi(_trusted_choi(ct.dim_in, ct.dim_out, diff))
 
 
 def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
@@ -230,20 +238,19 @@ def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
     ``parts`` must sum to ``t``; each density F_i = D_T(part_i) is PSD and
     the family resolves the identity on the canonical environment.
     """
-    return _instrument_rn(_prepare(t), parts)
-
-
-def _instrument_rn(dom: _Dominator, parts) -> PovmDecomposition:
     parts = list(parts)
     if not parts:
         raise NotADecomposition("an instrument needs at least one part")
     for p in parts:
-        _check_same_dims(p, dom.t)
-    chois = [to_choi(p) for p in parts]
+        _check_same_dims(p, t)
+    ct = to_choi(t)
+    return _instrument_rn(_prepare(from_choi(ct)), ct, [to_choi(p) for p in parts])
+
+
+def _instrument_rn(dom: _Dominator, ct: ChoiOperator, chois) -> PovmDecomposition:
     total = sum(c.matrix for c in chois)
-    target = to_choi(dom.t).matrix
-    dev = op_norm(total - target)
-    if dev > recon_tol(op_norm(target)):
+    dev = op_norm(total - ct.matrix)
+    if dev > recon_tol(op_norm(ct.matrix)):
         raise NotADecomposition(f"parts sum differs from the map by {dev:.3e}")
     elements = [_derivative(c, dom).matrix for c in chois]
     return PovmDecomposition(elements=tuple(elements))

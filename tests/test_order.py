@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from cp_calculus import cpmap
 from cp_calculus.cpmap import (
     CpMap,
     StinespringDilation,
@@ -86,7 +89,7 @@ def test_rigidity_check_raises_in_every_mode(monkeypatch):
     # is an explicit raise, so it also holds under python -O
     a = CpMap(2, 2, (np.eye(2),))
     b = CpMap(2, 2, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
-    monkeypatch.setattr("cp_calculus.order.dominates", lambda s, t, tol: True)
+    monkeypatch.setattr("cp_calculus.order.psd_leq", lambda x, y, tol: True)
     with pytest.raises(InvariantViolation, match="rigidity"):
         channel_difference_is_cp(a, b)
 
@@ -382,6 +385,29 @@ def test_order_chain_rejects():
         order_chain_dilation([scale(t, 2.0)])
     with pytest.raises(ValueError):
         order_chain_dilation([])
+    with pytest.raises(DimMismatch):
+        order_chain_dilation([scale(t, 0.5), rand_channel(RNG, 2, 3)])
+
+
+def test_order_chain_forms_each_operator_once(monkeypatch):
+    # count to_choi wherever the package binds it
+    seen = []
+    orig = cpmap.to_choi
+
+    def counted(t):
+        seen.append(t)
+        return orig(t)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cp_calculus") and getattr(mod, "to_choi", None) is orig:
+            monkeypatch.setattr(mod, "to_choi", counted)
+    chain = conic_chain(RNG, 4, 4, 3)
+    assert not is_channel(chain[-1])
+    order_chain_dilation(chain)
+    assert [sum(x is t for x in seen) for t in chain] == [1, 1, 1]
+    # plus the three differences (padding part included), the padding's
+    # canonical form and the padded top
+    assert len(seen) == 8
 
 
 def test_chain_converse_direction():

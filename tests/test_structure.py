@@ -8,7 +8,8 @@ pytest rewrites asserts only in test modules, so the shared test helpers
 and conftest, which hold reference code, are held to the same rule.
 
 The loaders in ``serialize`` and the CLI must not reach the trusted
-constructors, and the package must not export them.
+constructors, and the package must not export them; no other module may
+call the checked ``CpMap`` and ``ChoiOperator`` constructors.
 """
 
 import ast
@@ -68,6 +69,24 @@ def test_boundary_modules_use_checked_constructors(name):
         for node in ast.walk(tree)
         for ident in _names(node)
         if ident in TRUSTED or ident == "__new__"
+    ]
+    assert found == []
+
+
+# Trusted by construction inside: the loaders in ``serialize`` are the one
+# place the library builds maps and process operators through the checked
+# public constructors; everything it derives takes the trusted path.
+CHECKED = ("CpMap", "ChoiOperator")
+LIBRARY = [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py")) if p.name != "serialize.py"]
+
+
+@pytest.mark.parametrize("path", LIBRARY)
+def test_library_derives_on_trusted_path(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and set(_names(node.func)) & set(CHECKED)
     ]
     assert found == []
 
