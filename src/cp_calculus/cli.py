@@ -54,6 +54,22 @@ class AnalysisRequest:
     options: dict = field(default_factory=dict)
 
 
+def _flag(cast, ok, need: str) -> Callable:
+    """argparse type: ``cast`` the text, a usage error unless ``ok(value)``."""
+
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {need}")
+        return value
+
+    parse.__name__ = cast.__name__  # unparsable text reads "invalid int value"
+    return parse
+
+
+_COUNT = _flag(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cp-calculus",
@@ -63,20 +79,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("inputs", nargs="*", help="input JSON files")
     parser.add_argument(
         "--tol",
-        type=float,
+        type=_flag(
+            float, lambda v: np.isfinite(v) and v >= 0.0, "a finite number >= 0"
+        ),
         default=None,
         help="PSD slack for verdict commands (default %g)" % EPS_PSD,
     )
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="report format"
     )
-    parser.add_argument("--seed", type=int, default=0, help="estimator seed")
     parser.add_argument(
-        "--restarts", type=int, default=32, help="estimator restart count"
+        "--seed",
+        type=_flag(int, lambda v: v >= 0, "an integer >= 0"),
+        default=0,
+        help="estimator seed",
+    )
+    parser.add_argument(
+        "--restarts", type=_COUNT, default=32, help="estimator restart count"
     )
     parser.add_argument(
         "--max-dim",
-        type=int,
+        type=_COUNT,
         default=None,
         help="reject inputs whose total dimension exceeds this",
     )

@@ -180,7 +180,7 @@ def naimark_dilate(povm: PovmDecomposition) -> NaimarkDilation:
     """
     d = povm.dim
     k = len(povm.elements)
-    roots = [psd_sqrt(hermitize(f)) for f in povm.elements]
+    roots = [psd_sqrt(f) for f in povm.elements]
     isometry = np.stack(roots, axis=1).reshape(d * k, d)
     pvm = []
     for i in range(k):
@@ -228,6 +228,10 @@ def order_chain_dilation(chain) -> PvmChain:
     environment POVM is dilated projectively; partial sums of the projective
     family give the increasing projections.  Projections are returned for
     the input chain only (the padding part, when present, is excluded).
+    The contract is T_k(A) = V*(A (x) P_k)V; the isometry V is unique only
+    up to rotations within degenerate eigenspaces of the top element's
+    process operator, and Naimark roots of rank-deficient POVM elements
+    carry rounding of about sqrt(eps).
     """
     chain = list(chain)
     if not chain:
@@ -243,27 +247,19 @@ def order_chain_dilation(chain) -> PvmChain:
         cur = to_choi(chain[k])
         if not psd_leq(prev.matrix, cur.matrix):
             raise NotMonotone(f"element {k - 1} is not dominated by element {k}")
-        parts.append(to_choi(_difference(cur, prev)))
+        parts.append(_difference(cur, prev))
         prev = cur
 
-    last = chain[-1]
-    padded = not is_channel(last)
-    base = pad_to_channel(last) if padded else from_choi(prev)
-    ct = to_choi(base)
+    padded = not is_channel(chain[-1])
+    top = pad_to_channel(chain[-1]) if padded else from_choi(prev)
     if padded:
-        parts.append(to_choi(_difference(ct, prev)))
+        parts.append(_difference(to_choi(top), prev))
 
-    dom = _prepare(from_choi(ct))
-    povm = _instrument_rn(dom, ct, parts)
+    dom = _prepare(top)
+    povm = _instrument_rn(dom, parts)
     nai = naimark_dilate(povm)
-    k_parts = len(povm.elements)
-    env = povm.dim * k_parts
-
-    projections = []
-    running = np.zeros((env, env), dtype=complex)
-    for i in range(len(chain)):
-        running = running + nai.pvm[i]
-        projections.append(running.copy())
+    env = povm.dim * len(povm.elements)
+    projections = np.cumsum(nai.pvm[: len(chain)], axis=0)
 
     big = tensor(np.eye(chain[0].dim_in), nai.isometry)
     isometry = big @ dilation_matrix(dom.family)

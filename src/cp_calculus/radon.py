@@ -223,13 +223,12 @@ def cp_difference(t: CpMap, s: CpMap) -> CpMap:
     ct, cs = to_choi(t), to_choi(s)
     if not psd_leq(cs.matrix, ct.matrix):
         raise NotDominated("difference is not completely positive")
-    return _difference(ct, cs)
+    return from_choi(_difference(ct, cs))
 
 
-def _difference(ct: ChoiOperator, cs: ChoiOperator) -> CpMap:
-    """Canonical T - S from the process operators of a pair with S <= T."""
-    diff = hermitize(ct.matrix - cs.matrix)
-    return from_choi(_trusted_choi(ct.dim_in, ct.dim_out, diff))
+def _difference(ct: ChoiOperator, cs: ChoiOperator) -> ChoiOperator:
+    """Process operator of T - S from those of a pair with S <= T."""
+    return _trusted_choi(ct.dim_in, ct.dim_out, hermitize(ct.matrix - cs.matrix))
 
 
 def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
@@ -244,13 +243,14 @@ def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
     for p in parts:
         _check_same_dims(p, t)
     ct = to_choi(t)
-    return _instrument_rn(_prepare(from_choi(ct)), ct, [to_choi(p) for p in parts])
-
-
-def _instrument_rn(dom: _Dominator, ct: ChoiOperator, chois) -> PovmDecomposition:
-    total = sum(c.matrix for c in chois)
-    dev = op_norm(total - ct.matrix)
+    chois = [to_choi(p) for p in parts]
+    dev = op_norm(sum(c.matrix for c in chois) - ct.matrix)
     if dev > recon_tol(op_norm(ct.matrix)):
         raise NotADecomposition(f"parts sum differs from the map by {dev:.3e}")
-    elements = [_derivative(c, dom).matrix for c in chois]
-    return PovmDecomposition(elements=tuple(elements))
+    return _instrument_rn(_prepare(from_choi(ct)), chois)
+
+
+def _instrument_rn(dom: _Dominator, chois) -> PovmDecomposition:
+    """Densities of process operators that sum to the dominator's map by
+    construction; instrument_rn checks the sum of parts from outside."""
+    return PovmDecomposition(tuple(_derivative(c, dom).matrix for c in chois))

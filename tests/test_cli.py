@@ -255,6 +255,28 @@ def test_max_dim_guard(files, capsys):
     assert "--max-dim" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("diamond", "--restarts", "0"),
+        ("diamond", "--seed", "-1"),
+        ("dominate", "--max-dim", "0"),
+        ("dominate", "--tol", "nan"),
+        ("dominate", "--tol", "inf"),
+        ("dominate", "--tol", "-0.5"),
+    ],
+)
+def test_invalid_flag_is_usage_error(files, capsys, command, flag, value):
+    # rejected by argparse before any input is read: exit 2, empty stdout;
+    # an infinite --tol would otherwise let any map dominate any other
+    _, write = files
+    high = write("high.json", cpmap_to_json(scale(IDENT, 0.8)))
+    low = write("low.json", cpmap_to_json(scale(IDENT, 0.2)))
+    code, out, err = run([command, high, low, flag, value], capsys)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: '{value}' is not " in err
+
+
 def test_text_format_matches_json_values(files, capsys):
     _, write = files
     ident = write("id.json", cpmap_to_json(IDENT))

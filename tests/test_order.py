@@ -365,16 +365,19 @@ def test_order_chain_padding_branch():
 
 
 def test_order_chain_tall_output_channel_top():
-    # dim_in < dim_out works whenever the top of the chain is already a channel
-    top = rand_channel(RNG, 2, 3)
-    chain = [scale(top, 0.4), top]
-    result = order_chain_dilation(chain)
-    assert len(result.projections) == 2
-    assert np.allclose(result.projections[-1], np.eye(result.env_dim), atol=1e-9)
-    for t, p in zip(chain, result.projections):
-        for unit in matrix_units(2):
-            lhs = result.isometry.conj().T @ np.kron(unit, p) @ result.isometry
-            assert np.max(np.abs(lhs - apply(t, unit))) <= 1e-8
+    # dim_in < dim_out works whenever the top of the chain is already a channel.
+    # A 1x3 channel comes from an isometry and its process operator is the
+    # identity: fully degenerate, so only the dilation identities are pinned
+    for m, n in ((2, 3), (1, 3)):
+        top = rand_channel(RNG, m, n)
+        chain = [scale(top, 0.4), top]
+        result = order_chain_dilation(chain)
+        assert len(result.projections) == 2
+        assert np.allclose(result.projections[-1], np.eye(result.env_dim), atol=1e-9)
+        for t, p in zip(chain, result.projections):
+            for unit in matrix_units(m):
+                lhs = result.isometry.conj().T @ np.kron(unit, p) @ result.isometry
+                assert np.max(np.abs(lhs - apply(t, unit))) <= 1e-8
 
 
 def test_order_chain_rejects():
@@ -405,9 +408,35 @@ def test_order_chain_forms_each_operator_once(monkeypatch):
     assert not is_channel(chain[-1])
     order_chain_dilation(chain)
     assert [sum(x is t for x in seen) for t in chain] == [1, 1, 1]
-    # plus the three differences (padding part included), the padding's
-    # canonical form and the padded top
-    assert len(seen) == 8
+    # plus the padding's canonical form and the padded top; the differences
+    # are taken on process operators and never pass through a Kraus family
+    assert len(seen) == 5
+    seen.clear()
+    top = rand_channel(RNG, 4, 4)
+    chain = [scale(top, 0.25), scale(top, 0.5), top]
+    order_chain_dilation(chain)
+    assert [sum(x is t for x in seen) for t in chain] == [1, 1, 1]
+    assert len(seen) == 3
+
+
+def test_order_chain_runs_one_eigendecomposition(monkeypatch):
+    # the canonical form of the top element is the only eigh of size m*n;
+    # the chains' Kraus ranks stay below 16, so the Naimark roots are smaller
+    sizes = []
+    orig = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    padded = conic_chain(RNG, 4, 4, 3)
+    assert not is_channel(padded[-1])
+    top = rand_channel(RNG, 4, 4, n_kraus=2)
+    for chain in (padded, [scale(top, 0.5), top]):
+        sizes.clear()
+        order_chain_dilation(chain)
+        assert sizes.count(16) == 1
 
 
 def test_chain_converse_direction():

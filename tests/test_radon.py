@@ -225,8 +225,17 @@ def test_instrument_rn_rejects_bad_sum():
     t = rand_channel(RNG, 2, 2)
     with pytest.raises(NotADecomposition):
         instrument_rn(t, [scale(t, 0.5), scale(t, 0.4)])
-    with pytest.raises(NotADecomposition):
+    with pytest.raises(
+        NotADecomposition, match="^an instrument needs at least one part$"
+    ):
         instrument_rn(t, [])
+    # the identity channel's process operator has norm 4, so the missing
+    # tenth is 0.4; parts from outside are checked here, not in the chain
+    ident = CpMap(2, 2, (np.eye(2),))
+    with pytest.raises(
+        NotADecomposition, match="^parts sum differs from the map by 4.000e-01$"
+    ):
+        instrument_rn(ident, [scale(ident, 0.5), scale(ident, 0.4)])
 
 
 def test_povm_type_validation():

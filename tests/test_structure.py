@@ -99,3 +99,28 @@ def test_trusted_constructors_not_exported():
         if name in TRUSTED or any(getattr(cp_calculus, name) is fn for fn in trusted)
     ]
     assert exported == []
+
+
+# No linter runs in CI, and refactors leave imports behind.  Re-exports in
+# ``__init__.py`` and ``from __future__`` imports are not uses to look for.
+MODULES = [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", MODULES)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        f"{path.name}:{line}: {name}"
+        for name, line in sorted(imported.items())
+        if name not in used
+    ]
+    assert unused == []
