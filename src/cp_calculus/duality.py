@@ -42,7 +42,6 @@ from .numerics import (
     op_norm,
     partial_trace,
     psd_leq,
-    tensor,
 )
 from .radon import _density, _prepare
 
@@ -106,14 +105,14 @@ def jam_apply(f: ChoiOperator, a) -> np.ndarray:
     """Recover the action on ``a`` from a process operator.
 
     Computes (1/m) tr_in[(1 (x) a^T) F] with the transpose taken in the
-    standard basis; for F = jam_forward(t) this equals apply(t, a).
+    standard basis, as one contraction of a with F's input indices, so no
+    identity factor is formed; for F = jam_forward(t) this equals apply(t, a).
     """
     a = as_matrix(a)
     m, n = f.dim_in, f.dim_out
     if a.shape != (m, m):
         raise ShapeMismatch(f"expected shape {(m, m)}, got {a.shape}")
-    prod = tensor(np.eye(n), a.T) @ f.matrix
-    return partial_trace(prod, "second", n, m) / m
+    return np.einsum("ji,ujvi->uv", a, f.matrix.reshape(n, m, n, m)) / m
 
 
 def jam_is_operation(f: ChoiOperator, tol: float = EPS_PSD) -> bool:

@@ -18,6 +18,7 @@ import numpy as np
 from .cpmap import (
     CpMap,
     _check_same_dims,
+    _frozen,
     add,
     apply,
     canonicalize,
@@ -26,12 +27,7 @@ from .cpmap import (
 )
 from .duality import jam_forward, reference_channel
 from .errors import InvariantViolation, ShapeMismatch
-from .numerics import (
-    herm_eig,
-    op_norm,
-    psd_sqrt,
-    tensor,
-)
+from .numerics import as_matrix, herm_eig, op_norm, psd_sqrt
 from .radon import _derivative, _prepare, dominates
 
 
@@ -148,9 +144,10 @@ class CommonDilationPair:
     def __post_init__(self):
         shape = (self.dim_in * self.env_dim, self.dim_out)
         for name, v in (("v1", self.v1), ("v2", self.v2)):
-            v = np.asarray(v, dtype=complex)
+            v = as_matrix(v)
             if v.shape != shape:
                 raise ShapeMismatch(f"{name} has shape {v.shape}, expected {shape}")
+            object.__setattr__(self, name, _frozen(v.copy()))
 
     @property
     def env_dim(self) -> int:
@@ -161,7 +158,9 @@ def common_dilation(t1: CpMap, t2: CpMap) -> CommonDilationPair:
     """Dilate two maps through one reference-channel environment.
 
     V_i = (1 (x) sqrt(F_i)) V_ref, with F_i the process operator of t_i
-    and V_ref the canonical dilation of the reference channel.  The pair
+    and V_ref the canonical dilation of the reference channel.  The
+    identity factor is never formed: V_ref is reshaped to its dim_in
+    blocks of dim_in * dim_out rows, and sqrt(F_i) multiplies each.  The pair
     satisfies ||v1 - v2|| <= dim_in * sqrt(cb norm of the difference);
     ``norm_report`` checks the inequality against the derivative-density
     upper bound, which keeps it sound.  The constant is the input
@@ -170,11 +169,9 @@ def common_dilation(t1: CpMap, t2: CpMap) -> CommonDilationPair:
     """
     _check_same_dims(t1, t2)
     m, n = t1.dim_in, t1.dim_out
-    v_ref = dilation_matrix(reference_channel(m, n))
-    f1 = jam_forward(t1).matrix
-    f2 = jam_forward(t2).matrix
-    v1 = tensor(np.eye(m), psd_sqrt(f1)) @ v_ref
-    v2 = tensor(np.eye(m), psd_sqrt(f2)) @ v_ref
+    v_ref = dilation_matrix(reference_channel(m, n)).reshape(m, m * n, n)
+    v1 = (psd_sqrt(jam_forward(t1).matrix) @ v_ref).reshape(-1, n)
+    v2 = (psd_sqrt(jam_forward(t2).matrix) @ v_ref).reshape(-1, n)
     return CommonDilationPair(dim_in=m, dim_out=n, v1=v1, v2=v2)
 
 

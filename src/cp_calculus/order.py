@@ -18,6 +18,7 @@ import numpy as np
 from .cpmap import (
     CpMap,
     _check_same_dims,
+    _frozen,
     _trusted_map,
     add,
     apply,
@@ -216,7 +217,8 @@ class PvmChain:
             p = as_matrix(p)
             if p.shape != (self.env_dim, self.env_dim):
                 raise ShapeMismatch(f"projection {idx} has shape {p.shape}")
-            projs.append(p)
+            projs.append(_frozen(p.copy()))
+        object.__setattr__(self, "isometry", _frozen(iso.copy()))
         object.__setattr__(self, "projections", tuple(projs))
 
 
@@ -228,8 +230,10 @@ def order_chain_dilation(chain) -> PvmChain:
     environment POVM is dilated projectively; partial sums of the projective
     family give the increasing projections.  Projections are returned for
     the input chain only (the padding part, when present, is excluded).
-    The contract is T_k(A) = V*(A (x) P_k)V; the isometry V is unique only
-    up to rotations within degenerate eigenspaces of the top element's
+    The contract is T_k(A) = V*(A (x) P_k)V with V = (1 (x) N) V_top: the
+    Naimark isometry N multiplies each dim_in row block of the top element's
+    canonical dilation V_top, so no identity factor is formed.  V is unique
+    only up to rotations within degenerate eigenspaces of the top element's
     process operator, and Naimark roots of rank-deficient POVM elements
     carry rounding of about sqrt(eps).
     """
@@ -260,9 +264,8 @@ def order_chain_dilation(chain) -> PvmChain:
     nai = naimark_dilate(povm)
     env = povm.dim * len(povm.elements)
     projections = np.cumsum(nai.pvm[: len(chain)], axis=0)
-
-    big = tensor(np.eye(chain[0].dim_in), nai.isometry)
-    isometry = big @ dilation_matrix(dom.family)
+    v_top = dilation_matrix(dom.family).reshape(top.dim_in, -1, top.dim_out)
+    isometry = (nai.isometry @ v_top).reshape(-1, top.dim_out)
 
     return PvmChain(
         dim_in=chain[0].dim_in,

@@ -13,7 +13,10 @@ Radon-Nikodym compression.  ``reference_kraus_stack`` and
 validated ``ChoiOperator`` that the stacked Kraus array and the trusted
 ``to_choi`` replace; ``reference_canonical_kraus``, ``reference_density``
 and the plain Kraus loops below build on them, to pin the stacked forms
-bit for bit.
+bit for bit.  ``reference_common_dilation`` and ``reference_jam_apply``
+form the dense identity Kronecker products that the library replaces by
+acting on one reshaped factor; ``env_sandwich`` computes V*(A (x) P)V the
+same way, for environments too large to form A (x) P.
 
 No ``assert`` here: pytest rewrites asserts only in test modules, so
 ``python -O`` would strip them from this file.
@@ -21,8 +24,26 @@ No ``assert`` here: pytest rewrites asserts only in test modules, so
 
 import numpy as np
 
-from cp_calculus.cpmap import ChoiOperator, CpMap, add, apply, scale, to_choi
-from cp_calculus.numerics import EPS_PHASE, RANK_TOL, herm_eig, hermitize, op_norm, recon_tol
+from cp_calculus.cpmap import (
+    ChoiOperator,
+    CpMap,
+    add,
+    apply,
+    dilation_matrix,
+    scale,
+    to_choi,
+)
+from cp_calculus.duality import reference_channel
+from cp_calculus.numerics import (
+    EPS_PHASE,
+    RANK_TOL,
+    herm_eig,
+    hermitize,
+    op_norm,
+    partial_trace,
+    psd_sqrt,
+    recon_tol,
+)
 
 
 def rand_complex(rng, rows, cols):
@@ -251,3 +272,28 @@ def reference_apply_dual(t, rho):
 
 def reference_compose_kraus(second, first):
     return [v @ w for v in first.kraus for w in second.kraus]
+
+
+def reference_common_dilation(f, m, n):
+    """(1 (x) sqrt(F)) V_ref with the identity factor formed densely."""
+    return np.kron(np.eye(m), psd_sqrt(f)) @ dilation_matrix(reference_channel(m, n))
+
+
+def reference_jam_apply(f, a):
+    """(1/m) tr_in[(1 (x) a^T) F] with the identity factor formed densely."""
+    m, n = f.dim_in, f.dim_out
+    prod = np.kron(np.eye(n), np.asarray(a).T) @ f.matrix
+    return partial_trace(prod, "second", n, m) / m
+
+
+def env_sandwich(v, a, p=None):
+    """V*(A (x) P)V for V of shape (dim_in * env, dim_out), environment
+    index fastest; P = None is the identity.  A acts on the input index of
+    V's row blocks and P on the environment index, so A (x) P is never
+    formed."""
+    m = a.shape[0]
+    blocks = np.asarray(v).reshape(m, -1, v.shape[1])
+    if p is not None:
+        blocks = p @ blocks
+    mixed = (a @ blocks.reshape(m, -1)).reshape(-1, v.shape[1])
+    return v.conj().T @ mixed

@@ -4,7 +4,8 @@ Every public constructor and every ``serialize`` loader rejects non-finite
 entries, wrong shapes, non-Hermitian and non-PSD input with a fixed error
 class and message.  Objects the library derives from validated ones skip
 those checks, but ``to_choi`` still raises when its Gram product
-overflows, and every array a map or process operator holds is read-only.
+overflows, and every array a map, a process operator or a dilation
+result holds is read-only.
 CI runs this module in default mode and under ``python -O``.
 """
 
@@ -27,6 +28,8 @@ from cp_calculus.cpmap import (
     to_stinespring,
 )
 from cp_calculus.duality import FaithfulState, faithful_channel, jam_forward, reference_channel
+from cp_calculus.norms import CommonDilationPair, bound_dilation_diff
+from cp_calculus.order import PvmChain
 from cp_calculus.radon import PovmDecomposition
 from cp_calculus.serialize import (
     choi_from_json,
@@ -119,6 +122,20 @@ CONSTRUCTORS = {
         lambda: PovmDecomposition((np.diag([2.0, 1.0]), np.diag([-1.0, 0.0]))),
         "NotPsd",
         "element 1 has eigenvalue -1.000e+00",
+    ),
+    "dilation_pair_nan": (
+        lambda: CommonDilationPair(1, 1, [[1.0]], [[NAN]]), "ShapeMismatch", FINITE
+    ),
+    "dilation_pair_shape": (
+        lambda: CommonDilationPair(1, 2, np.zeros((2, 2)), np.zeros((2, 1))),
+        "ShapeMismatch",
+        "v2 has shape (2, 1), expected (2, 2)",
+    ),
+    "pvm_chain_nan": (
+        lambda: PvmChain(1, 1, 1, [[NAN]], ([[1.0]],)), "ShapeMismatch", FINITE
+    ),
+    "pvm_chain_projection_nan": (
+        lambda: PvmChain(1, 1, 1, [[1.0]], ([[INF]],)), "ShapeMismatch", FINITE
     ),
     "state_nan": (
         lambda: FaithfulState(p=np.array([NAN, 1.0])),
@@ -261,3 +278,19 @@ def test_trusted_results_do_not_alias_their_inputs():
     for derived in (t, scale(t, 1.0), add(t, t), canonicalize(t)):
         assert not np.shares_memory(derived.kraus_array, ops)
     assert t.kraus[0][0, 0] == 1.0
+
+
+def test_result_types_store_frozen_arrays():
+    # list input is converted once, and the stored arrays cannot be written
+    pair = CommonDilationPair(1, 1, [[1.0]], [[0.5]])
+    assert bound_dilation_diff(pair) == 0.75
+    chain = PvmChain(1, 1, 2, [[1.0], [0.0]], ([[1.0, 0.0], [0.0, 0.0]],))
+    held = [pair.v1, pair.v2, chain.isometry, *chain.projections]
+    assert all(isinstance(m, np.ndarray) and m.dtype == complex for m in held)
+    for m in held:
+        with pytest.raises(ValueError):
+            m[0, 0] = 5.0
+    source = np.eye(2, dtype=complex)
+    chain = PvmChain(1, 1, 2, source[:, :1], (source,))
+    assert not np.shares_memory(chain.isometry, source)
+    assert not np.shares_memory(chain.projections[0], source)

@@ -41,6 +41,7 @@ from helpers import (
     rand_psd,
     rand_unitary,
     reference_faithful_rn,
+    reference_jam_apply,
 )
 
 RNG = np.random.default_rng(20240821)
@@ -142,6 +143,18 @@ def test_jam_apply_matches_action():
         for unit in matrix_units(m):
             dev = np.max(np.abs(jam_apply(f, unit) - heisenberg_sum(t.kraus, unit)))
             assert dev < 1e-10 * max(1.0, np.linalg.norm(f.matrix, 2))
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 4)])
+def test_jam_apply_matches_dense_layout(m, n):
+    # one contraction over F's input indices in place of the dense
+    # (1 (x) a^T) F; the summation order differs, so only the last bits move
+    for seed in range(3):
+        rng = np.random.default_rng([seed, m, n])
+        f = jam_forward(rand_cp_map(rng, m, n))
+        a = rand_complex(rng, m, m)
+        ref = reference_jam_apply(f, a)
+        assert np.max(np.abs(jam_apply(f, a) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_jam_apply_identity_round_trip():

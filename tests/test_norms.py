@@ -4,6 +4,7 @@ import pytest
 from cp_calculus.cpmap import CpMap, add, apply, scale
 from cp_calculus import norms
 from cp_calculus.errors import DimMismatch, InvariantViolation, ShapeMismatch
+from cp_calculus.duality import jam_forward
 from cp_calculus.norms import (
     CommonDilationPair,
     bound_dilation_diff,
@@ -15,7 +16,14 @@ from cp_calculus.norms import (
 )
 from cp_calculus.numerics import op_norm, psd_sqrt
 from cp_calculus.radon import rn_derivative
-from helpers import rand_channel, rand_cp_map, rand_operation
+from helpers import (
+    env_sandwich,
+    rand_channel,
+    rand_complex,
+    rand_cp_map,
+    rand_operation,
+    reference_common_dilation,
+)
 
 RNG = np.random.default_rng(20240822)
 
@@ -149,6 +157,31 @@ def test_common_dilation_dimension_weighted_gap():
 def test_common_dilation_pair_validation():
     with pytest.raises(ShapeMismatch):
         CommonDilationPair(2, 2, np.zeros((8, 2)), np.zeros((7, 2)))
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 4)])
+def test_common_dilation_matches_dense_layout(m, n):
+    # sqrt(F_i) acting on each reshaped block of V_ref gives the very bits
+    # of the dense (1 (x) sqrt(F_i)) V_ref
+    for seed in range(3):
+        rng = np.random.default_rng([seed, m, n])
+        t1, t2 = rand_channel(rng, m, n), rand_operation(rng, m, n)
+        pair = common_dilation(t1, t2)
+        for t, v in ((t1, pair.v1), (t2, pair.v2)):
+            dense = reference_common_dilation(jam_forward(t).matrix, m, n)
+            assert np.array_equal(v, dense)
+
+
+def test_common_dilation_past_the_dense_cap():
+    # the dense identity factor would be 32768 x 32768 here, past MAX_DIM
+    rng = np.random.default_rng(128)
+    t1, t2 = rand_channel(rng, 128, 2), rand_channel(rng, 128, 2)
+    pair = common_dilation(t1, t2)
+    assert pair.v1.shape == (128 * 256, 2)
+    a = rand_complex(rng, 128, 128)
+    for t, v in ((t1, pair.v1), (t2, pair.v2)):
+        expected = apply(t, a)
+        assert op_norm(env_sandwich(v, a) - expected) <= 1e-10 * op_norm(a)
 
 
 def test_sandwich_on_random_pairs():

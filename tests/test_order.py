@@ -24,7 +24,7 @@ from cp_calculus.errors import (
     NotDominated,
     NotMonotone,
 )
-from cp_calculus.numerics import EPS_PSD
+from cp_calculus.numerics import EPS_PSD, op_norm
 from cp_calculus.order import (
     DifferenceVerdict,
     DominationConstant,
@@ -39,6 +39,7 @@ from cp_calculus.order import (
 from cp_calculus.radon import PovmDecomposition, dominates, rn_derivative, rn_reconstruct
 from helpers import (
     conic_chain,
+    env_sandwich,
     rand_channel,
     rand_complex,
     rand_contraction,
@@ -378,6 +379,20 @@ def test_order_chain_tall_output_channel_top():
             for unit in matrix_units(m):
                 lhs = result.isometry.conj().T @ np.kron(unit, p) @ result.isometry
                 assert np.max(np.abs(lhs - apply(t, unit))) <= 1e-8
+
+
+def test_order_chain_past_the_dense_cap():
+    # a full-Kraus-rank 128x2 top: the dense identity factor would be
+    # 65536 x 32768 and A (x) P_k 65536 x 65536, so both act by reshaping
+    top = rand_channel(np.random.default_rng(256), 128, 2, n_kraus=256)
+    chain = [scale(top, 0.5), top]
+    result = order_chain_dilation(chain)
+    assert result.env_dim == 512
+    assert result.isometry.shape == (128 * 512, 2)
+    a = rand_complex(RNG, 128, 128)
+    for t, p in zip(chain, result.projections):
+        lhs = env_sandwich(result.isometry, a, p)
+        assert op_norm(lhs - apply(t, a)) <= 1e-9 * op_norm(a)
 
 
 def test_order_chain_rejects():

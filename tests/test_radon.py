@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cp_calculus.cpmap import CpMap, apply, canonicalize, scale, to_choi
+from cp_calculus.cpmap import CpMap, add, apply, canonicalize, scale, to_choi
 from cp_calculus.errors import (
     DimMismatch,
     NotADecomposition,
@@ -236,6 +236,21 @@ def test_instrument_rn_rejects_bad_sum():
         NotADecomposition, match="^parts sum differs from the map by 4.000e-01$"
     ):
         instrument_rn(ident, [scale(ident, 0.5), scale(ident, 0.4)])
+
+
+def test_derived_povm_resolution_is_checked():
+    # the parts' sum passes instrument_rn's check (8e-10 against 4e-9), but
+    # t's weight on X(.)X is only 1e-9, so the extra 2e-10 there is 0.2 of
+    # that environment direction; the densities' sum is not implied by the
+    # parts' sum, and only PovmDecomposition catches it
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    t = CpMap(2, 2, (np.eye(2), np.sqrt(1e-9) * x))
+    leak = CpMap(2, 2, (np.sqrt(2e-10) * x,))
+    parts = [scale(t, 0.5), add(scale(t, 0.5), leak)]
+    with pytest.raises(
+        NotAResolution, match=r"^elements sum to identity \+ 2\.000e-01$"
+    ):
+        instrument_rn(t, parts)
 
 
 def test_povm_type_validation():
