@@ -79,6 +79,15 @@ class CpMap:
         self.__dict__.update(kraus=tuple(ops), kraus_array=ops)
 
 
+def _check_hermitian(m: np.ndarray) -> float:
+    """Return ||m||; raise NotHermitian if ||m - m*|| > EPS_HERM * max(1, ||m||)."""
+    dev = op_norm(m - m.conj().T)
+    scale = op_norm(m)
+    if dev > EPS_HERM * max(1.0, scale):
+        raise NotHermitian(f"deviation from Hermiticity {dev:.3e}")
+    return scale
+
+
 @dataclass(frozen=True)
 class ChoiOperator:
     """Process operator of a CP map on the output (x) input space.
@@ -98,10 +107,7 @@ class ChoiOperator:
         d = self.dim_in * self.dim_out
         if m.shape != (d, d):
             raise ShapeMismatch(f"expected shape {(d, d)}, got {m.shape}")
-        dev = op_norm(m - m.conj().T)
-        scale = op_norm(m)
-        if dev > EPS_HERM * max(1.0, scale):
-            raise NotHermitian(f"deviation from Hermiticity {dev:.3e}")
+        scale = _check_hermitian(m)
         low = float(np.linalg.eigvalsh(hermitize(m))[0])
         if low < -EPS_PSD * max(1.0, scale):
             raise NotPsd(f"eigenvalue {low:.3e} below zero at scale {scale:.3e}")

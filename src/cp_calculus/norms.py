@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmap import (
+    ChoiOperator,
     CpMap,
     _check_same_dims,
     _frozen,
@@ -25,10 +26,10 @@ from .cpmap import (
     dilation_matrix,
     to_choi,
 )
-from .duality import jam_forward, reference_channel
+from .duality import reference_channel
 from .errors import InvariantViolation, ShapeMismatch
-from .numerics import as_matrix, herm_eig, op_norm, psd_sqrt
-from .radon import _derivative, _prepare, dominates
+from .numerics import as_matrix, herm_eig, op_norm, psd_leq, psd_sqrt
+from .radon import _derivative, _prepare
 
 
 def cb_norm_cp(t: CpMap) -> float:
@@ -120,10 +121,14 @@ def bound_rn(t1: CpMap, t2: CpMap) -> float:
     which collapses to ||F1 - F2|| whenever the dominator is a channel.
     """
     _check_same_dims(t1, t2)
-    total = add(t1, t2)
+    return _bound_rn(add(t1, t2), to_choi(t1), to_choi(t2))
+
+
+def _bound_rn(total: CpMap, c1: ChoiOperator, c2: ChoiOperator) -> float:
+    """bound_rn on the maps' process operators and their sum ``total``."""
     dom = _prepare(canonicalize(total))
-    f1 = _derivative(to_choi(t1), dom).matrix
-    f2 = _derivative(to_choi(t2), dom).matrix
+    f1 = _derivative(c1, dom).matrix
+    f2 = _derivative(c2, dom).matrix
     return float(op_norm(apply(total, np.eye(total.dim_in))) * op_norm(f1 - f2))
 
 
@@ -168,10 +173,15 @@ def common_dilation(t1: CpMap, t2: CpMap) -> CommonDilationPair:
     output dimension, and the two conventions can differ.
     """
     _check_same_dims(t1, t2)
-    m, n = t1.dim_in, t1.dim_out
+    return _common_dilation(to_choi(t1), to_choi(t2))
+
+
+def _common_dilation(c1: ChoiOperator, c2: ChoiOperator) -> CommonDilationPair:
+    """common_dilation on the maps' process operators."""
+    m, n = c1.dim_in, c1.dim_out
     v_ref = dilation_matrix(reference_channel(m, n)).reshape(m, m * n, n)
-    v1 = (psd_sqrt(jam_forward(t1).matrix) @ v_ref).reshape(-1, n)
-    v2 = (psd_sqrt(jam_forward(t2).matrix) @ v_ref).reshape(-1, n)
+    v1 = (psd_sqrt(c1.matrix) @ v_ref).reshape(-1, n)
+    v2 = (psd_sqrt(c2.matrix) @ v_ref).reshape(-1, n)
     return CommonDilationPair(dim_in=m, dim_out=n, v1=v1, v2=v2)
 
 
@@ -214,16 +224,17 @@ def norm_report(
 ) -> NormReport:
     """Run the full bracket: lower estimate plus both upper bounds.
 
-    When the difference of the maps is itself CP in either direction the
-    CB norm has the closed form ||(t1 - t2)(1)|| and is reported as
-    cb_exact; otherwise that field is None.  ``workers`` is accepted for
-    compatibility and ignored.  A lower estimate above either upper bound,
-    or a common-dilation gap ||v1 - v2|| above dim_in * sqrt(upper_rn),
-    raises InvariantViolation.
+    t1's and t2's process operators, formed once, serve both bounds and
+    the cb_exact test: when the difference of the maps is CP in either
+    direction the CB norm has the closed form ||(t1 - t2)(1)||, reported
+    as cb_exact (else None).  ``workers`` is accepted and ignored.  A
+    lower estimate above either upper bound, or a common-dilation gap
+    ||v1 - v2|| above dim_in * sqrt(upper_rn), raises InvariantViolation.
     """
     lower, iterations = _diamond_search(t1, t2, seed, restarts, None, 200, 1e-10)
-    upper_rn = _upper_bound("upper_rn", bound_rn(t1, t2), lower)
-    pair = common_dilation(t1, t2)
+    c1, c2 = to_choi(t1), to_choi(t2)
+    upper_rn = _upper_bound("upper_rn", _bound_rn(add(t1, t2), c1, c2), lower)
+    pair = _common_dilation(c1, c2)
     gap = op_norm(pair.v1 - pair.v2)
     limit = pair.dim_in * np.sqrt(upper_rn) * (1.0 + 1e-9) + 1e-12
     if gap > limit:
@@ -236,7 +247,7 @@ def norm_report(
         lower,
     )
     cb_exact = None
-    if dominates(t2, t1) or dominates(t1, t2):
+    if psd_leq(c2.matrix, c1.matrix) or psd_leq(c1.matrix, c2.matrix):
         diff = apply(t1, np.eye(t1.dim_in)) - apply(t2, np.eye(t2.dim_in))
         cb_exact = float(op_norm(diff))
     return NormReport(

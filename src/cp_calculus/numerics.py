@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionLimit, ShapeMismatch
+from .errors import ShapeMismatch
 
 EPS_PSD = 1e-9      # PSD slack, relative to max(1, scale)
 EPS_HERM = 1e-8     # Hermiticity deviation, relative to the operator norm
 EPS_PHASE = 1e-10   # smallest component magnitude used to fix a phase
 RANK_TOL = 1e-10    # relative eigenvalue / singular value cutoff
-MAX_DIM = 2 ** 14   # default per-axis cap for tensor products
+MAX_DIM = 2 ** 14   # cap on environment, Naimark and loaded dimensions
 
 
 def recon_tol(scale: float) -> float:
@@ -42,19 +42,6 @@ def hermitize(m) -> np.ndarray:
     the caller has validated or derived (no finiteness scan)."""
     m = np.asarray(m, dtype=complex)
     return (m + m.conj().T) / 2.0
-
-
-def tensor(a, b, max_dim: int = MAX_DIM) -> np.ndarray:
-    """Kronecker product with a per-axis dimension guard."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > max_dim or cols > max_dim:
-        raise DimensionLimit(
-            f"tensor product of shape {rows}x{cols} exceeds the cap {max_dim}"
-        )
-    return np.kron(a, b)
 
 
 def partial_trace(m, over: str, d1: int, d2: int) -> np.ndarray:

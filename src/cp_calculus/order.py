@@ -32,6 +32,7 @@ from .cpmap import (
 )
 from .errors import (
     CpError,
+    DimensionLimit,
     InvariantViolation,
     NotAChannel,
     NotAnOperation,
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .numerics import (
     EPS_PSD,
+    MAX_DIM,
     RANK_TOL,
     as_matrix,
     herm_eig,
@@ -49,7 +51,6 @@ from .numerics import (
     psd_leq,
     psd_sqrt,
     recon_tol,
-    tensor,
 )
 from .radon import (
     PovmDecomposition,
@@ -177,18 +178,24 @@ def naimark_dilate(povm: PovmDecomposition) -> NaimarkDilation:
     """Dilate a POVM to a projective measurement on dim * k dimensions.
 
     The isometry sends xi to sum_i sqrt(F_i) xi (x) delta_i; compressing
-    the block projections 1 (x) |delta_i><delta_i| reproduces the POVM.
+    the diagonal projections 1 (x) |delta_i><delta_i| reproduces the POVM.
+    Both are read-only; dim * k above MAX_DIM raises DimensionLimit first.
     """
-    d = povm.dim
     k = len(povm.elements)
-    roots = [psd_sqrt(f) for f in povm.elements]
-    isometry = np.stack(roots, axis=1).reshape(d * k, d)
-    pvm = []
-    for i in range(k):
-        marker = np.zeros((k, k), dtype=complex)
-        marker[i, i] = 1.0
-        pvm.append(tensor(np.eye(d), marker))
-    return NaimarkDilation(isometry=isometry, pvm=tuple(pvm))
+    return _naimark(povm, (np.arange(k) == i for i in range(k)))
+
+
+def _naimark(povm: PovmDecomposition, masks) -> NaimarkDilation:
+    """naimark_dilate with one projection 1 (x) diag(row) per 0/1 row of
+    ``masks``, rows read after the guard (lower-triangular: partial sums)."""
+    d, k = povm.dim, len(povm.elements)
+    if d * k > MAX_DIM:
+        raise DimensionLimit(
+            f"tensor product of shape {d * k}x{d * k} exceeds the cap {MAX_DIM}"
+        )
+    isometry = np.stack([psd_sqrt(f) for f in povm.elements], axis=1).reshape(d * k, d)
+    pvm = tuple(_frozen(np.diag(np.tile(row, d))) for row in masks)
+    return NaimarkDilation(isometry=_frozen(isometry), pvm=pvm)
 
 
 @dataclass(frozen=True)
@@ -227,9 +234,9 @@ def order_chain_dilation(chain) -> PvmChain:
 
     The last element is padded to a channel when necessary, successive
     differences are decomposed as an instrument, and the resulting
-    environment POVM is dilated projectively; partial sums of the projective
-    family give the increasing projections.  Projections are returned for
-    the input chain only (the padding part, when present, is excluded).
+    environment POVM is dilated projectively; the increasing projections
+    are the family's partial sums, built directly as diagonals, for the
+    input chain only (the padding part, when present, is excluded).
     The contract is T_k(A) = V*(A (x) P_k)V with V = (1 (x) N) V_top: the
     Naimark isometry N multiplies each dim_in row block of the top element's
     canonical dilation V_top, so no identity factor is formed.  V is unique
@@ -261,16 +268,14 @@ def order_chain_dilation(chain) -> PvmChain:
 
     dom = _prepare(top)
     povm = _instrument_rn(dom, parts)
-    nai = naimark_dilate(povm)
-    env = povm.dim * len(povm.elements)
-    projections = np.cumsum(nai.pvm[: len(chain)], axis=0)
+    nai = _naimark(povm, np.tri(len(chain), len(parts)))
     v_top = dilation_matrix(dom.family).reshape(top.dim_in, -1, top.dim_out)
     isometry = (nai.isometry @ v_top).reshape(-1, top.dim_out)
 
     return PvmChain(
         dim_in=chain[0].dim_in,
         dim_out=chain[0].dim_out,
-        env_dim=env,
+        env_dim=povm.dim * len(parts),
         isometry=isometry,
-        projections=tuple(projections),
+        projections=nai.pvm,
     )

@@ -24,8 +24,10 @@ import numpy as np
 from .cpmap import (
     ChoiOperator,
     CpMap,
+    _check_hermitian,
     _check_same_dims,
     _columns,
+    _frozen,
     _trusted_choi,
     canonicalize,
     choi_unnormalized,
@@ -101,7 +103,7 @@ class PovmDecomposition:
             scale = max(1.0, op_norm(f))
             if low < -EPS_PSD * scale:
                 raise NotPsd(f"element {idx} has eigenvalue {low:.3e}")
-            mats.append(f)
+            mats.append(_frozen(f.copy()))
         total = sum(mats)
         dev = op_norm(total - np.eye(d))
         if dev > recon_tol(1.0):
@@ -179,14 +181,17 @@ def _derivative(c: ChoiOperator, dom: _Dominator) -> RnDerivative:
 def rn_reconstruct(t: CpMap, f) -> CpMap:
     """Expand a density on T's canonical environment back into a map.
 
-    Accepts an RnDerivative or a bare matrix; the result is returned in
-    canonical Kraus form and is dominated by ``t`` by construction.
+    Accepts an RnDerivative or a bare matrix, Hermitian by the rule
+    ChoiOperator applies (NotHermitian otherwise) with spectrum in [0, 1]
+    (NotPsd otherwise); the result is returned in canonical Kraus form and
+    is dominated by ``t`` by construction.
     """
     family = canonicalize(t)
     d = len(family.kraus)
     mat = as_matrix(f.matrix if isinstance(f, RnDerivative) else f)
     if mat.shape != (d, d):
         raise ShapeMismatch(f"density has shape {mat.shape}, environment dim is {d}")
+    _check_hermitian(mat)
     h = hermitize(mat)
     _check_window(h, NotPsd)
     w = _columns(family.kraus_array)

@@ -297,3 +297,19 @@ def env_sandwich(v, a, p=None):
         blocks = p @ blocks
     mixed = (a @ blocks.reshape(m, -1)).reshape(-1, v.shape[1])
     return v.conj().T @ mixed
+
+
+def reference_naimark_pvm(d, k):
+    """The Naimark projections 1 (x) |delta_i><delta_i| on C^d (x) C^k,
+    each formed as a dense Kronecker product."""
+    pvm = []
+    for i in range(k):
+        marker = np.zeros((k, k), dtype=complex)
+        marker[i, i] = 1.0
+        pvm.append(np.kron(np.eye(d), marker))
+    return pvm
+
+
+def reference_chain_projections(d, k, length):
+    """Partial sums of the first ``length`` dense Naimark projections."""
+    return np.cumsum(reference_naimark_pvm(d, k)[:length], axis=0)

@@ -29,8 +29,8 @@ from cp_calculus.cpmap import (
 )
 from cp_calculus.duality import FaithfulState, faithful_channel, jam_forward, reference_channel
 from cp_calculus.norms import CommonDilationPair, bound_dilation_diff
-from cp_calculus.order import PvmChain
-from cp_calculus.radon import PovmDecomposition
+from cp_calculus.order import PvmChain, naimark_dilate
+from cp_calculus.radon import PovmDecomposition, rn_reconstruct
 from cp_calculus.serialize import (
     choi_from_json,
     cpmap_from_json,
@@ -285,7 +285,12 @@ def test_result_types_store_frozen_arrays():
     pair = CommonDilationPair(1, 1, [[1.0]], [[0.5]])
     assert bound_dilation_diff(pair) == 0.75
     chain = PvmChain(1, 1, 2, [[1.0], [0.0]], ([[1.0, 0.0], [0.0, 0.0]],))
-    held = [pair.v1, pair.v2, chain.isometry, *chain.projections]
+    povm = PovmDecomposition(([[0.25]], [[0.75]]))
+    nai = naimark_dilate(povm)
+    held = [
+        pair.v1, pair.v2, chain.isometry, *chain.projections,
+        *povm.elements, nai.isometry, *nai.pvm,
+    ]
     assert all(isinstance(m, np.ndarray) and m.dtype == complex for m in held)
     for m in held:
         with pytest.raises(ValueError):
@@ -294,3 +299,21 @@ def test_result_types_store_frozen_arrays():
     chain = PvmChain(1, 1, 2, source[:, :1], (source,))
     assert not np.shares_memory(chain.isometry, source)
     assert not np.shares_memory(chain.projections[0], source)
+
+
+def test_povm_does_not_alias_its_elements():
+    a, b = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    povm = PovmDecomposition((a, b))
+    a[0, 0] = 5.0
+    assert povm.elements[0][0, 0] == 1.0
+    v = naimark_dilate(povm).isometry
+    assert np.array_equal(v.conj().T @ v, I2)
+
+
+def test_rn_reconstruct_rejects_non_hermitian_density():
+    # the anti-Hermitian part of a density is rejected, not dropped, by the
+    # rule ChoiOperator applies
+    t = CpMap(2, 2, (I2 / np.sqrt(2), np.diag([1.0, -1.0]) / np.sqrt(2)))
+    with pytest.raises(errors.NotHermitian) as info:
+        rn_reconstruct(t, [[0.5, 0.3], [-0.3, 0.5]])
+    assert str(info.value) == "deviation from Hermiticity 6.000e-01"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cp_calculus.cpmap import CpMap, add, apply, scale
-from cp_calculus import norms
+from cp_calculus.cpmap import CpMap, add, apply, scale, to_choi
+from cp_calculus import cpmap, duality, norms, radon
 from cp_calculus.errors import DimMismatch, InvariantViolation, ShapeMismatch
 from cp_calculus.duality import jam_forward
 from cp_calculus.norms import (
@@ -216,7 +216,7 @@ def test_norm_report_zero_distance():
 
 
 @pytest.mark.parametrize(
-    "bound, name", [("bound_rn", "upper_rn"), ("bound_dilation_diff", "upper_dilation")]
+    "bound, name", [("_bound_rn", "upper_rn"), ("bound_dilation_diff", "upper_dilation")]
 )
 def test_norm_report_rejects_inverted_bracket(monkeypatch, bound, name):
     monkeypatch.setattr(norms, bound, lambda *args: 0.0)
@@ -226,9 +226,28 @@ def test_norm_report_rejects_inverted_bracket(monkeypatch, bound, name):
 
 def test_norm_report_rejects_dilation_gap(monkeypatch):
     far = CommonDilationPair(2, 2, np.zeros((8, 2)), 10.0 * np.ones((8, 2)))
-    monkeypatch.setattr(norms, "common_dilation", lambda *args: far)
+    monkeypatch.setattr(norms, "_common_dilation", lambda *args: far)
     with pytest.raises(InvariantViolation, match="dilation gap"):
         norm_report(IDENT, XCONJ, seed=0, restarts=2)
+
+
+def test_norm_report_forms_each_process_operator_once(monkeypatch):
+    # t1's, t2's and their sum's: both bounds and the cb_exact test share
+    # the first two, and the sum's is taken for its canonical form
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return to_choi(t)
+
+    for module in (cpmap, duality, norms, radon):
+        monkeypatch.setattr(module, "to_choi", counted)
+    rng = np.random.default_rng(3)
+    t = rand_channel(rng, 2, 3)
+    for t2 in (rand_channel(rng, 2, 3), scale(t, 0.7)):
+        calls.clear()
+        norm_report(t, t2, seed=0, restarts=2)
+        assert len(calls) == 3
 
 
 # norm_report(...).lower and .iterations of the reference ascent for fixed

@@ -4,10 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cp_calculus import numerics
-from cp_calculus.errors import (
-    DimensionLimit,
-    ShapeMismatch,
-)
+from cp_calculus.errors import ShapeMismatch
 from helpers import reference_herm_eig
 
 RNG = np.random.default_rng(20240817)
@@ -30,34 +27,6 @@ def rand_psd(d, rng=RNG):
 def rand_unitary(d, rng=RNG):
     q, r = np.linalg.qr(rand_matrix(d, d, rng))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_tensor_matches_hand_value():
-    a = np.diag([1.0, 2.0])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    expected = np.array(
-        [
-            [0, 1, 0, 0],
-            [1, 0, 0, 0],
-            [0, 0, 0, 2],
-            [0, 0, 2, 0],
-        ],
-        dtype=complex,
-    )
-    assert np.array_equal(numerics.tensor(a, b), expected)
-
-
-def test_tensor_dimension_guard():
-    a = np.eye(8)
-    with pytest.raises(DimensionLimit):
-        numerics.tensor(a, a, max_dim=16)
-    # at the cap itself the product is allowed
-    assert numerics.tensor(a, np.eye(2), max_dim=16).shape == (16, 16)
-
-
-def test_tensor_rejects_non_finite():
-    with pytest.raises(ShapeMismatch):
-        numerics.tensor(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
 
 
 def test_partial_trace_of_product():

@@ -18,6 +18,7 @@ from cp_calculus.cpmap import (
 from cp_calculus.errors import (
     CpError,
     DimMismatch,
+    DimensionLimit,
     InvariantViolation,
     NotAChannel,
     NotAnOperation,
@@ -48,6 +49,8 @@ from helpers import (
     rand_psd,
     rand_unitary,
     reference_c_min,
+    reference_chain_projections,
+    reference_naimark_pvm,
 )
 
 RNG = np.random.default_rng(20240820)
@@ -317,6 +320,44 @@ def test_naimark_random_povms():
             p = nai.pvm[i]
             assert np.allclose(p @ p, p, atol=1e-12)
             assert np.allclose(p, p.conj().T, atol=1e-12)
+
+
+def test_naimark_projections_match_dense_kronecker():
+    # each projection is built as the diagonal of 1 (x) |delta_i><delta_i|,
+    # the very entries of the dense Kronecker product
+    for d, k in ((1, 3), (2, 2), (3, 4)):
+        elements = tuple(np.eye(d) / k for _ in range(k))
+        pvm = naimark_dilate(PovmDecomposition(elements)).pvm
+        expected = reference_naimark_pvm(d, k)
+        assert len(pvm) == k
+        for p, q in zip(pvm, expected):
+            assert p.dtype == complex
+            assert np.array_equal(p, q)
+
+
+def test_naimark_dimension_guard():
+    # d * k = 16386 is past MAX_DIM; the guard runs before any root is taken
+    k = 8193
+    povm = PovmDecomposition(tuple(np.eye(2) / k for _ in range(k)))
+    with pytest.raises(DimensionLimit) as info:
+        naimark_dilate(povm)
+    assert str(info.value) == "tensor product of shape 16386x16386 exceeds the cap 16384"
+
+
+def test_order_chain_projections_match_dense_partial_sums():
+    # the increasing projections are the partial sums of the dense Naimark
+    # projections, bit for bit, for channel-topped and padded chains alike
+    for m, n, length in ((2, 2, 3), (3, 2, 2), (4, 4, 2)):
+        for seed in range(2):
+            chain = conic_chain(np.random.default_rng([seed, m, n]), m, n, length)
+            if seed:
+                chain[-1] = pad_to_channel(chain[-1])
+            parts = length + (not is_channel(chain[-1]))
+            result = order_chain_dilation(chain)
+            expected = reference_chain_projections(result.env_dim // parts, parts, length)
+            assert len(result.projections) == length
+            for p, q in zip(result.projections, expected):
+                assert np.array_equal(p, q)
 
 
 def test_order_chain_dilation_reconstructs():

@@ -10,7 +10,7 @@ and conftest, which hold reference code, are held to the same rule.
 The loaders in ``serialize`` and the CLI must not reach the trusted
 constructors, and the package must not export them; no other module may
 call the checked ``CpMap`` and ``ChoiOperator`` constructors.  No module
-forms an identity Kronecker product except where the library returns one.
+calls ``kron`` or ``tensor``.
 """
 
 import ast
@@ -128,30 +128,20 @@ def test_no_unused_imports(path):
 
 
 # Act on one tensor factor by reshaping: (1 (x) X)V is X applied to each
-# reshaped block of V, so a dense identity Kronecker product is formed only
-# where the library returns one, as naimark_dilate's projections.
+# reshaped block of V, and a projection 1 (x) diag(mask) is built as the
+# diagonal it is, so no module forms a Kronecker product at all.
 KRON = {"tensor", "kron"}
-RETURNS_KRON = {"naimark_dilate"}
 
 
-def _identity_krons(node):
-    if isinstance(node, ast.FunctionDef) and node.name in RETURNS_KRON:
-        return []
-    found = []
-    if (
-        isinstance(node, ast.Call)
-        and set(_names(node.func)) & KRON
-        and node.args
-        and isinstance(node.args[0], ast.Call)
-        and "eye" in _names(node.args[0].func)
-    ):
-        found.append(node.lineno)
-    for child in ast.iter_child_nodes(node):
-        found += _identity_krons(child)
-    return found
+def _kron_calls(tree):
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and set(_names(node.func)) & KRON
+    ]
 
 
 @pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))])
 def test_no_identity_kronecker_temporaries(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert [f"{path.name}:{line}" for line in _identity_krons(tree)] == []
+    assert [f"{path.name}:{line}" for line in _kron_calls(tree)] == []
