@@ -30,6 +30,7 @@ from .numerics import (
     as_matrix,
     herm_eig,
     hermitize,
+    norm_excess,
     op_norm,
     psd_leq,
 )
@@ -79,13 +80,11 @@ class CpMap:
         self.__dict__.update(kraus=tuple(ops), kraus_array=ops)
 
 
-def _check_hermitian(m: np.ndarray) -> float:
-    """Return ||m||; raise NotHermitian if ||m - m*|| > EPS_HERM * max(1, ||m||)."""
-    dev = op_norm(m - m.conj().T)
-    scale = op_norm(m)
-    if dev > EPS_HERM * max(1.0, scale):
+def _check_hermitian(m: np.ndarray) -> None:
+    """Raise NotHermitian if ||m - m*|| > EPS_HERM * max(1, ||m||)."""
+    dev = norm_excess(m - m.conj().T, lambda s: EPS_HERM * max(1.0, s), m)
+    if dev is not None:
         raise NotHermitian(f"deviation from Hermiticity {dev:.3e}")
-    return scale
 
 
 @dataclass(frozen=True)
@@ -107,26 +106,31 @@ class ChoiOperator:
         d = self.dim_in * self.dim_out
         if m.shape != (d, d):
             raise ShapeMismatch(f"expected shape {(d, d)}, got {m.shape}")
-        scale = _check_hermitian(m)
+        _check_hermitian(m)
+        scale = op_norm(m)
         low = float(np.linalg.eigvalsh(hermitize(m))[0])
         if low < -EPS_PSD * max(1.0, scale):
             raise NotPsd(f"eigenvalue {low:.3e} below zero at scale {scale:.3e}")
         object.__setattr__(self, "matrix", _frozen(m.copy()))
 
 
+def _trusted(cls, **fields):
+    """An instance of a frozen result class on fields the library derived
+    from validated inputs, built without the class's checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _trusted_map(m: int, n: int, ops: np.ndarray, cls=CpMap) -> CpMap:
     """CpMap on a (k, m, n) Kraus array derived from validated maps."""
-    t = object.__new__(cls)
     ops = _frozen(ops)
-    t.__dict__.update(dim_in=m, dim_out=n, kraus=tuple(ops), kraus_array=ops)
-    return t
+    return _trusted(cls, dim_in=m, dim_out=n, kraus=tuple(ops), kraus_array=ops)
 
 
 def _trusted_choi(m: int, n: int, matrix: np.ndarray) -> ChoiOperator:
     """ChoiOperator on a matrix that is Hermitian PSD by construction."""
-    c = object.__new__(ChoiOperator)
-    c.__dict__.update(dim_in=m, dim_out=n, matrix=_frozen(matrix))
-    return c
+    return _trusted(ChoiOperator, dim_in=m, dim_out=n, matrix=_frozen(matrix))
 
 
 @dataclass(frozen=True)
@@ -313,7 +317,7 @@ def is_quantum_operation(t: CpMap, tol: float = EPS_PSD) -> bool:
 
 def is_channel(t: CpMap, tol: float = EPS_PSD) -> bool:
     """True when T(1) = 1 within tolerance."""
-    return op_norm(apply(t, np.eye(t.dim_in)) - np.eye(t.dim_out)) <= tol
+    return norm_excess(apply(t, np.eye(t.dim_in)) - np.eye(t.dim_out), tol) is None
 
 
 def is_pure(t: CpMap) -> bool:

@@ -39,6 +39,7 @@ from .numerics import (
     MAX_DIM,
     as_matrix,
     hermitize,
+    norm_excess,
     op_norm,
     partial_trace,
     psd_leq,
@@ -169,7 +170,7 @@ class FaithfulState:
         b = np.eye(m, dtype=complex) if self.basis is None else as_matrix(self.basis)
         if b.shape != (m, m):
             raise ShapeMismatch(f"basis has shape {b.shape}, expected {(m, m)}")
-        if op_norm(b @ b.conj().T - np.eye(m)) > 1e-8:
+        if norm_excess(b @ b.conj().T - np.eye(m), 1e-8) is not None:
             raise ValueError("basis columns are not orthonormal")
         p = p.copy()
         p.setflags(write=False)

@@ -4,7 +4,9 @@ Conventions: matrices are numpy arrays of complex128; vec flattens row-major
 (reshape(-1)), so vec(A X B) = (A (x) B^T) vec(X); Hermitian eigensystems
 come back with eigenvalues descending and eigenvector phases fixed, which
 makes every decomposition built on top of them deterministic for identical
-input.  Tolerances are module constants rather than per-call magic numbers.
+input.  Tolerances are module constants rather than per-call magic numbers;
+a residual is held to its tolerance by ``norm_excess``, which takes the exact
+SVD comparison only when a Frobenius pre-test cannot pass it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,21 @@ def partial_trace(m, over: str, d1: int, d2: int) -> np.ndarray:
 def op_norm(m) -> float:
     """Largest singular value."""
     return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
+
+
+def norm_excess(r, tol, c=None) -> float | None:
+    """None if ||r|| <= tol, or <= tol(||c||) for a nondecreasing tol when c
+    is given; else ||r||.  ||r||_F bounds ||r|| above and c's largest column
+    norm (capped at 1e154, below where its square overflows) bounds ||c||
+    below, so ||r||_F <= tol(that) / 2 passes without an SVD, the fixed 1/2
+    absorbing rounding; otherwise op_norm decides as the SVD test did."""
+    with np.errstate(over="ignore"):
+        fro = np.linalg.norm(r)
+        low = 0.0 if c is None else np.sqrt((c.real**2 + c.imag**2).sum(0).max())
+    if fro <= 0.5 * (tol if c is None else tol(min(float(low), 1e154))):
+        return None
+    resid = op_norm(r)
+    return None if resid <= (tol if c is None else tol(op_norm(c))) else resid
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .cpmap import (
     CpMap,
     _check_same_dims,
     _frozen,
+    _trusted,
     _trusted_map,
     add,
     apply,
@@ -47,6 +48,7 @@ from .numerics import (
     as_matrix,
     herm_eig,
     hermitize,
+    norm_excess,
     op_norm,
     psd_leq,
     psd_sqrt,
@@ -92,8 +94,8 @@ def channel_difference_is_cp(
                 f"normalizations differ by {norm_gap:.3e}; rigidity needs equality"
             )
     cs, ct = to_choi(s).matrix, to_choi(t).matrix
-    gap = op_norm(cs - ct)
-    if gap <= recon_tol(op_norm(ct)):
+    gap = norm_excess(cs - ct, recon_tol, ct)
+    if gap is None:
         return DifferenceVerdict.EQUAL
     if gap > 1e-6 and psd_leq(cs, ct, tol):
         raise InvariantViolation("rigidity violated for a separated pair")
@@ -272,10 +274,12 @@ def order_chain_dilation(chain) -> PvmChain:
     v_top = dilation_matrix(dom.family).reshape(top.dim_in, -1, top.dim_out)
     isometry = (nai.isometry @ v_top).reshape(-1, top.dim_out)
 
-    return PvmChain(
+    # the chain's own arrays are fresh (isometry) or frozen already (pvm)
+    return _trusted(
+        PvmChain,
         dim_in=chain[0].dim_in,
         dim_out=chain[0].dim_out,
         env_dim=povm.dim * len(parts),
-        isometry=isometry,
+        isometry=_frozen(isometry),
         projections=nai.pvm,
     )

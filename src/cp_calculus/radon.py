@@ -28,6 +28,7 @@ from .cpmap import (
     _check_same_dims,
     _columns,
     _frozen,
+    _trusted,
     _trusted_choi,
     canonicalize,
     choi_unnormalized,
@@ -46,6 +47,7 @@ from .numerics import (
     as_matrix,
     herm_eig,
     hermitize,
+    norm_excess,
     op_norm,
     pinv,
     psd_leq,
@@ -100,19 +102,23 @@ class PovmDecomposition:
             elif f.shape[0] != d:
                 raise ShapeMismatch(f"element {idx} has dim {f.shape[0]}, expected {d}")
             low = float(np.linalg.eigvalsh(hermitize(f))[0])
-            scale = max(1.0, op_norm(f))
-            if low < -EPS_PSD * scale:
+            # max(1, ||f||) >= 1, so the norm matters only below -EPS_PSD
+            if low < -EPS_PSD and low < -EPS_PSD * max(1.0, op_norm(f)):
                 raise NotPsd(f"element {idx} has eigenvalue {low:.3e}")
             mats.append(_frozen(f.copy()))
-        total = sum(mats)
-        dev = op_norm(total - np.eye(d))
-        if dev > recon_tol(1.0):
-            raise NotAResolution(f"elements sum to identity + {dev:.3e}")
-        object.__setattr__(self, "elements", tuple(mats))
+        object.__setattr__(self, "elements", _resolution(mats))
 
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
+
+
+def _resolution(mats) -> tuple[np.ndarray, ...]:
+    """The elements, once they sum to the identity within recon_tol(1)."""
+    dev = norm_excess(sum(mats) - np.eye(len(mats[0])), recon_tol(1.0))
+    if dev is not None:
+        raise NotAResolution(f"elements sum to identity + {dev:.3e}")
+    return tuple(mats)
 
 
 class _Dominator(NamedTuple):
@@ -149,8 +155,8 @@ def _density(c: ChoiOperator, dom: _Dominator) -> np.ndarray:
     NotDominated when W F W* misses C, a leak outside the dominator's support."""
     cs = choi_unnormalized(c)
     f = hermitize(dom.wp @ cs @ dom.wp.conj().T)
-    resid = op_norm(dom.w @ f @ dom.w.conj().T - cs)
-    if resid > recon_tol(op_norm(cs)):
+    resid = norm_excess(dom.w @ f @ dom.w.conj().T - cs, recon_tol, cs)
+    if resid is not None:
         raise NotDominated(
             f"residual {resid:.3e} outside the dominating map's support"
         )
@@ -249,13 +255,15 @@ def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
         _check_same_dims(p, t)
     ct = to_choi(t)
     chois = [to_choi(p) for p in parts]
-    dev = op_norm(sum(c.matrix for c in chois) - ct.matrix)
-    if dev > recon_tol(op_norm(ct.matrix)):
+    dev = norm_excess(sum(c.matrix for c in chois) - ct.matrix, recon_tol, ct.matrix)
+    if dev is not None:
         raise NotADecomposition(f"parts sum differs from the map by {dev:.3e}")
     return _instrument_rn(_prepare(from_choi(ct)), chois)
 
 
 def _instrument_rn(dom: _Dominator, chois) -> PovmDecomposition:
     """Densities of process operators that sum to the dominator's map by
-    construction; instrument_rn checks the sum of parts from outside."""
-    return PovmDecomposition(tuple(_derivative(c, dom).matrix for c in chois))
+    construction; instrument_rn checks the sum of parts from outside.  Each
+    density has passed _check_window, so only the resolution is checked."""
+    mats = [_frozen(_derivative(c, dom).matrix) for c in chois]
+    return _trusted(PovmDecomposition, elements=_resolution(mats))

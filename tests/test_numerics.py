@@ -171,6 +171,63 @@ def test_psd_sqrt_clips_rounding():
     assert np.array_equal(r, np.diag([2.0, 0.0]))
 
 
+@st.composite
+def residual_checks(draw):
+    """(r, tol, c) with ||r|| from 0.1x to 10x the tolerance at ||c||.
+
+    Rank-one residuals with flat columns have ||r|| = sqrt(n) times their
+    largest column norm, and scaled unitaries have ||c||_F = sqrt(n) ||c||,
+    so factors just above 1 tell a valid bound from either mix-up."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = draw(st.sampled_from(["flat", "rank_one", "random"]))
+    if shape == "random":
+        r = rand_matrix(n, n, rng)
+    else:
+        u, w = rand_matrix(n, 2, rng).T
+        if shape == "flat":
+            w = np.exp(2j * np.pi * rng.random(n))
+        r = np.outer(u, w.conj())
+    exponent = st.sampled_from([-2.0, 0.0, 2.0]) | st.floats(min_value=-2.0, max_value=3.0)
+    size = 10.0 ** draw(exponent)
+    kind = draw(st.sampled_from(["fixed", "unitary", "random", "psd"]))
+    if kind == "fixed":
+        tol, c, target = 1e-9 * size, None, 1e-9 * size
+    else:
+        if kind == "unitary":
+            c = rand_unitary(n, rng)
+        elif kind == "psd":
+            c = rand_psd(n, rng)
+        else:
+            c = rand_matrix(n, n, rng)
+        c = c * (size / numerics.op_norm(c))
+        tol, target = numerics.recon_tol, numerics.recon_tol(numerics.op_norm(c))
+    factor = draw(
+        st.sampled_from([0.1, 0.5, 1.0, 1.1, 1.2, 10.0]) | st.floats(min_value=0.1, max_value=10.0)
+    )
+    return r * (factor * target / numerics.op_norm(r)), tol, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(check=residual_checks())
+def test_norm_excess_matches_exact_check(check):
+    r, tol, c = check
+    limit = tol if c is None else tol(numerics.op_norm(c))
+    resid = numerics.norm_excess(r, tol, c)
+    assert (resid is None) == (numerics.op_norm(r) <= limit)
+    if resid is not None:
+        assert resid == numerics.op_norm(r)
+
+
+def test_norm_excess_survives_overflowing_column_norms():
+    # c's squared column norms overflow; the capped lower bound keeps the
+    # pre-test from passing a residual 2x above the tolerance at ||c||
+    c = 1e160 * np.eye(2, dtype=complex)
+    r = np.diag([2e151, 0.0]).astype(complex)
+    assert numerics.norm_excess(r, numerics.recon_tol, c) == numerics.op_norm(r)
+    assert numerics.norm_excess(r / 4, numerics.recon_tol, c) is None
+
+
 def test_norms_hand_values():
     m = np.diag([3.0, -4.0])
     assert numerics.op_norm(m) == pytest.approx(4.0, abs=1e-12)

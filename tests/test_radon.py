@@ -1,7 +1,20 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from cp_calculus.cpmap import CpMap, add, apply, canonicalize, scale, to_choi
+from cp_calculus import numerics
+from cp_calculus.cpmap import (
+    ChoiOperator,
+    CpMap,
+    add,
+    apply,
+    canonicalize,
+    is_channel,
+    scale,
+    to_choi,
+)
 from cp_calculus.errors import (
     DimMismatch,
     NotADecomposition,
@@ -13,6 +26,7 @@ from cp_calculus.errors import (
 from cp_calculus.numerics import herm_eig
 from cp_calculus.radon import (
     PovmDecomposition,
+    _prepare,
     cp_difference,
     dominates,
     instrument_rn,
@@ -291,3 +305,56 @@ def test_zero_map_edge_cases():
     der0 = rn_derivative(zero, zero)
     assert der0.env_dim == 1
     assert np.allclose(der0.matrix, 0.0)
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Count op_norm calls through every module's binding, and SVDs."""
+    calls = Counter()
+    op_norm, svd = numerics.op_norm, np.linalg.svd
+
+    def counted_op_norm(m):
+        calls["op_norm"] += 1
+        return op_norm(m)
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cp_calculus.") and hasattr(module, "op_norm"):
+            monkeypatch.setattr(module, "op_norm", counted_op_norm)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return calls
+
+
+T44 = rand_channel(np.random.default_rng(44), 4, 4, n_kraus=5)
+DECISIONS = {
+    "rn_derivative": (lambda: rn_derivative(scale(T44, 0.4), T44), 0),
+    "instrument_rn": (lambda: instrument_rn(T44, [scale(T44, 0.25), scale(T44, 0.75)]), 0),
+    "is_channel": (lambda: is_channel(T44), 0),
+    "ChoiOperator": (lambda: ChoiOperator(4, 4, to_choi(T44).matrix), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECISIONS))
+def test_passing_checks_take_no_svd(norm_calls, name):
+    # residuals far below tolerance pass norm_excess's Frobenius pre-test;
+    # only ChoiOperator's scale, a printed norm, is an SVD
+    run, expected = DECISIONS[name]
+    run()
+    assert dict(norm_calls) == ({"op_norm": expected, "svd": expected} if expected else {})
+
+
+def test_not_dominated_takes_exact_path(norm_calls):
+    t = CpMap(2, 2, (np.diag([1.0, 0.0]),))
+    s = CpMap(2, 2, (np.eye(2),))
+    with pytest.raises(NotDominated) as info:
+        rn_derivative(s, t)
+    assert dict(norm_calls) == {"op_norm": 2, "svd": 2}
+    # the message is the exact SVD residual, as before the pre-test existed
+    dom = _prepare(canonicalize(t))
+    cs = to_choi(s).matrix / 2
+    f = numerics.hermitize(dom.wp @ cs @ dom.wp.conj().T)
+    resid = numerics.op_norm(dom.w @ f @ dom.w.conj().T - cs)
+    assert str(info.value) == f"residual {resid:.3e} outside the dominating map's support"
