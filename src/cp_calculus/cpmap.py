@@ -107,10 +107,12 @@ class ChoiOperator:
         if m.shape != (d, d):
             raise ShapeMismatch(f"expected shape {(d, d)}, got {m.shape}")
         _check_hermitian(m)
-        scale = op_norm(m)
         low = float(np.linalg.eigvalsh(hermitize(m))[0])
-        if low < -EPS_PSD * max(1.0, scale):
-            raise NotPsd(f"eigenvalue {low:.3e} below zero at scale {scale:.3e}")
+        # max(1, scale) >= 1, so the scale matters only below -EPS_PSD
+        if low < -EPS_PSD:
+            scale = op_norm(m)
+            if low < -EPS_PSD * max(1.0, scale):
+                raise NotPsd(f"eigenvalue {low:.3e} below zero at scale {scale:.3e}")
         object.__setattr__(self, "matrix", _frozen(m.copy()))
 
 

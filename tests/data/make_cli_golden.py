@@ -1,15 +1,19 @@
 """Write the CLI golden fixtures under ``tests/data/cli_golden/``.
 
-    PYTHONPATH=src python tests/data/make_cli_golden.py
+    PYTHONPATH=src python tests/data/make_cli_golden.py [--only NAME ...]
 
 Seeded d=2 inputs for all 13 commands, the negative ``dominate``,
 ``derivative`` and ``cmin`` cases, a wrong-arity and two wrong-kind cases.
 Each case records argv (paths relative to the fixture directory), exit
 code, stdout and stderr of ``cp_calculus.cli.main`` run from that
 directory.  ``test_cli_golden.py`` replays them; regenerate only when a
-report is meant to change.
+report is meant to change.  ``--only NAME ...`` reruns just the named cases
+on the input files already written and rewrites only their entries of
+``cases.json``, so reports that depend on rounding (the ``chain``
+isometry) keep their recorded bits.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -94,26 +98,37 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def main_():
-    OUT.mkdir(exist_ok=True)
-    for name, payload in inputs(np.random.default_rng(20261018)).items():
-        (OUT / name).write_text(dumps(payload), encoding="utf-8")
+def record(name, argv):
+    code, out, err = run(argv)
+    return {
+        "name": name,
+        "argv": argv,
+        "code": code,
+        "exact": name in EXACT or not out,
+        "stdout": out,
+        "stderr": err,
+    }
+
+
+def main_(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", nargs="+", metavar="NAME", choices=[n for n, _ in CASES])
+    only = parser.parse_args(argv).only
+    if only is None:
+        OUT.mkdir(exist_ok=True)
+        for name, payload in inputs(np.random.default_rng(20261018)).items():
+            (OUT / name).write_text(dumps(payload), encoding="utf-8")
+        old = {}
+    else:
+        old = {c["name"]: c for c in json.loads((OUT / "cases.json").read_text(encoding="utf-8"))}
     os.chdir(OUT)
-    cases = []
-    for name, argv in CASES:
-        code, out, err = run(argv)
-        cases.append(
-            {
-                "name": name,
-                "argv": argv,
-                "code": code,
-                "exact": name in EXACT or not out,
-                "stdout": out,
-                "stderr": err,
-            }
-        )
+    cases = [
+        record(name, argv) if only is None or name in only else old[name]
+        for name, argv in CASES
+    ]
     (OUT / "cases.json").write_text(json.dumps(cases, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(cases)} cases to {OUT}", file=sys.stderr)
+    wrote = len(cases) if only is None else len(only)
+    print(f"wrote {wrote} of {len(cases)} cases to {OUT}", file=sys.stderr)
 
 
 if __name__ == "__main__":

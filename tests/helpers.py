@@ -16,7 +16,10 @@ and the plain Kraus loops below build on them, to pin the stacked forms
 bit for bit.  ``reference_common_dilation`` and ``reference_jam_apply``
 form the dense identity Kronecker products that the library replaces by
 acting on one reshaped factor; ``env_sandwich`` computes V*(A (x) P)V the
-same way, for environments too large to form A (x) P.
+same way, for environments too large to form A (x) P.  ``reference_ascend``
+is one restart of the norms ascent on the dense kron(V, 1_r) stacks,
+decomposed by ``herm_eig``, which the GEMM form must follow step for step
+when x has full rank.
 
 No ``assert`` here: pytest rewrites asserts only in test modules, so
 ``python -O`` would strip them from this file.
@@ -313,3 +316,34 @@ def reference_naimark_pvm(d, k):
 def reference_chain_projections(d, k, length):
     """Partial sums of the first ``length`` dense Naimark projections."""
     return np.cumsum(reference_naimark_pvm(d, k)[:length], axis=0)
+
+
+def reference_ascend(k1, k2, dim, rng, max_iter, tol):
+    """One restart of the alternating ascent on the dense kron(V, 1_r)
+    stacks, decomposed by herm_eig: (value, iterations) for (k, m, n)
+    Kraus arrays and dim = n * r."""
+    r = dim // k1.shape[2]
+    eye_r = np.eye(r)
+    s1 = np.array([np.kron(v, eye_r) for v in k1])
+    s2 = np.array([np.kron(v, eye_r) for v in k2])
+    s1h = s1.conj().transpose(0, 2, 1)
+    s2h = s2.conj().transpose(0, 2, 1)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi = psi / np.linalg.norm(psi)
+    prev = -np.inf
+    value = 0.0
+    steps = 0
+    for _ in range(max_iter):
+        rho = np.outer(psi, psi.conj())
+        x = (s1 @ rho @ s1h).sum(axis=0) - (s2 @ rho @ s2h).sum(axis=0)
+        eig = herm_eig(x)
+        value = float(np.sum(np.abs(eig.values)))
+        steps += 1
+        if value - prev <= tol * max(1.0, value):
+            break
+        prev = value
+        signs = np.where(eig.values >= 0.0, 1.0, -1.0)
+        sign_op = (eig.vectors * signs) @ eig.vectors.conj().T
+        y = (s1h @ sign_op @ s1).sum(axis=0) - (s2h @ sign_op @ s2).sum(axis=0)
+        psi = herm_eig(y).vectors[:, 0]
+    return value, steps

@@ -229,6 +229,14 @@ def test_parse_input_rejects_non_psd_choi(tmp_path):
         parse_input(str(path))
 
 
+def test_choi_psd_slack_scales_with_the_norm():
+    # -5e-8 is within EPS_PSD * 100 of zero but not within EPS_PSD * 1
+    ChoiOperator(2, 2, np.diag([100.0, 0.0, 0.0, -5e-8]))
+    with pytest.raises(errors.NotPsd) as info:
+        ChoiOperator(2, 2, np.diag([1.0, 0.0, 0.0, -5e-8]))
+    assert str(info.value) == "eigenvalue -5.000e-08 below zero at scale 1.000e+00"
+
+
 @pytest.mark.parametrize(
     "t",
     [CpMap(2, 2, (1e200 * I2,)), CpMap(1, 2, (np.array([[1e300, 1e300]]),))],

@@ -330,20 +330,19 @@ def norm_calls(monkeypatch):
 
 T44 = rand_channel(np.random.default_rng(44), 4, 4, n_kraus=5)
 DECISIONS = {
-    "rn_derivative": (lambda: rn_derivative(scale(T44, 0.4), T44), 0),
-    "instrument_rn": (lambda: instrument_rn(T44, [scale(T44, 0.25), scale(T44, 0.75)]), 0),
-    "is_channel": (lambda: is_channel(T44), 0),
-    "ChoiOperator": (lambda: ChoiOperator(4, 4, to_choi(T44).matrix), 1),
+    "rn_derivative": lambda: rn_derivative(scale(T44, 0.4), T44),
+    "instrument_rn": lambda: instrument_rn(T44, [scale(T44, 0.25), scale(T44, 0.75)]),
+    "is_channel": lambda: is_channel(T44),
+    "ChoiOperator": lambda: ChoiOperator(4, 4, to_choi(T44).matrix),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DECISIONS))
 def test_passing_checks_take_no_svd(norm_calls, name):
-    # residuals far below tolerance pass norm_excess's Frobenius pre-test;
-    # only ChoiOperator's scale, a printed norm, is an SVD
-    run, expected = DECISIONS[name]
-    run()
-    assert dict(norm_calls) == ({"op_norm": expected, "svd": expected} if expected else {})
+    # residuals far below tolerance pass norm_excess's Frobenius pre-test,
+    # and ChoiOperator takes its scale only for an eigenvalue below -EPS_PSD
+    DECISIONS[name]()
+    assert dict(norm_calls) == {}
 
 
 def test_not_dominated_takes_exact_path(norm_calls):
