@@ -31,7 +31,6 @@ from .numerics import (
     herm_eig,
     hermitize,
     norm_excess,
-    op_norm,
     psd_leq,
 )
 
@@ -107,12 +106,10 @@ class ChoiOperator:
         if m.shape != (d, d):
             raise ShapeMismatch(f"expected shape {(d, d)}, got {m.shape}")
         _check_hermitian(m)
-        low = float(np.linalg.eigvalsh(hermitize(m))[0])
-        # max(1, scale) >= 1, so the scale matters only below -EPS_PSD
-        if low < -EPS_PSD:
-            scale = op_norm(m)
-            if low < -EPS_PSD * max(1.0, scale):
-                raise NotPsd(f"eigenvalue {low:.3e} below zero at scale {scale:.3e}")
+        w = np.linalg.eigvalsh(hermitize(m))
+        scale = max(-w[0], w[-1])
+        if w[0] < -EPS_PSD * max(1.0, scale):
+            raise NotPsd(f"eigenvalue {w[0]:.3e} below zero at scale {scale:.3e}")
         object.__setattr__(self, "matrix", _frozen(m.copy()))
 
 

@@ -24,7 +24,6 @@ from .cpmap import (
     _trusted_choi,
     _trusted_map,
     apply,
-    scale,
     to_choi,
 )
 from .errors import (
@@ -224,7 +223,7 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     ct = to_choi(t)
     f = _density(ct, _prepare(phi))
     c = float(op_norm(f))
-    if not psd_leq(ct.matrix, to_choi(scale(phi, c)).matrix):
+    if not psd_leq(ct.matrix, c * to_choi(phi).matrix):
         raise InvariantViolation(
             f"map is not dominated by {c!r} times the faithful channel"
         )

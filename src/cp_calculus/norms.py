@@ -20,15 +20,14 @@ from .cpmap import (
     CpMap,
     _check_same_dims,
     _frozen,
-    add,
+    _trusted,
+    _trusted_choi,
     apply,
-    canonicalize,
-    dilation_matrix,
+    from_choi,
     to_choi,
 )
-from .duality import reference_channel
 from .errors import InvariantViolation, ShapeMismatch
-from .numerics import as_matrix, herm_eig, op_norm, psd_leq, psd_sqrt
+from .numerics import as_matrix, herm_eig, op_norm, partial_trace, psd_leq, psd_sqrt
 from .radon import _derivative, _prepare
 
 
@@ -148,15 +147,19 @@ def bound_rn(t1: CpMap, t2: CpMap) -> float:
     which collapses to ||F1 - F2|| whenever the dominator is a channel.
     """
     _check_same_dims(t1, t2)
-    return _bound_rn(add(t1, t2), to_choi(t1), to_choi(t2))
+    return _bound_rn(to_choi(t1), to_choi(t2))
 
 
-def _bound_rn(total: CpMap, c1: ChoiOperator, c2: ChoiOperator) -> float:
-    """bound_rn on the maps' process operators and their sum ``total``."""
-    dom = _prepare(canonicalize(total))
+def _bound_rn(c1: ChoiOperator, c2: ChoiOperator) -> float:
+    """bound_rn on the maps' process operators alone: T's is their sum, its
+    canonical family the dominator, and T(1) = tr_in(C1 + C2) / dim_in."""
+    m, n = c1.dim_in, c1.dim_out
+    total = _trusted_choi(m, n, c1.matrix + c2.matrix)
+    dom = _prepare(from_choi(total))
     f1 = _derivative(c1, dom).matrix
     f2 = _derivative(c2, dom).matrix
-    return float(op_norm(apply(total, np.eye(total.dim_in))) * op_norm(f1 - f2))
+    unit = partial_trace(total.matrix, "second", n, m) / m
+    return float(op_norm(unit) * op_norm(f1 - f2))
 
 
 @dataclass(frozen=True)
@@ -190,26 +193,27 @@ def common_dilation(t1: CpMap, t2: CpMap) -> CommonDilationPair:
     """Dilate two maps through one reference-channel environment.
 
     V_i = (1 (x) sqrt(F_i)) V_ref, with F_i the process operator of t_i
-    and V_ref the canonical dilation of the reference channel.  The
-    identity factor is never formed: V_ref is reshaped to its dim_in
-    blocks of dim_in * dim_out rows, and sqrt(F_i) multiplies each.  The pair
-    satisfies ||v1 - v2|| <= dim_in * sqrt(cb norm of the difference);
-    ``norm_report`` checks the inequality against the derivative-density
-    upper bound, which keeps it sound.  The constant is the input
-    dimension; dilating the dual representation instead would carry the
-    output dimension, and the two conventions can differ.
+    and V_ref the canonical dilation of the reference channel a ->
+    tau(a)1.  V_ref's entries are 0 and 1/sqrt(dim_in), one per column
+    and input index, so V_i is sqrt(F_i) / sqrt(dim_in) with its columns
+    regrouped by input index; neither the identity factor nor V_ref is
+    formed.  The pair satisfies ||v1 - v2|| <= dim_in * sqrt(cb norm of
+    the difference); ``norm_report`` checks the inequality against the
+    derivative-density upper bound, which keeps it sound.  The constant
+    is the input dimension; dilating the dual representation instead
+    would carry the output dimension, and the two conventions can differ.
     """
     _check_same_dims(t1, t2)
     return _common_dilation(to_choi(t1), to_choi(t2))
 
 
 def _common_dilation(c1: ChoiOperator, c2: ChoiOperator) -> CommonDilationPair:
-    """common_dilation on the maps' process operators."""
+    """common_dilation on the maps' process operators: row (a, (mu, i)) of
+    V_i, column nu, is sqrt(F_i)[(mu, i), (nu, a)] / sqrt(dim_in)."""
     m, n = c1.dim_in, c1.dim_out
-    v_ref = dilation_matrix(reference_channel(m, n)).reshape(m, m * n, n)
-    v1 = (psd_sqrt(c1.matrix) @ v_ref).reshape(-1, n)
-    v2 = (psd_sqrt(c2.matrix) @ v_ref).reshape(-1, n)
-    return CommonDilationPair(dim_in=m, dim_out=n, v1=v1, v2=v2)
+    roots = np.stack([psd_sqrt(c1.matrix), psd_sqrt(c2.matrix)]) * (1.0 / np.sqrt(m))
+    v = _frozen(roots.reshape(2, m * n, n, m).transpose(0, 3, 1, 2).reshape(2, -1, n))
+    return _trusted(CommonDilationPair, dim_in=m, dim_out=n, v1=v[0], v2=v[1])
 
 
 def bound_dilation_diff(p: CommonDilationPair) -> float:
@@ -265,7 +269,7 @@ def norm_report(
     """
     lower, iterations = _diamond_search(t1, t2, seed, restarts, None, 200, 1e-10)
     c1, c2 = to_choi(t1), to_choi(t2)
-    upper_rn = _upper_bound("upper_rn", _bound_rn(add(t1, t2), c1, c2), lower)
+    upper_rn = _upper_bound("upper_rn", _bound_rn(c1, c2), lower)
     pair = _common_dilation(c1, c2)
     gap = op_norm(pair.v1 - pair.v2)
     limit = pair.dim_in * np.sqrt(upper_rn) * (1.0 + 1e-9) + 1e-12

@@ -150,15 +150,12 @@ def pad_to_channel(t: CpMap) -> CpMap:
         raise NotAnOperation("padding needs T(1) <= 1")
     m, n = t.dim_in, t.dim_out
     defect = hermitize(np.eye(n) - apply(t, np.eye(m)))
-    e = herm_eig(defect)
-    vals = np.clip(e.values, 0.0, None)
-    top = float(vals[0]) if vals.size else 0.0
-    rank = int(np.count_nonzero(vals >= RANK_TOL * top)) if top > 0.0 else 0
-    if rank == 0:
-        pad = np.zeros((m, n), dtype=complex)
-    elif m >= n:
-        pad = np.eye(m, n) @ ((e.vectors * np.sqrt(vals)) @ e.vectors.conj().T)
+    if m >= n:
+        pad = np.eye(m, n) @ psd_sqrt(defect)
     else:
+        e = herm_eig(defect)
+        vals = np.clip(e.values, 0.0, None)
+        rank = int(np.count_nonzero(vals >= RANK_TOL * vals[0])) if vals[0] > 0.0 else 0
         if rank > m:
             raise CpError(
                 f"defect rank {rank} exceeds dim_in {m}; "

@@ -48,7 +48,6 @@ from .numerics import (
     herm_eig,
     hermitize,
     norm_excess,
-    op_norm,
     pinv,
     psd_leq,
     recon_tol,
@@ -101,10 +100,10 @@ class PovmDecomposition:
                 d = f.shape[0]
             elif f.shape[0] != d:
                 raise ShapeMismatch(f"element {idx} has dim {f.shape[0]}, expected {d}")
-            low = float(np.linalg.eigvalsh(hermitize(f))[0])
-            # max(1, ||f||) >= 1, so the norm matters only below -EPS_PSD
-            if low < -EPS_PSD and low < -EPS_PSD * max(1.0, op_norm(f)):
-                raise NotPsd(f"element {idx} has eigenvalue {low:.3e}")
+            _check_hermitian(f)
+            w = np.linalg.eigvalsh(hermitize(f))
+            if w[0] < -EPS_PSD * max(1.0, -w[0], w[-1]):
+                raise NotPsd(f"element {idx} has eigenvalue {w[0]:.3e}")
             mats.append(_frozen(f.copy()))
         object.__setattr__(self, "elements", _resolution(mats))
 

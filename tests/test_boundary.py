@@ -50,6 +50,9 @@ NON_PSD = np.diag([1.0, -1.0, 0.5, 0.5]).astype(complex)
 FINITE = "matrix entries must be finite"
 HERM = "deviation from Hermiticity 1.000e+00"
 PSD = "eigenvalue -1.000e+00 below zero at scale 1.000e+00"
+# a resolution of the identity whose elements are not Hermitian
+POVM_SKEW = (np.array([[0.5, 0.3], [-0.3, 0.5]]), np.array([[0.5, -0.3], [0.3, 0.5]]))
+POVM_HERM = "deviation from Hermiticity 6.000e-01"
 
 
 def entry(m, i, j, value):
@@ -123,6 +126,7 @@ CONSTRUCTORS = {
         "NotPsd",
         "element 1 has eigenvalue -1.000e+00",
     ),
+    "povm_non_hermitian": (lambda: PovmDecomposition(POVM_SKEW), "NotHermitian", POVM_HERM),
     "dilation_pair_nan": (
         lambda: CommonDilationPair(1, 1, [[1.0]], [[NAN]]), "ShapeMismatch", FINITE
     ),
@@ -190,6 +194,11 @@ LOADERS = {
         lambda: povm_from_json({"elements": [js(np.diag([2.0, 1.0])), js(np.diag([-1.0, 0.0]))]}),
         "NotPsd",
         "element 1 has eigenvalue -1.000e+00",
+    ),
+    "povm_non_hermitian": (
+        lambda: povm_from_json({"elements": [js(f) for f in POVM_SKEW]}),
+        "NotHermitian",
+        POVM_HERM,
     ),
     "state_not_faithful": (
         lambda: state_from_json({"p": [0.0, 1.0]}),

@@ -184,6 +184,24 @@ def test_naimark_command(files, capsys):
     assert len(report["pvm"]) == 2
 
 
+def test_non_hermitian_povm_is_rejected(files, capsys):
+    # the elements sum to 1, but naimark would dilate their Hermitian parts
+    _, write = files
+    skew = np.array([[0.5, 0.3], [-0.3, 0.5]])
+    povm = write(
+        "skew.json",
+        {"elements": [matrix_to_json(skew), matrix_to_json(np.eye(2) - skew)]},
+    )
+    code, out, _ = run(["validate", povm], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert "Hermiticity" in report["error"]
+    code, out, err = run(["naimark", povm], capsys)
+    assert code == 2 and out == ""
+    assert "Hermiticity" in err
+
+
 def test_compose_command_matches_kraus_route(files, capsys):
     _, write = files
     t1 = rand_cp_map(RNG, 2, 3)

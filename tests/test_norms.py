@@ -1,4 +1,5 @@
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -295,8 +296,8 @@ def test_norm_report_rejects_dilation_gap(monkeypatch):
 
 
 def test_norm_report_forms_each_process_operator_once(monkeypatch):
-    # t1's, t2's and their sum's: both bounds and the cb_exact test share
-    # the first two, and the sum's is taken for its canonical form
+    # t1's and t2's: both bounds and the cb_exact test share them, and the
+    # sum's is their sum, not the process operator of a Kraus-union map
     calls = []
 
     def counted(t):
@@ -310,7 +311,31 @@ def test_norm_report_forms_each_process_operator_once(monkeypatch):
     for t2 in (rand_channel(rng, 2, 3), scale(t, 0.7)):
         calls.clear()
         norm_report(t, t2, seed=0, restarts=2)
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+
+def test_upper_bounds_need_no_reference_channel_or_sum_map(monkeypatch):
+    # the bracket is a function of the two process operators: no module
+    # may build the reference channel, the Kraus union t1 + t2 or a
+    # canonical form of it on the way
+    rng = np.random.default_rng(4)
+    t = rand_channel(rng, 2, 3)
+    pairs = [(t, rand_channel(rng, 2, 3)), (t, scale(t, 0.7))]
+
+    def banned(*args, **kwargs):
+        raise RuntimeError("banned call")
+
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "cp_calculus"]
+    for module in modules:
+        for name in ("reference_channel", "add", "canonicalize"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, banned)
+    for t1, t2 in pairs:
+        rep = norm_report(t1, t2, seed=0, restarts=2)
+        assert rep.lower <= rep.upper_rn * (1.0 + 1e-9) + 1e-12
+        assert bound_rn(t1, t2) == rep.upper_rn
+        pair = common_dilation(t1, t2)
+        assert pair.v1.shape == (2 * 6, 3)
 
 
 # norm_report(...).lower and .iterations for fixed channel pairs (m, n,

@@ -154,7 +154,6 @@ def test_no_identity_kronecker_temporaries(path):
 # directly only where the norm is a result or is printed.  A new residual
 # check either uses the helper or edits this pin on purpose.
 OP_NORM_SITES = {
-    "cpmap.ChoiOperator.__post_init__": 1,  # scale, only below -EPS_PSD
     "duality.faithful_rn": 2,  # the constant, and the limit it is held to
     "norms._bound_dilation": 2,
     "norms._bound_rn": 2,
@@ -163,7 +162,6 @@ OP_NORM_SITES = {
     "norms.norm_report": 2,  # printed dilation gap, cb_exact
     "numerics.norm_excess": 2,  # the exact comparison
     "order.channel_difference_is_cp": 1,  # printed normalization gap
-    "radon.PovmDecomposition.__post_init__": 1,  # eigenvalue scale, only below -EPS_PSD
 }
 
 
