@@ -12,13 +12,14 @@ print a single report to stdout.  Exit codes are script-friendly:
 Nothing is written to stdout on failure; diagnostics go to stderr.
 Identical invocations produce byte-identical stdout.  ``--workers`` is
 accepted for compatibility and ignored: estimator restarts run serially.
+``build_parser`` holds every option's default, and ``dispatch`` runs on
+the namespace it parses.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,15 +44,6 @@ from .serialize import (
     matrix_to_json,
     parse_input,
 )
-
-
-@dataclass
-class AnalysisRequest:
-    """One CLI invocation: a command, its input files, and options."""
-
-    command: str
-    inputs: list[str]
-    options: dict = field(default_factory=dict)
 
 
 def _flag(cast, ok, need: str) -> Callable:
@@ -82,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_flag(
             float, lambda v: np.isfinite(v) and v >= 0.0, "a finite number >= 0"
         ),
-        default=None,
-        help="PSD slack for verdict commands (default %g)" % EPS_PSD,
+        default=EPS_PSD,
+        help="PSD slack for verdict commands (default %(default)g)",
     )
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="report format"
@@ -100,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-dim",
         type=_COUNT,
-        default=None,
+        default=MAX_DIM,
         help="reject inputs whose total dimension exceeds this",
     )
     parser.add_argument(
@@ -164,7 +156,7 @@ def _load(path, max_dim):
     except (CpError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     sides = _kind(obj).sides(obj)
-    if max_dim is not None and sides and max(sides) > max_dim:
+    if max(sides) > max_dim:
         raise SchemaError(f"{path}: dimension {max(sides)} exceeds --max-dim {max_dim}")
     return obj
 
@@ -174,7 +166,6 @@ def _expect(obj, kinds, path):
         wanted = (kinds,) if not isinstance(kinds, tuple) else kinds
         want = " or ".join(_KINDS[k].name for k in wanted)
         raise SchemaError(f"{path}: expected {want}, got {type(obj).__name__}")
-    return obj
 
 
 def _fields(res) -> dict:
@@ -195,7 +186,7 @@ def _apply(o, first, a):
 
 
 def _dominate(o, s, t):
-    verdict = dominates(s, t, o["tol"])
+    verdict = dominates(s, t, o.tol)
     return (0 if verdict else 1), {"dominates": bool(verdict)}
 
 
@@ -216,13 +207,12 @@ def _compose(o, f2, f1):
 
 
 def _diamond(o, t1, t2):
-    seed, restarts = o["seed"], o["restarts"]
-    val = diamond_lower(t1, t2, seed, restarts)
-    return 0, {"diamond_lower": float(val), "seed": seed, "restarts": restarts}
+    val = diamond_lower(t1, t2, o.seed, o.restarts)
+    return 0, {"diamond_lower": float(val), "seed": o.seed, "restarts": o.restarts}
 
 
 class _Command(NamedTuple):
-    """Input kinds per position and the handler ``run(options, *inputs)``.
+    """Input kinds per position and the handler ``run(args, *inputs)``.
 
     A variadic command repeats its last kind; ``object`` accepts any input.
     ``bad_input`` turns a load failure into a report, not a usage error.
@@ -260,7 +250,7 @@ _COMMANDS = {
     "diamond": _Command((CpMap, CpMap), _diamond),
     "bounds": _Command(
         (CpMap, CpMap),
-        lambda o, t1, t2: (0, _fields(norm_report(t1, t2, o["seed"], o["restarts"]))),
+        lambda o, t1, t2: (0, _fields(norm_report(t1, t2, o.seed, o.restarts))),
     ),
     "faithful": _Command(
         (CpMap, FaithfulState), lambda o, t, w: (0, _fields(faithful_rn(t, w)))
@@ -268,33 +258,24 @@ _COMMANDS = {
 }
 
 
-def dispatch(req: AnalysisRequest):
-    """Run one request; returns (exit_code, payload)."""
-    cmd = _COMMANDS.get(req.command)
+def dispatch(args: argparse.Namespace):
+    """Run a namespace parsed by ``build_parser``; returns (exit_code, payload)."""
+    cmd = _COMMANDS.get(args.command)
     if cmd is None:
-        raise SchemaError(f"unknown command {req.command!r}")
-    count, lo = len(req.inputs), len(cmd.kinds)
+        raise SchemaError(f"unknown command {args.command!r}")
+    count, lo = len(args.inputs), len(cmd.kinds)
     if count < lo or (count > lo and not cmd.variadic):
         expected = f"at least {lo}" if cmd.variadic else str(lo)
-        raise SchemaError(f"{req.command} takes {expected} input file(s), got {count}")
-    opts = req.options
-    tol = opts.get("tol")
-    max_dim = opts.get("max_dim")
-    options = {
-        "tol": EPS_PSD if tol is None else float(tol),
-        "seed": int(opts.get("seed", 0)),
-        "restarts": int(opts.get("restarts", 32)),
-    }
-    max_dim = MAX_DIM if max_dim is None else int(max_dim)
+        raise SchemaError(f"{args.command} takes {expected} input file(s), got {count}")
     try:
-        loaded = [_load(path, max_dim) for path in req.inputs]
+        loaded = [_load(path, args.max_dim) for path in args.inputs]
     except SchemaError as exc:
         if cmd.bad_input is None:
             raise
         return cmd.bad_input(exc)
-    for idx, (obj, path) in enumerate(zip(loaded, req.inputs)):
+    for idx, (obj, path) in enumerate(zip(loaded, args.inputs)):
         _expect(obj, cmd.kinds[min(idx, lo - 1)], path)
-    return cmd.run(options, *loaded)
+    return cmd.run(args, *loaded)
 
 
 def _render_text(payload) -> str:
@@ -330,19 +311,8 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    req = AnalysisRequest(
-        command=ns.command,
-        inputs=list(ns.inputs),
-        options={
-            "tol": ns.tol,
-            "format": ns.format,
-            "seed": ns.seed,
-            "restarts": ns.restarts,
-            "max_dim": ns.max_dim,
-        },
-    )
     try:
-        code, payload = dispatch(req)
+        code, payload = dispatch(ns)
     except (IoError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

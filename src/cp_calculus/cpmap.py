@@ -79,11 +79,11 @@ class CpMap:
         self.__dict__.update(kraus=tuple(ops), kraus_array=ops)
 
 
-def _check_hermitian(m: np.ndarray) -> None:
+def _check_hermitian(m: np.ndarray, prefix: str = "") -> None:
     """Raise NotHermitian if ||m - m*|| > EPS_HERM * max(1, ||m||)."""
     dev = norm_excess(m - m.conj().T, lambda s: EPS_HERM * max(1.0, s), m)
     if dev is not None:
-        raise NotHermitian(f"deviation from Hermiticity {dev:.3e}")
+        raise NotHermitian(f"{prefix}deviation from Hermiticity {dev:.3e}")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,10 @@ from .errors import InvariantViolation, ShapeMismatch
 from .numerics import as_matrix, herm_eig, op_norm, partial_trace, psd_leq, psd_sqrt
 from .radon import _derivative, _prepare
 
+# a restart ends when a step gains <= ASCENT_TOL * max(1, value), or at ASCENT_MAX_ITER
+ASCENT_MAX_ITER = 200
+ASCENT_TOL = 1e-10
+
 
 def cb_norm_cp(t: CpMap) -> float:
     """Completely bounded norm of a CP map: op_norm of T(1)."""
@@ -118,8 +122,8 @@ def diamond_lower(
     restarts: int = 32,
     *,
     ancilla_dim: int | None = None,
-    max_iter: int = 200,
-    tol: float = 1e-10,
+    max_iter: int = ASCENT_MAX_ITER,
+    tol: float = ASCENT_TOL,
     workers: int = 1,
 ) -> float:
     """Lower estimate of the distinguishability norm of t1 - t2.
@@ -267,7 +271,9 @@ def norm_report(
     lower estimate above either upper bound, or a common-dilation gap
     ||v1 - v2|| above dim_in * sqrt(upper_rn), raises InvariantViolation.
     """
-    lower, iterations = _diamond_search(t1, t2, seed, restarts, None, 200, 1e-10)
+    lower, iterations = _diamond_search(
+        t1, t2, seed, restarts, None, ASCENT_MAX_ITER, ASCENT_TOL
+    )
     c1, c2 = to_choi(t1), to_choi(t2)
     upper_rn = _upper_bound("upper_rn", _bound_rn(c1, c2), lower)
     pair = _common_dilation(c1, c2)

@@ -100,7 +100,7 @@ class PovmDecomposition:
                 d = f.shape[0]
             elif f.shape[0] != d:
                 raise ShapeMismatch(f"element {idx} has dim {f.shape[0]}, expected {d}")
-            _check_hermitian(f)
+            _check_hermitian(f, f"element {idx}: ")
             w = np.linalg.eigvalsh(hermitize(f))
             if w[0] < -EPS_PSD * max(1.0, -w[0], w[-1]):
                 raise NotPsd(f"element {idx} has eigenvalue {w[0]:.3e}")

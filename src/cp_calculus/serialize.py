@@ -71,7 +71,7 @@ def matrix_to_json(m) -> dict:
         raise SchemaError(f"expected a matrix, got array of ndim {m.ndim}")
     if not np.all(np.isfinite(m)):
         raise SchemaError("non-finite entry in matrix")
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    data = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 

@@ -52,7 +52,7 @@ HERM = "deviation from Hermiticity 1.000e+00"
 PSD = "eigenvalue -1.000e+00 below zero at scale 1.000e+00"
 # a resolution of the identity whose elements are not Hermitian
 POVM_SKEW = (np.array([[0.5, 0.3], [-0.3, 0.5]]), np.array([[0.5, -0.3], [0.3, 0.5]]))
-POVM_HERM = "deviation from Hermiticity 6.000e-01"
+POVM_HERM = "element 0: deviation from Hermiticity 6.000e-01"
 
 
 def entry(m, i, j, value):

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import subprocess
 import sys
@@ -5,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from cp_calculus.cli import AnalysisRequest, dispatch, main
+from cp_calculus.cli import build_parser, dispatch, main
 from cp_calculus.cpmap import CpMap, compose, scale, to_choi
 from cp_calculus.duality import FaithfulState, jam_forward
 from cp_calculus.errors import SchemaError
+from cp_calculus.norms import diamond_lower, norm_report
+from cp_calculus.numerics import EPS_PSD, MAX_DIM
 from cp_calculus.serialize import (
     choi_from_json,
     choi_to_json,
@@ -308,9 +312,19 @@ def test_text_format_matches_json_values(files, capsys):
 
 def test_dispatch_level_requests():
     with pytest.raises(SchemaError, match="takes"):
-        dispatch(AnalysisRequest(command="choi", inputs=[]))
+        dispatch(build_parser().parse_args(["choi"]))
     with pytest.raises(SchemaError, match="unknown command 'frobnicate'"):
-        dispatch(AnalysisRequest(command="frobnicate", inputs=["x.json"]))
+        dispatch(argparse.Namespace(command="frobnicate", inputs=["x.json"]))
+
+
+def test_parser_defaults_match_the_library():
+    ns = build_parser().parse_args(["bounds", "a", "b"])
+    for fn in (norm_report, diamond_lower):
+        params = inspect.signature(fn).parameters
+        assert ns.seed == params["seed"].default
+        assert ns.restarts == params["restarts"].default
+    assert ns.tol is EPS_PSD
+    assert ns.max_dim == MAX_DIM
 
 
 def test_subprocess_byte_determinism(files):

@@ -35,6 +35,20 @@ def test_matrix_round_trip_exact():
     assert np.array_equal(back, m)
 
 
+def test_matrix_to_json_matches_per_entry_form():
+    # a transposed (non-contiguous) matrix is written row-major, and signed
+    # zeros keep their sign, exactly as float() of each entry gives them
+    m = (RNG.standard_normal((3, 4)) + 1j * RNG.standard_normal((3, 4))).T
+    m[0, 1], m[2, 2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    assert not m.flags.c_contiguous
+    for mat in (m, np.array([[complex(-0.0, -0.0)]]), np.array([[7]])):
+        z = np.asarray(mat, dtype=complex).reshape(-1)
+        rows, cols = mat.shape
+        data = [[float(e.real), float(e.imag)] for e in z]
+        want = {"rows": rows, "cols": cols, "data": data}
+        assert dumps(matrix_to_json(mat)) == dumps(want)
+
+
 def test_cpmap_round_trip_exact():
     t = rand_cp_map(RNG, 3, 2, n_kraus=3)
     back = cpmap_from_json(json.loads(dumps(cpmap_to_json(t))))
