@@ -11,7 +11,7 @@ print a single report to stdout.  Exit codes are script-friendly:
 
 Nothing is written to stdout on failure; diagnostics go to stderr.
 Identical invocations produce byte-identical stdout.  ``--workers`` is
-accepted for compatibility and ignored: estimator restarts run serially.
+accepted for compatibility and ignored: estimator restarts run stacked.
 ``build_parser`` holds every option's default, and ``dispatch`` runs on
 the namespace it parses.
 """

@@ -11,6 +11,7 @@ estimator is reported as a lower bound only and never claimed exact.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,16 @@ from .cpmap import (
     from_choi,
     to_choi,
 )
-from .errors import InvariantViolation, ShapeMismatch
-from .numerics import as_matrix, herm_eig, op_norm, partial_trace, psd_leq, psd_sqrt
+from .errors import DimensionLimit, InvariantViolation, ShapeMismatch
+from .numerics import MAX_DIM, as_matrix, herm_eig, op_norm, partial_trace, psd_leq, psd_sqrt
 from .radon import _derivative, _prepare
 
 # a restart ends when a step gains <= ASCENT_TOL * max(1, value), or at ASCENT_MAX_ITER
 ASCENT_MAX_ITER = 200
 ASCENT_TOL = 1e-10
+# entries one stacked x or y of the ascent may hold: restarts at d=16 run
+# one per stack, and up to 16 at d=8 or 256 at d=4 share one
+STACK_ENTRIES = 2 ** 16
 
 
 def cb_norm_cp(t: CpMap) -> float:
@@ -50,8 +54,9 @@ def _process_difference(k1, k2):
     return (g1 - g2).reshape(n * n, m * m)
 
 
-def _ascend(k1, k2, dim, rng, max_iter, tol, *, g):
-    """One restart of the alternating ascent; returns (value, iterations).
+def _ascend(k1, k2, dim, rngs, max_iter, tol, *, g):
+    """Restarts of the alternating ascent, one per generator in ``rngs``,
+    run as one stack; returns (best value, total iterations).
 
     ``k1`` and ``k2`` are the maps' (k, m, n) Kraus arrays, ``dim`` is n * r
     for an ancilla of dimension r, and ``g`` is their
@@ -61,58 +66,73 @@ def _ascend(k1, k2, dim, rng, max_iter, tol, *, g):
     second map, is one GEMM per map on the stacked vectors.  y, the dual
     action of the same difference on x's sign operator S, is one GEMM of g
     with S regrouped from ((input, ancilla), (input, ancilla)) to
-    ((input, input), (ancilla, ancilla)) indices.
+    ((input, input), (ancilla, ancilla)) indices.  Every half-step is one
+    batched GEMM chain and one batched eigh over the restarts still live,
+    and a restart leaves the stack the iteration its stopping test fires.
+    Stacked matmul and eigh make the same BLAS and LAPACK call on each
+    slice, in the same memory layout, as a single restart does, so each
+    restart's value and step count are those it reaches alone.
     """
     m, n = k1.shape[1:]
     r = dim // n
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi = psi / np.linalg.norm(psi)
-    prev = -np.inf
-    value = 0.0
-    steps = 0
-    for _ in range(max_iter):
-        big_psi = psi.reshape(n, r)
-        a1 = (k1.reshape(-1, n) @ big_psi).reshape(len(k1), m * r)
-        a2 = (k2.reshape(-1, n) @ big_psi).reshape(len(k2), m * r)
-        x = a1.T @ a1.conj() - a2.T @ a2.conj()
+    draws = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for rng in rngs]
+    psi = np.array([v / np.linalg.norm(v) for v in draws])
+    values = np.zeros(len(rngs))
+    steps = np.zeros(len(rngs), dtype=int)
+    live = np.arange(len(rngs))
+    prev = np.full(len(rngs), -np.inf)
+    for step in range(1, max_iter + 1):
+        big_psi = psi.reshape(-1, n, r)
+        a1 = (k1.reshape(-1, n) @ big_psi).reshape(len(live), len(k1), m * r)
+        a2 = (k2.reshape(-1, n) @ big_psi).reshape(len(live), len(k2), m * r)
+        x = a1.mT @ a1.conj() - a2.mT @ a2.conj()
         # sum |w|, the sign operator and psi psi* do not depend on the
         # eigenvectors' phases or on the basis eigh picks inside an
         # eigenspace, so eigh serves without herm_eig's phase fix and sort;
         # only a tied top eigenvalue of y leaves psi itself undetermined
         w, u = np.linalg.eigh(x)
-        value = float(np.sum(np.abs(w)))
-        steps += 1
-        if value - prev <= tol * max(1.0, value):
-            break
+        value = np.abs(w).sum(axis=1)
+        values[live] = value
+        steps[live] = step
+        done = value - prev <= tol * np.maximum(1.0, value)
+        if done.any():
+            live, w, u, value = live[~done], w[~done], u[~done], value[~done]
+            if not len(live):
+                break
         prev = value
-        sign_op = (u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T
-        blocks = sign_op.reshape(m, r, m, r).transpose(0, 2, 1, 3).reshape(m * m, r * r)
-        y = (g @ blocks).reshape(n, n, r, r).transpose(0, 2, 1, 3).reshape(dim, dim)
+        sign_op = (u * np.where(w >= 0.0, 1.0, -1.0)[:, None, :]) @ u.conj().mT
+        blocks = sign_op.reshape(-1, m, r, m, r).transpose(0, 1, 3, 2, 4)
+        blocks = blocks.reshape(-1, m * m, r * r)
+        y = (g @ blocks).reshape(-1, n, n, r, r).transpose(0, 1, 3, 2, 4).reshape(-1, dim, dim)
         w, u = np.linalg.eigh(y)
-        if len(w) == 1 or w[-1] != w[-2]:
-            psi = u[:, -1]
-        else:
-            psi = herm_eig(y).vectors[:, 0]
-    return value, steps
+        psi = u[:, :, -1]
+        if dim > 1:
+            for row in np.flatnonzero(w[:, -1] == w[:, -2]):
+                psi[row] = herm_eig(y[row]).vectors[:, 0]
+    return float(values.max()), int(steps.sum())
 
 
 def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol):
     _check_same_dims(t1, t2)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    r = t1.dim_out if ancilla_dim is None else int(ancilla_dim)
+    r = t1.dim_out if ancilla_dim is None else ancilla_dim
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
+        raise ValueError(f"ancilla dimension must be an integer, got {r!r}")
+    r = int(r)
     if r < 1:
         raise ValueError("ancilla dimension must be at least 1")
-    dim = t1.dim_out * r
+    side = max(t1.dim_in, t1.dim_out) * r
+    if side > MAX_DIM:
+        raise DimensionLimit(f"ascent dimension {side} exceeds {MAX_DIM}")
     k1, k2 = t1.kraus_array, t2.kraus_array
     g = _process_difference(k1, k2)
-    results = [
-        _ascend(k1, k2, dim, np.random.default_rng([seed, ridx]), max_iter, tol, g=g)
-        for ridx in range(restarts)
-    ]
-    value = max(res[0] for res in results)
-    iterations = sum(res[1] for res in results)
-    return value, iterations
+    size = max(1, STACK_ENTRIES // side**2)
+    results = []
+    for start in range(0, restarts, size):
+        rngs = [np.random.default_rng([seed, i]) for i in range(start, min(start + size, restarts))]
+        results.append(_ascend(k1, k2, t1.dim_out * r, rngs, max_iter, tol, g=g))
+    return max(res[0] for res in results), sum(res[1] for res in results)
 
 
 def diamond_lower(
@@ -136,8 +156,12 @@ def diamond_lower(
     for fixed arguments.  A step costs a few GEMMs on arrays the size of
     the maps' process operators and two dense eigendecompositions, of size
     dim_in * r and dim_out * r for an ancilla of dimension r; the ancilla
-    is never formed as a Kronecker factor.  Restarts run one after another;
-    ``workers`` is accepted for compatibility and ignored.
+    is never formed as a Kronecker factor.  The restarts run together in
+    stacks of up to STACK_ENTRIES entries per x and y (one restart where
+    its own x or y is larger), each reaching the value and step count it
+    reaches alone; ``workers`` is accepted for compatibility and ignored.  An ancilla dimension that is not an
+    integer raises ValueError, and max(dim_in, dim_out) * r above MAX_DIM
+    raises DimensionLimit before anything is allocated.
     """
     value, _ = _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol)
     return value

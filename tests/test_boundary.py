@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from cp_calculus import errors
+from cp_calculus import errors, norms
 from cp_calculus.cpmap import (
     ChoiOperator,
     CpMap,
@@ -28,7 +28,7 @@ from cp_calculus.cpmap import (
     to_stinespring,
 )
 from cp_calculus.duality import FaithfulState, faithful_channel, jam_forward, reference_channel
-from cp_calculus.norms import CommonDilationPair, bound_dilation_diff
+from cp_calculus.norms import CommonDilationPair, bound_dilation_diff, diamond_lower
 from cp_calculus.order import PvmChain, naimark_dilate
 from cp_calculus.radon import PovmDecomposition, rn_reconstruct
 from cp_calculus.serialize import (
@@ -334,3 +334,35 @@ def test_rn_reconstruct_rejects_non_hermitian_density():
     with pytest.raises(errors.NotHermitian) as info:
         rn_reconstruct(t, [[0.5, 0.3], [-0.3, 0.5]])
     assert str(info.value) == "deviation from Hermiticity 6.000e-01"
+
+
+ID2 = CpMap(2, 2, (I2,))
+FLIP = CpMap(2, 2, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
+WIDE = CpMap(4, 2, (np.ones((4, 2)) / 2.0,))
+# (maps, ancilla_dim, error class, message): the search checks r before it
+# forms anything, and max(dim_in, dim_out) * r is held to MAX_DIM
+ANCILLA = {
+    "float": ((ID2, FLIP), 2.9, "ValueError", "ancilla dimension must be an integer, got 2.9"),
+    "bool": ((ID2, FLIP), True, "ValueError", "ancilla dimension must be an integer, got True"),
+    "square_too_wide": (
+        (ID2, FLIP), 2**13 + 1, "DimensionLimit", "ascent dimension 16386 exceeds 16384"
+    ),
+    "input_side_too_wide": (
+        (WIDE, WIDE), 2**12 + 1, "DimensionLimit", "ascent dimension 16388 exceeds 16384"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANCILLA))
+def test_diamond_lower_rejects_ancilla_before_allocating(monkeypatch, case):
+    (t1, t2), ancilla_dim, cls, message = ANCILLA[case]
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(norms, "_process_difference", allocates)
+    monkeypatch.setattr(norms, "_ascend", allocates)
+    with pytest.raises(getattr(errors, cls, ValueError)) as info:
+        diamond_lower(t1, t2, restarts=2, ancilla_dim=ancilla_dim)
+    assert type(info.value).__name__ == cls
+    assert str(info.value) == message
