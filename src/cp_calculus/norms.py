@@ -85,7 +85,7 @@ def _ascend(k1, k2, dim, rngs, max_iter, tol, *, g):
         big_psi = psi.reshape(-1, n, r)
         a1 = (k1.reshape(-1, n) @ big_psi).reshape(len(live), len(k1), m * r)
         a2 = (k2.reshape(-1, n) @ big_psi).reshape(len(live), len(k2), m * r)
-        x = a1.mT @ a1.conj() - a2.mT @ a2.conj()
+        x = a1.swapaxes(-1, -2) @ a1.conj() - a2.swapaxes(-1, -2) @ a2.conj()
         # sum |w|, the sign operator and psi psi* do not depend on the
         # eigenvectors' phases or on the basis eigh picks inside an
         # eigenspace, so eigh serves without herm_eig's phase fix and sort;
@@ -100,7 +100,8 @@ def _ascend(k1, k2, dim, rngs, max_iter, tol, *, g):
             if not len(live):
                 break
         prev = value
-        sign_op = (u * np.where(w >= 0.0, 1.0, -1.0)[:, None, :]) @ u.conj().mT
+        signs = np.where(w >= 0.0, 1.0, -1.0)[:, None, :]
+        sign_op = (u * signs) @ u.conj().swapaxes(-1, -2)
         blocks = sign_op.reshape(-1, m, r, m, r).transpose(0, 1, 3, 2, 4)
         blocks = blocks.reshape(-1, m * m, r * r)
         y = (g @ blocks).reshape(-1, n, n, r, r).transpose(0, 1, 3, 2, 4).reshape(-1, dim, dim)
@@ -159,9 +160,10 @@ def diamond_lower(
     is never formed as a Kronecker factor.  The restarts run together in
     stacks of up to STACK_ENTRIES entries per x and y (one restart where
     its own x or y is larger), each reaching the value and step count it
-    reaches alone; ``workers`` is accepted for compatibility and ignored.  An ancilla dimension that is not an
-    integer raises ValueError, and max(dim_in, dim_out) * r above MAX_DIM
-    raises DimensionLimit before anything is allocated.
+    reaches alone; ``workers`` is accepted for compatibility and ignored.
+    An ancilla dimension that is not an integer raises ValueError, and
+    max(dim_in, dim_out) * r above MAX_DIM raises DimensionLimit before
+    anything is allocated.
     """
     value, _ = _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol)
     return value

@@ -11,7 +11,8 @@ The loaders in ``serialize`` and the CLI must not reach the trusted
 constructors, and the package must not export them; no other module may
 call the checked ``CpMap`` and ``ChoiOperator`` constructors.  No module
 calls ``kron`` or ``tensor``, and ``op_norm`` is called only where a norm
-is a result or is printed.
+is a result or is printed.  No module uses a numpy name that needs
+numpy 2, since the declared floor is 1.24.
 """
 
 import ast
@@ -180,3 +181,19 @@ def test_op_norm_only_where_a_norm_is_the_result():
     for path in sorted(SRC.glob("*.py")):
         _op_norm_calls(ast.parse(path.read_text(), filename=str(path)), path.stem, found)
     assert dict(found) == OP_NORM_SITES
+
+
+# pyproject declares numpy>=1.24, and CI installs the latest numpy, so a
+# name that numpy added in 2.0 would pass CI and fail on a supported 1.x.
+NUMPY2_ONLY = {"mT", "matrix_transpose", "vecdot", "permute_dims", "concat", "cumulative_sum"}
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))])
+def test_no_numpy2_only_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY2_ONLY
+    ]
+    assert found == []
