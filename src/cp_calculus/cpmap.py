@@ -242,8 +242,16 @@ def from_choi(c: ChoiOperator) -> CpMap:
 
 
 def canonicalize(t: CpMap) -> CpMap:
-    """Canonical Kraus representation via the process-operator eigensystem."""
-    return from_choi(to_choi(t))
+    """Canonical Kraus representation via the process-operator eigensystem.
+
+    Computed once per map object and kept in its instance dict, out of
+    ``repr``, ``==`` and the dataclass fields: maps are immutable values,
+    so making ``kraus_array`` writable voids this memo just as it voids the
+    constructor's checks."""
+    canon = t.__dict__.get("_canonical")
+    if canon is None:
+        canon = t.__dict__["_canonical"] = from_choi(to_choi(t))
+    return canon
 
 
 def dilation_matrix(t: CpMap) -> np.ndarray:

@@ -113,16 +113,19 @@ def _ascend(k1, k2, dim, rngs, max_iter, tol, *, g):
     return float(values.max()), int(steps.sum())
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int, once it is an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(value)
+
+
 def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol):
     _check_same_dims(t1, t2)
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    r = t1.dim_out if ancilla_dim is None else ancilla_dim
-    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
-        raise ValueError(f"ancilla dimension must be an integer, got {r!r}")
-    r = int(r)
-    if r < 1:
-        raise ValueError("ancilla dimension must be at least 1")
+    restarts = _count(restarts, "restarts")
+    r = _count(t1.dim_out if ancilla_dim is None else ancilla_dim, "ancilla dimension")
     side = max(t1.dim_in, t1.dim_out) * r
     if side > MAX_DIM:
         raise DimensionLimit(f"ascent dimension {side} exceeds {MAX_DIM}")
@@ -161,9 +164,9 @@ def diamond_lower(
     stacks of up to STACK_ENTRIES entries per x and y (one restart where
     its own x or y is larger), each reaching the value and step count it
     reaches alone; ``workers`` is accepted for compatibility and ignored.
-    An ancilla dimension that is not an integer raises ValueError, and
-    max(dim_in, dim_out) * r above MAX_DIM raises DimensionLimit before
-    anything is allocated.
+    A restart count or ancilla dimension that is not an integer, or is a
+    bool, raises ValueError, and max(dim_in, dim_out) * r above MAX_DIM
+    raises DimensionLimit before anything is allocated.
     """
     value, _ = _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol)
     return value
@@ -293,7 +296,8 @@ def norm_report(
     t1's and t2's process operators, formed once, serve both bounds and
     the cb_exact test: when the difference of the maps is CP in either
     direction the CB norm has the closed form ||(t1 - t2)(1)||, reported
-    as cb_exact (else None).  ``workers`` is accepted and ignored.  A
+    as cb_exact (else None).  ``workers`` is accepted and ignored, and
+    ``restarts`` is checked as diamond_lower checks it.  A
     lower estimate above either upper bound, or a common-dilation gap
     ||v1 - v2|| above dim_in * sqrt(upper_rn), raises InvariantViolation.
     """

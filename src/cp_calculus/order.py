@@ -116,7 +116,9 @@ def c_min(s: CpMap, t: CpMap) -> DominationConstant:
     The largest eigenvalue of s's density on t's canonical environment,
     the matrix rn_derivative returns before its [0, 1] window check.  It
     is infinite, as the sentinel (inf, attained=False), exactly when
-    rn_derivative reports that s leaks outside t's support.
+    rn_derivative reports that s leaks outside t's support.  Like
+    rn_derivative, it reuses t's canonical family and pinv stack, which
+    are computed once per map object.
     """
     _check_same_dims(s, t)
     try:

@@ -133,9 +133,16 @@ class _Dominator(NamedTuple):
 
 def _prepare(family: CpMap) -> _Dominator:
     """Prepare a dominating map on the Kraus family its densities live on:
-    ``canonicalize(t)``, or a linearly independent one the caller fixes."""
-    w = _columns(family.kraus_array)
-    return _Dominator(family, w, pinv(w, 0.0))
+    ``canonicalize(t)``, or a linearly independent one the caller fixes.
+
+    W and pinv(W) are taken once per family object and kept in its instance
+    dict as a bare pair, as ``canonicalize`` keeps its result: a _Dominator
+    kept there would hold its own family, a cycle only gen-2 GC frees."""
+    stack = family.__dict__.get("_stack")
+    if stack is None:
+        w = _columns(family.kraus_array)
+        stack = family.__dict__["_stack"] = (w, pinv(w, 0.0))
+    return _Dominator(family, *stack)
 
 
 def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
@@ -143,7 +150,9 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
 
     Raises NotDominated when the reconstruction residual exceeds tolerance
     (support escape) or F's spectrum leaves [0, 1] beyond EPS_PSD; those
-    two checks are exactly the domination criterion.
+    two checks are exactly the domination criterion.  T's canonical family
+    and pinv stack are computed once per map object, so every S against
+    one ``t`` reuses them.
     """
     _check_same_dims(s, t)
     return _derivative(to_choi(s), _prepare(canonicalize(t)))
@@ -189,7 +198,9 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     Accepts an RnDerivative or a bare matrix, Hermitian by the rule
     ChoiOperator applies (NotHermitian otherwise) with spectrum in [0, 1]
     (NotPsd otherwise); the result is returned in canonical Kraus form and
-    is dominated by ``t`` by construction.
+    is dominated by ``t`` by construction.  It takes T's canonical family
+    from the map's memo but forms the stack W itself, so a first call on a
+    fresh map takes no pinv it does not use.
     """
     family = canonicalize(t)
     d = len(family.kraus)
@@ -257,7 +268,7 @@ def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
     dev = norm_excess(sum(c.matrix for c in chois) - ct.matrix, recon_tol, ct.matrix)
     if dev is not None:
         raise NotADecomposition(f"parts sum differs from the map by {dev:.3e}")
-    return _instrument_rn(_prepare(from_choi(ct)), chois)
+    return _instrument_rn(_prepare(canonicalize(t)), chois)
 
 
 def _instrument_rn(dom: _Dominator, chois) -> PovmDecomposition:

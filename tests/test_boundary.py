@@ -28,7 +28,12 @@ from cp_calculus.cpmap import (
     to_stinespring,
 )
 from cp_calculus.duality import FaithfulState, faithful_channel, jam_forward, reference_channel
-from cp_calculus.norms import CommonDilationPair, bound_dilation_diff, diamond_lower
+from cp_calculus.norms import (
+    CommonDilationPair,
+    bound_dilation_diff,
+    diamond_lower,
+    norm_report,
+)
 from cp_calculus.order import PvmChain, naimark_dilate
 from cp_calculus.radon import PovmDecomposition, rn_reconstruct
 from cp_calculus.serialize import (
@@ -366,3 +371,34 @@ def test_diamond_lower_rejects_ancilla_before_allocating(monkeypatch, case):
         diamond_lower(t1, t2, restarts=2, ancilla_dim=ancilla_dim)
     assert type(info.value).__name__ == cls
     assert str(info.value) == message
+
+
+# restarts is checked as ancilla_dim is, before anything is formed: a bool
+# or a float used to run (True as one restart) or fail in range()
+RESTARTS = {
+    "bool": (True, "restarts must be an integer, got True"),
+    "float": (2.5, "restarts must be an integer, got 2.5"),
+    "numpy_float": (np.float64(3.0), f"restarts must be an integer, got {np.float64(3.0)!r}"),
+    "zero": (0, "restarts must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("fn", [diamond_lower, norm_report], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("case", sorted(RESTARTS))
+def test_restarts_rejected_before_allocating(monkeypatch, fn, case):
+    restarts, message = RESTARTS[case]
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(norms, "_process_difference", allocates)
+    monkeypatch.setattr(norms, "_ascend", allocates)
+    with pytest.raises(ValueError) as info:
+        fn(ID2, FLIP, restarts=restarts)
+    assert str(info.value) == message
+
+
+def test_numpy_integer_restarts_run():
+    three = np.int64(3)
+    assert diamond_lower(ID2, FLIP, restarts=three) == diamond_lower(ID2, FLIP, restarts=3)
+    assert norm_report(ID2, FLIP, restarts=three) == norm_report(ID2, FLIP, restarts=3)

@@ -1,10 +1,12 @@
+import gc
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cp_calculus import numerics
+from cp_calculus import cpmap, numerics, radon
 from cp_calculus.cpmap import (
     ChoiOperator,
     CpMap,
@@ -24,6 +26,7 @@ from cp_calculus.errors import (
     ShapeMismatch,
 )
 from cp_calculus.numerics import herm_eig
+from cp_calculus.order import c_min
 from cp_calculus.radon import (
     PovmDecomposition,
     _prepare,
@@ -186,6 +189,77 @@ def test_shared_dominator_matches_rn_derivative():
             assert np.array_equal(elem, rn_derivative(part, t).matrix)
         weights = np.clip(herm_eig(rn_derivative(s, t).matrix).values, 0.0, 1.0)
         assert np.array_equal(rescaled_kraus(s, t).weights, weights)
+
+
+def _dominator_calls(m, n):
+    """A map t = a + b, four generic Kraus operators so its canonical
+    environment has dimension 4, and the five dominator calls as functions
+    of t returning their arrays; s = 0.4 a lies under t."""
+    a, b = (rand_cp_map(RNG, m, n, n_kraus=2) for _ in range(2))
+    s, t = scale(a, 0.4), add(a, b)
+    parts = [s, scale(a, 0.6), b]
+    return t, {
+        "rn_derivative": lambda t: [rn_derivative(s, t).matrix],
+        "c_min": lambda t: [np.array(c_min(s, t).value)],
+        "rescaled_kraus": lambda t: [*(r := rescaled_kraus(s, t)).kraus, r.weights],
+        "rn_reconstruct": lambda t: [rn_reconstruct(t, np.eye(4) / 2).kraus_array],
+        "instrument_rn": lambda t: list(instrument_rn(t, parts).elements),
+    }
+
+
+def test_dominator_prepared_once_per_map(monkeypatch):
+    # canonicalize keeps its family on the map and _prepare keeps (W,
+    # pinv(W)) on that family, so five calls against one map take one
+    # eigensolve of its process operator and one pinv
+    t, calls = _dominator_calls(3, 2)
+    choi = to_choi(t).matrix
+    seen = Counter()
+    eig, pinv = cpmap.herm_eig, radon.pinv
+
+    def counted_eig(m):
+        seen["eig"] += np.array_equal(m, choi)
+        return eig(m)
+
+    def counted_pinv(*args):
+        seen["pinv"] += 1
+        return pinv(*args)
+
+    monkeypatch.setattr(cpmap, "herm_eig", counted_eig)
+    monkeypatch.setattr(radon, "pinv", counted_pinv)
+    for call in calls.values():
+        call(t)
+    assert dict(seen) == {"eig": 1, "pinv": 1}
+
+
+DOMINATOR_CALLS = ["rn_derivative", "c_min", "rescaled_kraus", "rn_reconstruct", "instrument_rn"]
+
+
+@pytest.mark.parametrize("name", DOMINATOR_CALLS)
+def test_prepared_dominator_matches_a_fresh_map(name):
+    # each call on a map whose memo every other call has filled returns
+    # the arrays a fresh copy of the map gives on its first call
+    t, calls = _dominator_calls(3, 2)
+    for call in calls.values():
+        call(t)
+    fresh = CpMap(t.dim_in, t.dim_out, t.kraus)
+    assert repr(t) == repr(fresh)
+    for got, want in zip(calls[name](t), calls[name](fresh), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_memo_holds_no_reference_cycle():
+    # with the cyclic collector off, reference counting alone must free a
+    # map and its canonical family once the five calls have filled both memos
+    t, calls = _dominator_calls(2, 3)
+    gc.disable()
+    try:
+        for call in calls.values():
+            call(t)
+        refs = [weakref.ref(t), weakref.ref(canonicalize(t))]
+        del t, calls
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_rescaled_kraus_reweights():

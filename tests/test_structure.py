@@ -12,7 +12,8 @@ constructors, and the package must not export them; no other module may
 call the checked ``CpMap`` and ``ChoiOperator`` constructors.  No module
 calls ``kron`` or ``tensor``, and ``op_norm`` is called only where a norm
 is a result or is printed.  No module uses a numpy name that needs
-numpy 2, since the declared floor is 1.24.
+numpy 2, since the declared floor is 1.24, and no module keeps a memo
+that could outlive the object it describes.
 """
 
 import ast
@@ -197,3 +198,52 @@ def test_no_numpy2_only_names(path):
         if isinstance(node, ast.Attribute) and node.attr in NUMPY2_ONLY
     ]
     assert found == []
+
+
+# A memo lives on the object it describes (canonicalize and radon._prepare
+# keep theirs in the map's instance dict), so it can never outlive that
+# object: no functools cache, which holds its arguments for the life of the
+# process, no module-level container written after import, and no global.
+CACHES = {"cache", "lru_cache"}
+WRITES = {"setdefault", "update", "append", "add", "extend", "insert", "__setitem__"}
+
+
+def _module_names(tree):
+    targets = [
+        target
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def _memo_sites(tree):
+    module = _module_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global) or set(_names(node)) & CACHES:
+            yield node.lineno
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id in module:
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in WRITES:
+            if isinstance(node.value, ast.Name) and node.value.id in module:
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))])
+def test_no_module_level_memo(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{line}" for line in _memo_sites(tree)] == []
+
+
+def test_memo_check_sees_module_caches():
+    # the check above must fire on each way a module could keep a memo
+    sources = [
+        "import functools\n@functools.lru_cache\ndef f(x): return x\n",
+        "from functools import cache\n@cache\ndef f(x): return x\n",
+        "_MEMO = {}\ndef f(x):\n    _MEMO[x] = x\n",
+        "_MEMO = {}\ndef f(x):\n    return _MEMO.setdefault(x, x)\n",
+        "_MEMO = None\ndef f(x):\n    global _MEMO\n    _MEMO = x\n",
+    ]
+    assert all(list(_memo_sites(ast.parse(src))) for src in sources)
