@@ -5,8 +5,8 @@ Conventions: matrices are numpy arrays of complex128; vec flattens row-major
 come back with eigenvalues descending and eigenvector phases fixed, which
 makes every decomposition built on top of them deterministic for identical
 input.  Tolerances are module constants rather than per-call magic numbers;
-a residual is held to its tolerance by ``norm_excess``, which takes the exact
-SVD comparison only when a Frobenius pre-test cannot pass it.
+a residual is held to its tolerance by ``norm_excess``, which takes an SVD only
+where Frobenius bounds on the residual and its scale cannot decide the check.
 """
 
 from __future__ import annotations
@@ -75,14 +75,20 @@ def norm_excess(r, tol, c=None) -> float | None:
     is given; else ||r||.  ||r||_F bounds ||r|| above and c's largest column
     norm (capped at 1e154, below where its square overflows) bounds ||c||
     below, so ||r||_F <= tol(that) / 2 passes without an SVD, the fixed 1/2
-    absorbing rounding; otherwise op_norm decides as the SVD test did."""
+    absorbing rounding.  Otherwise op_norm(r) is taken, and ||c||_F bounds
+    ||c|| above, so ||r|| > tol(2 ||c||_F) fails without op_norm(c), the
+    factor 2 absorbing rounding (an overflowed inf bound never fails);
+    every verdict and residual is the one the SVD test gives."""
     with np.errstate(over="ignore"):
         fro = np.linalg.norm(r)
-        low = 0.0 if c is None else np.sqrt((c.real**2 + c.imag**2).sum(0).max())
+        cols = np.zeros(1) if c is None else (c.real**2 + c.imag**2).sum(0)
+        low, high = np.sqrt(cols.max()), 2.0 * np.sqrt(cols.sum())
     if fro <= 0.5 * (tol if c is None else tol(min(float(low), 1e154))):
         return None
     resid = op_norm(r)
-    return None if resid <= (tol if c is None else tol(op_norm(c))) else resid
+    if c is not None:
+        tol = tol(high) if resid > tol(high) else tol(op_norm(c))
+    return None if resid <= tol else resid
 
 
 @dataclass(frozen=True)

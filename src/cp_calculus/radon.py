@@ -11,7 +11,7 @@ F = pinv(W) @ choi_unnormalized(S) @ pinv(W)*.  Reconstruction residual and
 the eigenvalue window of F together decide domination exactly, which is why
 no separate order check is run first.  This compression is the library's
 one density computation: c_min is F's top eigenvalue, and faithful_rn takes
-F on the faithful channel's own, linearly independent, Kraus family.
+F on the faithful channel's orthogonal stack, pinv(W) = W* / p_i row-wise.
 """
 
 from __future__ import annotations
@@ -226,7 +226,8 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     dom = _prepare(canonicalize(t))
     e = herm_eig(_derivative(to_choi(s), dom).matrix)
     weights = np.clip(e.values, 0.0, 1.0)
-    rotated = np.einsum("yx,ymn->xmn", e.vectors.conj(), dom.family.kraus_array)
+    ops = dom.family.kraus_array
+    rotated = (e.vectors.conj().T @ ops.reshape(len(ops), -1)).reshape(ops.shape)
     return RescaledKraus(
         dim_in=t.dim_in,
         dim_out=t.dim_out,

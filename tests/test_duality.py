@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,28 @@ def test_jam_compose_two_path():
         assert (via_f.dim_in, via_f.dim_out) == (m, d)
 
 
+@pytest.mark.parametrize("m, n, d", list(itertools.permutations((2, 3, 4))))
+def test_jam_compose_index_order(m, n, d):
+    # distinct dimensions, so a swapped reshape or transpose axis fails
+    rng = np.random.default_rng(100 * m + 10 * n + d)
+    t1, t2 = rand_cp_map(rng, m, n), rand_cp_map(rng, n, d)
+    got = jam_compose(jam_forward(t2), jam_forward(t1)).matrix
+    want = jam_forward(compose(t2, t1)).matrix
+    assert got.shape == want.shape == (m * d, m * d)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # _trusted_choi takes the result as it is, so it must be exactly Hermitian
+    assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (1, 4), (4, 1)])
+def test_jam_apply_index_order(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    t = rand_cp_map(rng, m, n)
+    a = rand_complex(rng, m, m)
+    want = apply(t, a)
+    assert np.abs(jam_apply(jam_forward(t), a) - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_jam_compose_associative():
     t1 = rand_operation(RNG, 2, 3)
     t2 = rand_operation(RNG, 3, 2)
@@ -356,6 +380,28 @@ def test_faithful_rn_extreme_weights():
     w = FaithfulState(p=np.array([1e-21, 1.0 - 1e-21]))
     fr = faithful_rn(CpMap(2, 2, (np.eye(2),)), w)
     assert fr.constant == pytest.approx(1e21 + 1.0, rel=1e-12)
+
+
+def test_faithful_rn_takes_no_inverse(monkeypatch):
+    # the faithful stack's inverse is W* scaled row-wise by 1/p_i; the only
+    # SVDs left are the two norms, which need no singular vectors
+    rng = np.random.default_rng(7)
+    w = FaithfulState(p=rng.dirichlet(np.ones(3)), basis=rand_unitary(rng, 3))
+    t = rand_cp_map(rng, 3, 2)
+    svd, uv = np.linalg.svd, []
+
+    def recorded_svd(*args, **kwargs):
+        uv.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("faithful_rn took a matrix inverse")
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    for name in ("pinv", "inv", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    faithful_rn(t, w)
+    assert uv and not any(uv)
 
 
 def test_faithful_rn_raises_when_constant_fails_to_dominate(monkeypatch):

@@ -177,7 +177,9 @@ def residual_checks(draw):
 
     Rank-one residuals with flat columns have ||r|| = sqrt(n) times their
     largest column norm, and scaled unitaries have ||c||_F = sqrt(n) ||c||,
-    so factors just above 1 tell a valid bound from either mix-up."""
+    so factors just above 1 tell a valid bound from either mix-up.  A
+    rank-one c has ||c|| = ||c||_F, so factors near 2 probe the failing-side
+    bound tol(2 ||c||_F); an overflowing c's squared norms are inf."""
     n = draw(st.integers(min_value=1, max_value=10))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     shape = draw(st.sampled_from(["flat", "rank_one", "random"]))
@@ -190,7 +192,7 @@ def residual_checks(draw):
         r = np.outer(u, w.conj())
     exponent = st.sampled_from([-2.0, 0.0, 2.0]) | st.floats(min_value=-2.0, max_value=3.0)
     size = 10.0 ** draw(exponent)
-    kind = draw(st.sampled_from(["fixed", "unitary", "random", "psd"]))
+    kind = draw(st.sampled_from(["fixed", "unitary", "random", "psd", "rank_one", "overflow"]))
     if kind == "fixed":
         tol, c, target = 1e-9 * size, None, 1e-9 * size
     else:
@@ -198,12 +200,15 @@ def residual_checks(draw):
             c = rand_unitary(n, rng)
         elif kind == "psd":
             c = rand_psd(n, rng)
+        elif kind == "rank_one":
+            c = np.outer(*rand_matrix(2, n, rng))
         else:
             c = rand_matrix(n, n, rng)
-        c = c * (size / numerics.op_norm(c))
+        c = c * ((1e160 if kind == "overflow" else size) / numerics.op_norm(c))
         tol, target = numerics.recon_tol, numerics.recon_tol(numerics.op_norm(c))
     factor = draw(
-        st.sampled_from([0.1, 0.5, 1.0, 1.1, 1.2, 10.0]) | st.floats(min_value=0.1, max_value=10.0)
+        st.sampled_from([0.1, 0.5, 1.0, 1.1, 1.2, 1.9, 2.0, 2.1, 10.0])
+        | st.floats(min_value=0.1, max_value=10.0)
     )
     return r * (factor * target / numerics.op_norm(r)), tol, c
 
@@ -216,7 +221,27 @@ def test_norm_excess_matches_exact_check(check):
     resid = numerics.norm_excess(r, tol, c)
     assert (resid is None) == (numerics.op_norm(r) <= limit)
     if resid is not None:
-        assert resid == numerics.op_norm(r)
+        assert type(resid) is float and resid == numerics.op_norm(r)
+
+
+def _rank_one_boundary_cases(count):
+    """Rank-one c whose Frobenius norm rounds below its SVD norm, each with
+    a 1 x 1 residual whose norm is exactly tol(||c||)."""
+    for seed in range(count):
+        u, v = rand_matrix(2, 2, np.random.default_rng(seed))
+        c = 10.0 * np.outer(u, v.conj())
+        limit = numerics.recon_tol(numerics.op_norm(c))
+        r = np.array([[limit]], dtype=complex)
+        if np.linalg.norm(c) < numerics.op_norm(c) and numerics.op_norm(r) == limit:
+            yield r, c
+
+
+def test_norm_excess_rank_one_scale_at_the_boundary():
+    # the SVD rule passes each residual, so the failing-side bound must not
+    # fail it on ||c||_F alone: that is what its factor 2 is for
+    cases = list(_rank_one_boundary_cases(200))
+    assert cases
+    assert all(numerics.norm_excess(r, numerics.recon_tol, c) is None for r, c in cases)
 
 
 def test_norm_excess_survives_overflowing_column_norms():

@@ -12,8 +12,9 @@ constructors, and the package must not export them; no other module may
 call the checked ``CpMap`` and ``ChoiOperator`` constructors.  No module
 calls ``kron`` or ``tensor``, and ``op_norm`` is called only where a norm
 is a result or is printed.  No module uses a numpy name that needs
-numpy 2, since the declared floor is 1.24, and no module keeps a memo
-that could outlive the object it describes.
+numpy 2, since the declared floor is 1.24, no module keeps a memo
+that could outlive the object it describes, and no module contracts two
+operands with ``einsum``.
 """
 
 import ast
@@ -198,6 +199,46 @@ def test_no_numpy2_only_names(path):
         if isinstance(node, ast.Attribute) and node.attr in NUMPY2_ONLY
     ]
     assert found == []
+
+
+# A contraction of two or more operands runs as one GEMM on reshaped
+# operands: np.einsum without optimize loops over every index in C, which
+# at d=16 was twenty times slower.  Single-operand einsum, the traces in
+# numerics.partial_trace, stays allowed.
+def _einsum_operands(call):
+    args = call.args
+    if any(isinstance(arg, ast.Starred) for arg in args):
+        return len(args) + 1
+    spec = args[0] if args else None
+    if isinstance(spec, ast.Constant) and isinstance(spec.value, str):
+        return max(len(args) - 1, spec.value.split("->")[0].count(",") + 1)
+    return (len(args) + 1) // 2
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))])
+def test_no_two_operand_einsum(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "einsum" in _names(node.func)
+        and _einsum_operands(node) > 1
+    ]
+    assert found == []
+
+
+def test_einsum_check_sees_contractions():
+    calls = {
+        'np.einsum("ij,jk->ik", a, b)': 2,
+        'einsum("ij,jk", a, b)': 2,
+        "np.einsum(a, [0, 1], b, [1, 2])": 2,
+        "np.einsum(spec, *ops)": 3,
+        'np.einsum("ikil->kl", t)': 1,
+        "np.einsum(a, [0, 0])": 1,
+    }
+    found = {src: _einsum_operands(ast.parse(src).body[0].value) for src in calls}
+    assert found == calls
 
 
 # A memo lives on the object it describes (canonicalize and radon._prepare
