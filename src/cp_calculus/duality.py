@@ -21,7 +21,6 @@ import numpy as np
 from .cpmap import (
     ChoiOperator,
     CpMap,
-    _columns,
     _trusted_choi,
     _trusted_map,
     apply,
@@ -44,7 +43,7 @@ from .numerics import (
     partial_trace,
     psd_leq,
 )
-from .radon import _Dominator, _density
+from .radon import _density, _prepare_blocks
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,14 @@ def jam_apply(f: ChoiOperator, a) -> np.ndarray:
     """Recover the action on ``a`` from a process operator.
 
     Computes (1/m) tr_in[(1 (x) a^T) F] with the transpose taken in the
-    standard basis, as one product of F's (uv, ji) reshape with vec(a), so
-    no identity factor is formed; for F = jam_forward(t) this is apply(t, a).
+    standard basis, as one tensordot of a with F's input indices, so no
+    identity factor is formed; for F = jam_forward(t) this equals apply(t, a).
     """
     a = as_matrix(a)
     m, n = f.dim_in, f.dim_out
     if a.shape != (m, m):
         raise ShapeMismatch(f"expected shape {(m, m)}, got {a.shape}")
-    fr = f.matrix.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
-    return (fr @ a.reshape(-1)).reshape(n, n) / m
+    return np.tensordot(f.matrix.reshape(n, m, n, m), a, axes=([1, 3], [0, 1])) / m
 
 
 def jam_is_operation(f: ChoiOperator, tol: float = EPS_PSD) -> bool:
@@ -140,9 +138,9 @@ def jam_compose(f2: ChoiOperator, f1: ChoiOperator) -> ChoiOperator:
         )
     m, n = f1.dim_in, f1.dim_out
     d = f2.dim_out
-    f2r = f2.matrix.reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n * n)
-    f1r = f1.matrix.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
-    out = (f2r @ f1r).reshape(d, d, m, m).transpose(0, 2, 1, 3) / n
+    f2r = f2.matrix.reshape(d, n, d, n)
+    f1r = f1.matrix.reshape(n, m, n, m)
+    out = np.tensordot(f2r, f1r, axes=([1, 3], [0, 2])).transpose(0, 2, 1, 3) / n
     return _trusted_choi(m, d, hermitize(out.reshape(d * m, d * m)))
 
 
@@ -209,10 +207,9 @@ class FaithfulDerivative(NamedTuple):
 def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     """Derivative density of ``t`` on its faithful reference environment.
 
-    The faithful channel's Kraus stack W has orthogonal columns w_(mu,i) of
-    squared norm p_i, so pinv(W) is W* with row (mu, i) divided by p_i, and
-    radon's compression pinv(W) C pinv(W)* gives the density: entries
-    <f_mu|T(|b_i><b_j|)f_nu> / sqrt(p_i p_j) at environment index
+    The faithful channel's stack W is n copies of one m x m block, so
+    radon's compression pinv(W) C pinv(W)* inverts that block for the density:
+    entries <f_mu|T(|b_i><b_j|)f_nu> / sqrt(p_i p_j) at environment index
     (mu, i) -> mu * m + i.  ``constant`` is its operator norm, the least c
     with t dominated by c times the faithful channel.  The uniform state
     in the standard basis returns the process operator.
@@ -224,9 +221,7 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
         raise DimMismatch(f"state dim {w.dim} does not match input dim {m}")
     phi = faithful_channel(w, n)
     ct = to_choi(t)
-    ws = _columns(phi.kraus_array)
-    wp = ws.conj().T / (ws.real**2 + ws.imag**2).sum(0)[:, None]
-    f = _density(ct, _Dominator(phi, ws, wp))
+    f = _density(ct, _prepare_blocks(phi))
     c = float(op_norm(f))
     if not psd_leq(ct.matrix, c * to_choi(phi).matrix):
         raise InvariantViolation(

@@ -73,21 +73,19 @@ def op_norm(m) -> float:
 def norm_excess(r, tol, c=None) -> float | None:
     """None if ||r|| <= tol, or <= tol(||c||) for a nondecreasing tol when c
     is given; else ||r||.  ||r||_F bounds ||r|| above and c's largest column
-    norm (capped at 1e154, below where its square overflows) bounds ||c||
-    below, so ||r||_F <= tol(that) / 2 passes without an SVD, the fixed 1/2
-    absorbing rounding.  Otherwise op_norm(r) is taken, and ||c||_F bounds
-    ||c|| above, so ||r|| > tol(2 ||c||_F) fails without op_norm(c), the
-    factor 2 absorbing rounding (an overflowed inf bound never fails);
-    every verdict and residual is the one the SVD test gives."""
+    norm (capped at 1e154, where its square overflows) bounds ||c|| below, so
+    ||r||_F <= tol(that) / 2 passes with no SVD; ||c||_F bounds ||c|| above, so
+    ||r|| > tol(2 ||c||_F) fails with no SVD of c, the 1/2 and 2 absorbing rounding."""
     with np.errstate(over="ignore"):
         fro = np.linalg.norm(r)
-        cols = np.zeros(1) if c is None else (c.real**2 + c.imag**2).sum(0)
-        low, high = np.sqrt(cols.max()), 2.0 * np.sqrt(cols.sum())
+        low = 0.0 if c is None else np.sqrt((c.real**2 + c.imag**2).sum(0).max())
     if fro <= 0.5 * (tol if c is None else tol(min(float(low), 1e154))):
         return None
     resid = op_norm(r)
     if c is not None:
-        tol = tol(high) if resid > tol(high) else tol(op_norm(c))
+        with np.errstate(over="ignore"):
+            limit = tol(2.0 * np.linalg.norm(c))
+        tol = limit if resid > limit else tol(op_norm(c))
     return None if resid <= tol else resid
 
 

@@ -11,7 +11,7 @@ F = pinv(W) @ choi_unnormalized(S) @ pinv(W)*.  Reconstruction residual and
 the eigenvalue window of F together decide domination exactly, which is why
 no separate order check is run first.  This compression is the library's
 one density computation: c_min is F's top eigenvalue, and faithful_rn takes
-F on the faithful channel's orthogonal stack, pinv(W) = W* / p_i row-wise.
+F on the faithful channel's block-diagonal stack, inverting one m x m block.
 """
 
 from __future__ import annotations
@@ -145,6 +145,14 @@ def _prepare(family: CpMap) -> _Dominator:
     return _Dominator(family, *stack)
 
 
+def _prepare_blocks(family: CpMap) -> _Dominator:
+    """_prepare for a stack of equal diagonal blocks, as faithful channels have: one inverse."""
+    m, n = family.dim_in, family.dim_out
+    w = _columns(family.kraus_array)
+    wp = np.eye(n)[:, None, :, None] * np.linalg.inv(w[:m, :m])[:, None, :]
+    return _Dominator(family, w, wp.reshape(w.shape))
+
+
 def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     """Extract the unique density F with S(A) = V*(A (x) F)V.
 
@@ -226,8 +234,7 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     dom = _prepare(canonicalize(t))
     e = herm_eig(_derivative(to_choi(s), dom).matrix)
     weights = np.clip(e.values, 0.0, 1.0)
-    ops = dom.family.kraus_array
-    rotated = (e.vectors.conj().T @ ops.reshape(len(ops), -1)).reshape(ops.shape)
+    rotated = np.tensordot(e.vectors.conj(), dom.family.kraus_array, axes=(0, 0))
     return RescaledKraus(
         dim_in=t.dim_in,
         dim_out=t.dim_out,

@@ -382,26 +382,50 @@ def test_faithful_rn_extreme_weights():
     assert fr.constant == pytest.approx(1e21 + 1.0, rel=1e-12)
 
 
-def test_faithful_rn_takes_no_inverse(monkeypatch):
-    # the faithful stack's inverse is W* scaled row-wise by 1/p_i; the only
-    # SVDs left are the two norms, which need no singular vectors
+def test_faithful_rn_inverts_only_the_basis_block(monkeypatch):
+    # pinv(W) is the inverse of W's one m x m diagonal block, so no SVD of
+    # the stack is taken: the only SVDs left are the two norms, which need
+    # no singular vectors
     rng = np.random.default_rng(7)
     w = FaithfulState(p=rng.dirichlet(np.ones(3)), basis=rand_unitary(rng, 3))
     t = rand_cp_map(rng, 3, 2)
-    svd, uv = np.linalg.svd, []
+    svd, inv, uv, inverted = np.linalg.svd, np.linalg.inv, [], []
 
     def recorded_svd(*args, **kwargs):
         uv.append(kwargs.get("compute_uv", True))
         return svd(*args, **kwargs)
 
+    def recorded_inv(a):
+        inverted.append(np.shape(a))
+        return inv(a)
+
     def forbidden(*args, **kwargs):
-        raise AssertionError("faithful_rn took a matrix inverse")
+        raise AssertionError("faithful_rn took a pseudo-inverse or a solve")
 
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
-    for name in ("pinv", "inv", "solve", "lstsq"):
+    monkeypatch.setattr(np.linalg, "inv", recorded_inv)
+    for name in ("pinv", "solve", "lstsq"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     faithful_rn(t, w)
     assert uv and not any(uv)
+    assert inverted == [(3, 3)]
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (4, 4)])
+def test_faithful_rn_basis_orthonormal_within_tolerance(m, n):
+    # FaithfulState accepts a basis orthonormal to 1e-8; pinv(W) is then not
+    # W* scaled by 1/p, and the density must still be pinv(W) C pinv(W)*,
+    # whose reconstruction misses C only by rounding
+    rng = np.random.default_rng(10 * m + n)
+    e = rand_complex(rng, m, m)
+    basis = rand_unitary(rng, m) + 3e-9 * e / np.linalg.norm(e, 2)
+    w = FaithfulState(p=rng.dirichlet(np.ones(m)), basis=basis)
+    assert np.linalg.norm(basis @ basis.conj().T - np.eye(m), 2) > 1e-9
+    t = rand_cp_map(rng, m, n)
+    wp = np.linalg.pinv(kraus_stack(faithful_channel(w, n).kraus))
+    ref = wp @ (to_choi(t).matrix / m) @ wp.conj().T
+    fr = faithful_rn(t, w)
+    assert np.abs(fr.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_faithful_rn_raises_when_constant_fails_to_dominate(monkeypatch):

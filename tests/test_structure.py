@@ -201,9 +201,9 @@ def test_no_numpy2_only_names(path):
     assert found == []
 
 
-# A contraction of two or more operands runs as one GEMM on reshaped
-# operands: np.einsum without optimize loops over every index in C, which
-# at d=16 was twenty times slower.  Single-operand einsum, the traces in
+# A contraction of two or more operands runs as one np.tensordot, a GEMM on
+# reshaped operands: np.einsum without optimize loops over every index in C,
+# which at d=16 was twenty times slower.  Single-operand einsum, the traces in
 # numerics.partial_trace, stays allowed.
 def _einsum_operands(call):
     args = call.args
