@@ -12,12 +12,18 @@ Schema summary (full examples live in docs/format.md):
 Floats are written in Python's shortest round-trip form; non-finite values
 are rejected in both directions, including textual Infinity/NaN tokens.
 Schema failures carry a JSON-pointer style path to the offending field.
+
+``dumps`` writes the bytes of ``json.dumps(payload, sort_keys=True, indent=2)``,
+formatting each list of float pairs in one ``%r`` pass (json's float repr).
+Matrix data is checked in bulk, entry by entry only to name the first bad one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +31,8 @@ from .cpmap import ChoiOperator, CpMap
 from .duality import FaithfulState
 from .errors import IoError, SchemaError
 from .radon import PovmDecomposition
+
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
 def _fail(path: str, msg: str):
@@ -34,8 +42,11 @@ def _fail(path: str, msg: str):
 def _real(x, path) -> float:
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         _fail(path, f"expected a number, got {type(x).__name__}")
-    x = float(x)
-    if not np.isfinite(x):
+    try:
+        x = float(x)
+    except OverflowError:
+        _fail(path, "number out of float range")
+    if not math.isfinite(x):
         _fail(path, "non-finite value")
     return x
 
@@ -46,6 +57,14 @@ def _positive_int(x, path) -> int:
     if x < 1:
         _fail(path, f"expected a positive integer, got {x}")
     return x
+
+
+def _pairs(x, types) -> tuple:
+    """The entries of a list of 2-element lists, if all their types are in types."""
+    if set(map(type, x)) != {list} or set(map(len, x)) != {2}:
+        return ()
+    flat = tuple(chain.from_iterable(x))
+    return flat if set(map(type, flat)) <= types else ()
 
 
 def _complex(x, path) -> complex:
@@ -84,6 +103,12 @@ def matrix_from_json(obj, path="") -> np.ndarray:
         _fail(path + "/data", f"expected a list, got {type(data).__name__}")
     if len(data) != rows * cols:
         _fail(path + "/data", f"expected {rows * cols} entries, got {len(data)}")
+    try:  # the common case in one conversion; OverflowError is a huge int
+        arr = np.array(_pairs(data, {int, float}), dtype=float)
+    except OverflowError:
+        arr = np.empty(0)
+    if arr.size and np.isfinite(arr).all():
+        return arr.view(complex).reshape(rows, cols)
     flat = [_complex(x, f"{path}/data/{k}") for k, x in enumerate(data)]
     return np.array(flat, dtype=complex).reshape(rows, cols)
 
@@ -216,6 +241,24 @@ def parse_input(path):
     return parse_obj(obj)
 
 
+def _render(x, pad):
+    inner = pad + "  "
+    if isinstance(x, dict):
+        pairs = sorted(x.items())
+        # a key is converted and quoted as json does: the C encoder's {"key": 0}
+        items = [f"{_encode({k: 0})[1:-4]}: {_render(v, inner)}" for k, v in pairs]
+    elif not isinstance(x, (list, tuple)):
+        return _encode(x)
+    elif (flat := _pairs(x, {float})) and all(map(math.isfinite, flat)):
+        pair = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+        items = [f",\n{inner}".join([pair] * len(x)) % flat]
+    else:
+        items = [_render(v, inner) for v in x]
+    start, end = "{}" if isinstance(x, dict) else "[]"
+    body = f",\n{inner}".join(items)
+    return f"{start}\n{inner}{body}\n{pad}{end}" if items else start + end
+
+
 def dumps(payload) -> str:
     """Canonical JSON rendering: sorted keys, two-space indent, no NaN."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _render(payload, "") + "\n"

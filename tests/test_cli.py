@@ -67,6 +67,26 @@ def test_validate_schema_failure_is_verdict(files, capsys):
     assert "kraus" in report["error"]
 
 
+def test_huge_integer_entry_is_an_input_error(files, capsys):
+    # an integer beyond float range is bad input, not a traceback: validate
+    # reports it, and every other command exits 2 naming the entry
+    tmp, write = files
+    huge = "1" + "0" * 400
+    bad = tmp / "huge.json"
+    bad.write_text(dumps(cpmap_to_json(IDENT)).replace("1.0", huge, 1))
+    message = "/kraus/0/data/0/0: number out of float range"
+    code, out, err = run(["validate", str(bad)], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"valid": False, "error": message}
+    for argv in (["choi", str(bad)], ["compose", str(bad), str(bad)]):
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+    state = tmp / "state.json"
+    state.write_text('{"p": [0.5, -%s]}' % huge)
+    ident = write("id.json", cpmap_to_json(IDENT))
+    code, out, err = run(["faithful", ident, str(state)], capsys)
+    assert (code, out, err) == (2, "", "error: /p/1: number out of float range\n")
+
+
 def test_validate_missing_file_is_io_error(files, capsys):
     tmp, _ = files
     code, out, err = run(["validate", str(tmp / "absent.json")], capsys)

@@ -13,8 +13,8 @@ call the checked ``CpMap`` and ``ChoiOperator`` constructors.  No module
 calls ``kron`` or ``tensor``, and ``op_norm`` is called only where a norm
 is a result or is printed.  No module uses a numpy name that needs
 numpy 2, since the declared floor is 1.24, no module keeps a memo
-that could outlive the object it describes, and no module contracts two
-operands with ``einsum``.
+that could outlive the object it describes, no module contracts two
+operands with ``einsum``, and no module renders JSON with ``indent=``.
 """
 
 import ast
@@ -288,3 +288,25 @@ def test_memo_check_sees_module_caches():
         "_MEMO = None\ndef f(x):\n    global _MEMO\n    _MEMO = x\n",
     ]
     assert all(list(_memo_sites(ast.parse(src))) for src in sources)
+
+
+# json.dumps(indent=...) falls back to CPython's pure-Python encoder, one
+# generator frame per token (655k for a d=16 process operator); the CLI's
+# rendering goes through serialize.dumps, which keeps to the C encoder.
+def _indent_sites(tree):
+    return [
+        node.value.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword) and node.arg == "indent"
+    ]
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))])
+def test_no_indented_json_rendering(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{line}" for line in _indent_sites(tree)] == []
+
+
+def test_indent_check_sees_json_indent():
+    for src in ("json.dumps(x, indent=2)", "json.JSONEncoder(indent=None)", "f(**kw, indent=1)"):
+        assert _indent_sites(ast.parse(src)) == [1]
