@@ -12,10 +12,8 @@ Schema summary (full examples live in docs/format.md):
 Floats are written in Python's shortest round-trip form; non-finite values
 are rejected in both directions, including textual Infinity/NaN tokens.
 Schema failures carry a JSON-pointer style path to the offending field.
-
-``dumps`` writes the bytes of ``json.dumps(payload, sort_keys=True, indent=2)``,
-formatting each list of float pairs in one ``%r`` pass (json's float repr).
-Matrix data is checked in bulk, entry by entry only to name the first bad one.
+``dumps`` writes ``json.dumps(payload, sort_keys=True, indent=2)``'s bytes,
+one ``%r`` pass per list of float pairs; float matrix data is checked in bulk.
 """
 
 from __future__ import annotations
@@ -59,12 +57,12 @@ def _positive_int(x, path) -> int:
     return x
 
 
-def _pairs(x, types) -> tuple:
-    """The entries of a list of 2-element lists, if all their types are in types."""
+def _pairs(x) -> tuple:
+    """The floats of a list of 2-element lists of floats, else ()."""
     if set(map(type, x)) != {list} or set(map(len, x)) != {2}:
         return ()
     flat = tuple(chain.from_iterable(x))
-    return flat if set(map(type, flat)) <= types else ()
+    return flat if set(map(type, flat)) == {float} else ()
 
 
 def _complex(x, path) -> complex:
@@ -103,10 +101,7 @@ def matrix_from_json(obj, path="") -> np.ndarray:
         _fail(path + "/data", f"expected a list, got {type(data).__name__}")
     if len(data) != rows * cols:
         _fail(path + "/data", f"expected {rows * cols} entries, got {len(data)}")
-    try:  # the common case in one conversion; OverflowError is a huge int
-        arr = np.array(_pairs(data, {int, float}), dtype=float)
-    except OverflowError:
-        arr = np.empty(0)
+    arr = np.array(_pairs(data), dtype=float)  # the common case in one conversion
     if arr.size and np.isfinite(arr).all():
         return arr.view(complex).reshape(rows, cols)
     flat = [_complex(x, f"{path}/data/{k}") for k, x in enumerate(data)]
@@ -238,25 +233,26 @@ def parse_input(path):
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond int_max_str_digits
+        raise SchemaError(f"{path}: number out of float range") from exc
     return parse_obj(obj)
 
 
 def _render(x, pad):
     inner = pad + "  "
-    if isinstance(x, dict):
-        pairs = sorted(x.items())
-        # a key is converted and quoted as json does: the C encoder's {"key": 0}
-        items = [f"{_encode({k: 0})[1:-4]}: {_render(v, inner)}" for k, v in pairs]
-    elif not isinstance(x, (list, tuple)):
+    sep = f",\n{inner}"
+    if isinstance(x, dict):  # a key is converted and quoted as in {"key": 0}
+        body = sep.join(
+            f"{_encode({k: 0})[1:-4]}: {_render(x[k], inner)}" for k in sorted(x)
+        )
+        return f"{{\n{inner}{body}\n{pad}}}" if x else "{}"
+    if not isinstance(x, (list, tuple)):
         return _encode(x)
-    elif (flat := _pairs(x, {float})) and all(map(math.isfinite, flat)):
-        pair = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]"
-        items = [f",\n{inner}".join([pair] * len(x)) % flat]
+    if (flat := _pairs(x)) and all(map(math.isfinite, flat)):
+        body = sep.join([f"[\n{inner}  %r,\n{inner}  %r\n{inner}]"] * len(x)) % flat
     else:
-        items = [_render(v, inner) for v in x]
-    start, end = "{}" if isinstance(x, dict) else "[]"
-    body = f",\n{inner}".join(items)
-    return f"{start}\n{inner}{body}\n{pad}{end}" if items else start + end
+        body = sep.join(_render(v, inner) for v in x)
+    return f"[\n{inner}{body}\n{pad}]" if x else "[]"
 
 
 def dumps(payload) -> str:

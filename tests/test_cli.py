@@ -87,6 +87,19 @@ def test_huge_integer_entry_is_an_input_error(files, capsys):
     assert (code, out, err) == (2, "", "error: /p/1: number out of float range\n")
 
 
+
+def test_overlong_integer_literal_is_an_input_error(files, capsys, int_digit_limit):
+    # json.loads refuses the literal itself, so the file is named, not an entry
+    tmp, _ = files
+    bad = tmp / "long.json"
+    digits = "1" * (int_digit_limit + 1)
+    bad.write_text(dumps(cpmap_to_json(IDENT)).replace("1.0", digits, 1))
+    message = f"{bad}: number out of float range"
+    code, out, err = run(["validate", str(bad)], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"valid": False, "error": message}
+    assert run(["choi", str(bad)], capsys) == (2, "", f"error: {message}\n")
+
 def test_validate_missing_file_is_io_error(files, capsys):
     tmp, _ = files
     code, out, err = run(["validate", str(tmp / "absent.json")], capsys)

@@ -348,8 +348,6 @@ def test_bulk_parse_rejections_name_the_first_bad_entry(entry, message):
 def test_valid_matrix_parses_without_per_entry_checks(monkeypatch):
     m = RNG.standard_normal((32, 32)) + 1j * RNG.standard_normal((32, 32))
     obj = json.loads(dumps(matrix_to_json(m)))
-    obj["data"][5] = [3, -0]  # integers stay on the bulk path
-    want = _per_entry(obj["data"], 32, 32)
     calls = []
     per_entry = serialize._complex
 
@@ -358,9 +356,30 @@ def test_valid_matrix_parses_without_per_entry_checks(monkeypatch):
         return per_entry(x, path)
 
     monkeypatch.setattr(serialize, "_complex", counted)
-    assert matrix_from_json(obj).tobytes() == want.tobytes()
+    assert matrix_from_json(obj).tobytes() == m.tobytes()
     assert calls == []
+    # an integer entry sends the data through the per-entry checks, same bits
+    obj["data"][5] = [3, -0]
+    want = m.copy()
+    want[0, 5] = 3
+    assert matrix_from_json(obj).tobytes() == want.tobytes()
+    assert len(calls) == 32 * 32
+    calls.clear()
     obj["data"][7] = [0.5, True]
     with pytest.raises(SchemaError, match="/data/7/1"):
         matrix_from_json(obj)
     assert calls[-1] == "/data/7" and len(calls) == 8
+
+
+def test_overlong_integer_literal_is_out_of_range(tmp_path, int_digit_limit):
+    # json.loads refuses such a literal with a bare ValueError before any
+    # entry path exists; it is reported like a huge integer, by file
+    path = tmp_path / "long.json"
+    text = '{"rows": 1, "cols": 1, "data": [[%s, 0.0]]}'
+    path.write_text(text % ("9" * (int_digit_limit + 1)))
+    with pytest.raises(SchemaError) as info:
+        parse_input(str(path))
+    assert str(info.value) == f"{path}: number out of float range"
+    path.write_text(text % ("9" * int_digit_limit))
+    with pytest.raises(SchemaError, match="^/data/0/0: number out of float range$"):
+        parse_input(str(path))

@@ -301,12 +301,15 @@ def _indent_sites(tree):
     ]
 
 
-@pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))])
+@pytest.mark.parametrize(
+    "path", [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))]
+)
 def test_no_indented_json_rendering(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [f"{path.name}:{line}" for line in _indent_sites(tree)] == []
 
 
 def test_indent_check_sees_json_indent():
-    for src in ("json.dumps(x, indent=2)", "json.JSONEncoder(indent=None)", "f(**kw, indent=1)"):
+    calls = ("json.dumps(x, indent=2)", "json.JSONEncoder(indent=None)", "f(**kw, indent=1)")
+    for src in calls:
         assert _indent_sites(ast.parse(src)) == [1]
