@@ -20,23 +20,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cpmap import (
-    ChoiOperator,
-    CpMap,
-    apply,
-    canonicalize,
-    to_choi,
-)
-from .duality import FaithfulState, faithful_rn, jam_apply, jam_compose, jam_forward
+import cp_calculus as cp
+
+from .cpmap import ChoiOperator, CpMap, apply, canonicalize, to_choi
 from .errors import CpError, IoError, SchemaError
-from .norms import diamond_lower, norm_report
 from .numerics import EPS_PSD, MAX_DIM
-from .order import c_min, naimark_dilate, order_chain_dilation
-from .radon import PovmDecomposition, dominates, rn_derivative
 from .serialize import (
     choi_to_json,
     cpmap_to_json,
@@ -109,8 +102,8 @@ class _Kind(NamedTuple):
     describe: Callable  # fields of the ``validate`` report
 
 
-_KINDS = {
-    CpMap: _Kind(
+_KINDS = {  # keyed by type name: the POVM and state classes load with their layers
+    "CpMap": _Kind(
         "a CP map",
         lambda t: [t.dim_in, t.dim_out],
         lambda t: {
@@ -120,22 +113,22 @@ _KINDS = {
             "kraus_count": len(t.kraus),
         },
     ),
-    ChoiOperator: _Kind(
+    "ChoiOperator": _Kind(
         "a Choi operator",
         lambda c: [c.dim_in * c.dim_out],
         lambda c: {"kind": "choi", "dim_in": c.dim_in, "dim_out": c.dim_out},
     ),
-    PovmDecomposition: _Kind(
+    "PovmDecomposition": _Kind(
         "a POVM",
         lambda p: [p.dim],
         lambda p: {"kind": "povm", "dim": p.dim, "element_count": len(p.elements)},
     ),
-    FaithfulState: _Kind(
+    "FaithfulState": _Kind(
         "a faithful state",
         lambda w: [w.dim],
         lambda w: {"kind": "faithful_state", "dim": w.dim},
     ),
-    np.ndarray: _Kind(
+    "ndarray": _Kind(
         "a matrix",
         lambda a: list(a.shape),
         lambda a: {"kind": "matrix", "rows": int(a.shape[0]), "cols": int(a.shape[1])},
@@ -144,7 +137,7 @@ _KINDS = {
 
 
 def _kind(obj) -> _Kind:
-    return next(kind for cls, kind in _KINDS.items() if isinstance(obj, cls))
+    return _KINDS[type(obj).__name__]
 
 
 def _load(path, max_dim):
@@ -162,8 +155,8 @@ def _load(path, max_dim):
 
 
 def _expect(obj, kinds, path):
-    if not isinstance(obj, kinds):
-        wanted = (kinds,) if not isinstance(kinds, tuple) else kinds
+    wanted = (kinds,) if isinstance(kinds, str) else kinds
+    if type(obj).__name__ not in wanted:
         want = " or ".join(_KINDS[k].name for k in wanted)
         raise SchemaError(f"{path}: expected {want}, got {type(obj).__name__}")
 
@@ -181,17 +174,17 @@ def _fields(res) -> dict:
 
 def _apply(o, first, a):
     if isinstance(first, ChoiOperator):
-        return 0, matrix_to_json(jam_apply(first, a))
+        return 0, matrix_to_json(cp.jam_apply(first, a))
     return 0, matrix_to_json(apply(first, a))
 
 
 def _dominate(o, s, t):
-    verdict = dominates(s, t, o.tol)
+    verdict = cp.dominates(s, t, o.tol)
     return (0 if verdict else 1), {"dominates": bool(verdict)}
 
 
 def _cmin(o, s, t):
-    r = c_min(s, t)
+    r = cp.c_min(s, t)
     if not np.isfinite(r.value):
         return 1, {"c_min": None, "finite": False, "attained": False}
     return 0, {
@@ -202,58 +195,70 @@ def _cmin(o, s, t):
 
 
 def _compose(o, f2, f1):
-    f2, f1 = (jam_forward(f) if isinstance(f, CpMap) else f for f in (f2, f1))
-    return 0, choi_to_json(jam_compose(f2, f1))
+    f2, f1 = (cp.jam_forward(f) if isinstance(f, CpMap) else f for f in (f2, f1))
+    return 0, choi_to_json(cp.jam_compose(f2, f1))
 
 
 def _diamond(o, t1, t2):
-    val = diamond_lower(t1, t2, o.seed, o.restarts)
+    val = cp.diamond_lower(t1, t2, o.seed, o.restarts)
     return 0, {"diamond_lower": float(val), "seed": o.seed, "restarts": o.restarts}
 
 
 class _Command(NamedTuple):
     """Input kinds per position and the handler ``run(args, *inputs)``.
 
-    A variadic command repeats its last kind; ``object`` accepts any input.
-    ``bad_input`` turns a load failure into a report, not a usage error.
+    A kind is a type name, or a tuple of them; a variadic command repeats
+    its last kind.  ``bad_input`` turns a load failure into a report, not a
+    usage error.  ``layer`` is the module the handler runs, imported before
+    the inputs are parsed; handlers reach it through the package.
     """
 
     kinds: tuple
     run: Callable
     variadic: bool = False
     bad_input: Callable | None = None
+    layer: str = "cpmap"
 
 
+_EITHER = ("CpMap", "ChoiOperator")
 _COMMANDS = {
     "validate": _Command(
-        (object,),
+        (tuple(_KINDS),),
         lambda o, obj: (0, {"valid": True, **_kind(obj).describe(obj)}),
         bad_input=lambda exc: (1, {"valid": False, "error": str(exc)}),
     ),
-    "choi": _Command((CpMap,), lambda o, t: (0, choi_to_json(to_choi(t)))),
-    "canonical": _Command((CpMap,), lambda o, t: (0, cpmap_to_json(canonicalize(t)))),
-    "apply": _Command(((CpMap, ChoiOperator), np.ndarray), _apply),
-    "dominate": _Command((CpMap, CpMap), _dominate),
+    "choi": _Command(("CpMap",), lambda o, t: (0, choi_to_json(to_choi(t)))),
+    "canonical": _Command(("CpMap",), lambda o, t: (0, cpmap_to_json(canonicalize(t)))),
+    "apply": _Command((_EITHER, "ndarray"), _apply),
+    "dominate": _Command(("CpMap", "CpMap"), _dominate, layer="radon"),
     "derivative": _Command(
-        (CpMap, CpMap), lambda o, s, t: (0, _fields(rn_derivative(s, t)))
+        ("CpMap", "CpMap"),
+        lambda o, s, t: (0, _fields(cp.rn_derivative(s, t))),
+        layer="radon",
     ),
-    "cmin": _Command((CpMap, CpMap), _cmin),
+    "cmin": _Command(("CpMap", "CpMap"), _cmin, layer="order"),
     "chain": _Command(
-        (CpMap,),
-        lambda o, *maps: (0, _fields(order_chain_dilation(maps))),
+        ("CpMap",),
+        lambda o, *maps: (0, _fields(cp.order_chain_dilation(maps))),
         variadic=True,
+        layer="order",
     ),
     "naimark": _Command(
-        (PovmDecomposition,), lambda o, povm: (0, _fields(naimark_dilate(povm)))
+        ("PovmDecomposition",),
+        lambda o, povm: (0, _fields(cp.naimark_dilate(povm))),
+        layer="order",
     ),
-    "compose": _Command(((CpMap, ChoiOperator), (CpMap, ChoiOperator)), _compose),
-    "diamond": _Command((CpMap, CpMap), _diamond),
+    "compose": _Command((_EITHER, _EITHER), _compose, layer="duality"),
+    "diamond": _Command(("CpMap", "CpMap"), _diamond, layer="norms"),
     "bounds": _Command(
-        (CpMap, CpMap),
-        lambda o, t1, t2: (0, _fields(norm_report(t1, t2, o.seed, o.restarts))),
+        ("CpMap", "CpMap"),
+        lambda o, t1, t2: (0, _fields(cp.norm_report(t1, t2, o.seed, o.restarts))),
+        layer="norms",
     ),
     "faithful": _Command(
-        (CpMap, FaithfulState), lambda o, t, w: (0, _fields(faithful_rn(t, w)))
+        ("CpMap", "FaithfulState"),
+        lambda o, t, w: (0, _fields(cp.faithful_rn(t, w))),
+        layer="duality",
     ),
 }
 
@@ -267,6 +272,7 @@ def dispatch(args: argparse.Namespace):
     if count < lo or (count > lo and not cmd.variadic):
         expected = f"at least {lo}" if cmd.variadic else str(lo)
         raise SchemaError(f"{args.command} takes {expected} input file(s), got {count}")
+    import_module(f"{__package__}.{cmd.layer}")
     try:
         loaded = [_load(path, args.max_dim) for path in args.inputs]
     except SchemaError as exc:

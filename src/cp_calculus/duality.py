@@ -207,23 +207,28 @@ class FaithfulDerivative(NamedTuple):
 def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     """Derivative density of ``t`` on its faithful reference environment.
 
-    The faithful channel's stack W is n copies of one m x m block, so
-    radon's compression pinv(W) C pinv(W)* inverts that block for the density:
-    entries <f_mu|T(|b_i><b_j|)f_nu> / sqrt(p_i p_j) at environment index
-    (mu, i) -> mu * m + i.  ``constant`` is its operator norm, the least c
-    with t dominated by c times the faithful channel.  The uniform state
-    in the standard basis returns the process operator.
+    The density is pinv(W) C pinv(W)*: radon's compression of t's
+    unnormalized process matrix C by the faithful channel's stack W, which
+    is n copies of one m x m block, inverted once.  For an exactly
+    orthonormal basis this equals the entrywise formula
+    <f_mu|T(|b_i><b_j|)f_nu> / sqrt(p_i p_j) at environment index
+    (mu, i) -> mu * m + i; FaithfulState accepts a basis orthonormal to
+    1e-8, and for such a basis the two differ at that order.
+    ``constant`` is its operator norm, the least c with t dominated by c
+    times the faithful channel.  The uniform state in the standard basis
+    returns the process operator.
     Raises InvariantViolation if c fails to dominate or exceeds
     p_min**-2 * ||T(1)||.
     """
     m, n = t.dim_in, t.dim_out
     if w.dim != m:
         raise DimMismatch(f"state dim {w.dim} does not match input dim {m}")
-    phi = faithful_channel(w, n)
+    dom = _prepare_blocks(faithful_channel(w, n))
     ct = to_choi(t)
-    f = _density(ct, _prepare_blocks(phi))
+    f = _density(ct, dom)
     c = float(op_norm(f))
-    if not psd_leq(ct.matrix, c * to_choi(phi).matrix):
+    # m W W* is the faithful channel's process operator, as to_choi forms it
+    if not psd_leq(ct.matrix, c * (m * (dom.w @ dom.w.conj().T))):
         raise InvariantViolation(
             f"map is not dominated by {c!r} times the faithful channel"
         )

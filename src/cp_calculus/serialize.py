@@ -26,9 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .cpmap import ChoiOperator, CpMap
-from .duality import FaithfulState
 from .errors import IoError, SchemaError
-from .radon import PovmDecomposition
 
 _encode = json.JSONEncoder(allow_nan=False).encode
 
@@ -155,11 +153,12 @@ def choi_from_json(obj, path="") -> ChoiOperator:
     return ChoiOperator(dim_in=m, dim_out=n, matrix=mat)
 
 
-def povm_to_json(p: PovmDecomposition) -> dict:
+def povm_to_json(p) -> dict:
     return {"elements": [matrix_to_json(f) for f in p.elements]}
 
 
-def povm_from_json(obj, path="") -> PovmDecomposition:
+def povm_from_json(obj, path=""):
+    from .radon import PovmDecomposition  # radon loads with the first POVM
     _expect_keys(obj, path, ("elements",))
     els = obj["elements"]
     if not isinstance(els, list) or not els:
@@ -170,14 +169,15 @@ def povm_from_json(obj, path="") -> PovmDecomposition:
     return PovmDecomposition(elements=mats)
 
 
-def state_to_json(w: FaithfulState) -> dict:
+def state_to_json(w) -> dict:
     return {
         "p": [float(x) for x in w.p],
         "basis": matrix_to_json(w.basis),
     }
 
 
-def state_from_json(obj, path="") -> FaithfulState:
+def state_from_json(obj, path=""):
+    from .duality import FaithfulState  # duality loads with the first state
     _expect_keys(obj, path, ("p",), optional=("basis",))
     p = obj["p"]
     if not isinstance(p, list) or not p:

@@ -458,7 +458,7 @@ def test_order_chain_forms_each_operator_once(monkeypatch):
         return orig(t)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("cp_calculus") and getattr(mod, "to_choi", None) is orig:
+        if name.startswith("cp_calculus.") and getattr(mod, "to_choi", None) is orig:
             monkeypatch.setattr(mod, "to_choi", counted)
     chain = conic_chain(RNG, 4, 4, 3)
     assert not is_channel(chain[-1])
