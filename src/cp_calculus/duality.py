@@ -21,6 +21,7 @@ import numpy as np
 from .cpmap import (
     ChoiOperator,
     CpMap,
+    _columns,
     _trusted_choi,
     _trusted_map,
     apply,
@@ -43,7 +44,7 @@ from .numerics import (
     partial_trace,
     psd_leq,
 )
-from .radon import _density, _prepare_blocks
+from .radon import _density
 
 
 @dataclass(frozen=True)
@@ -223,12 +224,14 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     m, n = t.dim_in, t.dim_out
     if w.dim != m:
         raise DimMismatch(f"state dim {w.dim} does not match input dim {m}")
-    dom = _prepare_blocks(faithful_channel(w, n))
+    stack = _columns(faithful_channel(w, n).kraus_array)
+    # W holds n copies of one m x m diagonal block: pinv(W) inverts it once
+    wp = np.eye(n)[:, None, :, None] * np.linalg.inv(stack[:m, :m])[:, None, :]
     ct = to_choi(t)
-    f = _density(ct, dom)
+    f = _density(ct, stack, wp.reshape(stack.shape))
     c = float(op_norm(f))
     # m W W* is the faithful channel's process operator, as to_choi forms it
-    if not psd_leq(ct.matrix, c * (m * (dom.w @ dom.w.conj().T))):
+    if not psd_leq(ct.matrix, c * (m * (stack @ stack.conj().T))):
         raise InvariantViolation(
             f"map is not dominated by {c!r} times the faithful channel"
         )

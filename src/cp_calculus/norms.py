@@ -29,7 +29,7 @@ from .cpmap import (
 )
 from .errors import DimensionLimit, InvariantViolation, ShapeMismatch
 from .numerics import MAX_DIM, as_matrix, herm_eig, op_norm, partial_trace, psd_leq, psd_sqrt
-from .radon import _derivative, _prepare
+from .radon import _derivative
 
 # a restart ends when a step gains <= ASCENT_TOL * max(1, value), or at ASCENT_MAX_ITER
 ASCENT_MAX_ITER = 200
@@ -188,9 +188,9 @@ def _bound_rn(c1: ChoiOperator, c2: ChoiOperator) -> float:
     canonical family the dominator, and T(1) = tr_in(C1 + C2) / dim_in."""
     m, n = c1.dim_in, c1.dim_out
     total = _trusted_choi(m, n, c1.matrix + c2.matrix)
-    dom = _prepare(from_choi(total))
-    f1 = _derivative(c1, dom).matrix
-    f2 = _derivative(c2, dom).matrix
+    family = from_choi(total)
+    f1 = _derivative(c1, family).matrix
+    f2 = _derivative(c2, family).matrix
     unit = partial_trace(total.matrix, "second", n, m) / m
     return float(op_norm(unit) * op_norm(f1 - f2))
 

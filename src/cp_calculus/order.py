@@ -122,7 +122,7 @@ def c_min(s: CpMap, t: CpMap) -> DominationConstant:
     """
     _check_same_dims(s, t)
     try:
-        f = _density(to_choi(s), _prepare(canonicalize(t)))
+        f = _density(to_choi(s), *_prepare(canonicalize(t)))
     except NotDominated:
         return DominationConstant(value=float("inf"), attained=False)
     top = float(np.linalg.eigvalsh(f)[-1])
@@ -267,10 +267,9 @@ def order_chain_dilation(chain) -> PvmChain:
     if padded:
         parts.append(_difference(to_choi(top), prev))
 
-    dom = _prepare(top)
-    povm = _instrument_rn(dom, parts)
+    povm = _instrument_rn(top, parts)
     nai = _naimark(povm, np.tri(len(chain), len(parts)))
-    v_top = dilation_matrix(dom.family).reshape(top.dim_in, -1, top.dim_out)
+    v_top = dilation_matrix(top).reshape(top.dim_in, -1, top.dim_out)
     isometry = (nai.isometry @ v_top).reshape(-1, top.dim_out)
 
     # the chain's own arrays are fresh (isometry) or frozen already (pvm)

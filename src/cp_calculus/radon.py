@@ -10,14 +10,13 @@ unnormalized process matrix of S equals W F W^T-conjugate up to scaling, so
 F = pinv(W) @ choi_unnormalized(S) @ pinv(W)*.  Reconstruction residual and
 the eigenvalue window of F together decide domination exactly, which is why
 no separate order check is run first.  This compression is the library's
-one density computation: c_min is F's top eigenvalue, and faithful_rn takes
-F on the faithful channel's block-diagonal stack, inverting one m x m block.
+one density computation, and the dominating Kraus family is the dominator:
+c_min is F's top eigenvalue; duality inverts its own block-diagonal stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,37 +119,17 @@ def _resolution(mats) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-class _Dominator(NamedTuple):
-    """A dominating map prepared once for every density taken against it:
-    the Kraus family whose environment the densities live on (canonical, or
-    one the caller fixes), its stack W and pinv(W) with no cutoff (canonical
-    stacks keep singular values >= sqrt(RANK_TOL) * largest)."""
-
-    family: CpMap
-    w: np.ndarray
-    wp: np.ndarray
-
-
-def _prepare(family: CpMap) -> _Dominator:
-    """Prepare a dominating map on the Kraus family its densities live on:
-    ``canonicalize(t)``, or a linearly independent one the caller fixes.
-
-    W and pinv(W) are taken once per family object and kept in its instance
-    dict as a bare pair, as ``canonicalize`` keeps its result: a _Dominator
-    kept there would hold its own family, a cycle only gen-2 GC frees."""
+def _prepare(family: CpMap) -> tuple[np.ndarray, np.ndarray]:
+    """(W, pinv(W)) for the Kraus family a dominating map's densities live
+    on (``canonicalize(t)``, or a linearly independent one the caller
+    fixes), with no pinv cutoff: canonical stacks keep singular values >=
+    sqrt(RANK_TOL) * largest.  Taken once per family object and kept in its
+    instance dict, as ``canonicalize`` keeps its result."""
     stack = family.__dict__.get("_stack")
     if stack is None:
         w = _columns(family.kraus_array)
         stack = family.__dict__["_stack"] = (w, pinv(w, 0.0))
-    return _Dominator(family, *stack)
-
-
-def _prepare_blocks(family: CpMap) -> _Dominator:
-    """_prepare for a stack of equal diagonal blocks, as faithful channels have: one inverse."""
-    m, n = family.dim_in, family.dim_out
-    w = _columns(family.kraus_array)
-    wp = np.eye(n)[:, None, :, None] * np.linalg.inv(w[:m, :m])[:, None, :]
-    return _Dominator(family, w, wp.reshape(w.shape))
+    return stack
 
 
 def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
@@ -163,15 +142,15 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     one ``t`` reuses them.
     """
     _check_same_dims(s, t)
-    return _derivative(to_choi(s), _prepare(canonicalize(t)))
+    return _derivative(to_choi(s), canonicalize(t))
 
 
-def _density(c: ChoiOperator, dom: _Dominator) -> np.ndarray:
-    """F = pinv(W) C pinv(W)* for c's unnormalized process matrix C; raises
-    NotDominated when W F W* misses C, a leak outside the dominator's support."""
+def _density(c: ChoiOperator, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
+    """F = wp C wp* for c's unnormalized process matrix C and wp = pinv(w);
+    raises NotDominated when w F w* misses C, a leak outside w's range."""
     cs = choi_unnormalized(c)
-    f = hermitize(dom.wp @ cs @ dom.wp.conj().T)
-    resid = norm_excess(dom.w @ f @ dom.w.conj().T - cs, recon_tol, cs)
+    f = hermitize(wp @ cs @ wp.conj().T)
+    resid = norm_excess(w @ f @ w.conj().T - cs, recon_tol, cs)
     if resid is not None:
         raise NotDominated(
             f"residual {resid:.3e} outside the dominating map's support"
@@ -188,14 +167,14 @@ def _check_window(f: np.ndarray, error) -> None:
         )
 
 
-def _derivative(c: ChoiOperator, dom: _Dominator) -> RnDerivative:
-    """rn_derivative of the map with process operator ``c`` on a dominator."""
-    f = _density(c, dom)
+def _derivative(c: ChoiOperator, family: CpMap) -> RnDerivative:
+    """rn_derivative of the map with process operator ``c`` on a dominating family."""
+    f = _density(c, *_prepare(family))
     _check_window(f, NotDominated)
     return RnDerivative(
         dim_in=c.dim_in,
         dim_out=c.dim_out,
-        env_dim=len(dom.family.kraus),
+        env_dim=len(family.kraus),
         matrix=f,
     )
 
@@ -231,10 +210,10 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     S(A) = sum lam_x W_x* A W_x with weights descending in [0, 1].
     """
     _check_same_dims(s, t)
-    dom = _prepare(canonicalize(t))
-    e = herm_eig(_derivative(to_choi(s), dom).matrix)
+    family = canonicalize(t)
+    e = herm_eig(_derivative(to_choi(s), family).matrix)
     weights = np.clip(e.values, 0.0, 1.0)
-    rotated = np.tensordot(e.vectors.conj(), dom.family.kraus_array, axes=(0, 0))
+    rotated = np.tensordot(e.vectors.conj(), family.kraus_array, axes=(0, 0))
     return RescaledKraus(
         dim_in=t.dim_in,
         dim_out=t.dim_out,
@@ -276,12 +255,12 @@ def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
     dev = norm_excess(sum(c.matrix for c in chois) - ct.matrix, recon_tol, ct.matrix)
     if dev is not None:
         raise NotADecomposition(f"parts sum differs from the map by {dev:.3e}")
-    return _instrument_rn(_prepare(canonicalize(t)), chois)
+    return _instrument_rn(canonicalize(t), chois)
 
 
-def _instrument_rn(dom: _Dominator, chois) -> PovmDecomposition:
-    """Densities of process operators that sum to the dominator's map by
-    construction; instrument_rn checks the sum of parts from outside.  Each
-    density has passed _check_window, so only the resolution is checked."""
-    mats = [_frozen(_derivative(c, dom).matrix) for c in chois]
+def _instrument_rn(family: CpMap, chois) -> PovmDecomposition:
+    """Densities of process operators that sum to the dominating family's
+    map by construction; instrument_rn checks the sum of parts from outside.
+    Each density has passed _check_window, so only the resolution is checked."""
+    mats = [_frozen(_derivative(c, family).matrix) for c in chois]
     return _trusted(PovmDecomposition, elements=_resolution(mats))

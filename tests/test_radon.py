@@ -442,8 +442,8 @@ def test_not_dominated_takes_exact_path(norm_calls):
         rn_derivative(s, t)
     assert dict(norm_calls) == {"op_norm": 1, "svd": 1}
     # the message is the exact SVD residual, as before the pre-test existed
-    dom = _prepare(canonicalize(t))
+    w, wp = _prepare(canonicalize(t))
     cs = to_choi(s).matrix / 2
-    f = numerics.hermitize(dom.wp @ cs @ dom.wp.conj().T)
-    resid = numerics.op_norm(dom.w @ f @ dom.w.conj().T - cs)
+    f = numerics.hermitize(wp @ cs @ wp.conj().T)
+    resid = numerics.op_norm(w @ f @ w.conj().T - cs)
     assert str(info.value) == f"residual {resid:.3e} outside the dominating map's support"
