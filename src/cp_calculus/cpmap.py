@@ -270,14 +270,13 @@ def to_stinespring(t: CpMap) -> StinespringDilation:
     operator and is flagged non-minimal.
     """
     canon = canonicalize(t)
-    d = len(canon.kraus)
-    minimal = bool(np.any(canon.kraus[0]))
-    return StinespringDilation(
+    return _trusted(
+        StinespringDilation,
         dim_in=t.dim_in,
         dim_out=t.dim_out,
-        env_dim=d,
-        matrix=dilation_matrix(canon),
-        minimal=minimal,
+        env_dim=len(canon.kraus),
+        matrix=_frozen(dilation_matrix(canon)),
+        minimal=bool(np.any(canon.kraus[0])),
     )
 
 

@@ -151,9 +151,12 @@ def pinv(m, rank_tol: float = RANK_TOL) -> np.ndarray:
 def psd_sqrt(m) -> np.ndarray:
     """Unique PSD square root of a PSD matrix.
 
-    Input is assumed PSD, as herm_eig assumes it Hermitian; eigenvalues
-    rounding left below zero are clipped to 0 rather than rejected.
+    Input is assumed PSD, as herm_eig assumes it Hermitian.  Eigenvalues
+    below RANK_TOL times the largest (from_choi's cut) count as 0, so
+    rounding's zeros add no sqrt(eps) terms; with none above 0, the root is 0.
     """
     e = herm_eig(m)
-    w = np.sqrt(np.clip(e.values, 0.0, None))
+    if e.values[0] <= 0.0:
+        return np.zeros_like(e.vectors)
+    w = np.sqrt(np.where(e.values >= RANK_TOL * e.values[0], e.values, 0.0))
     return (e.vectors * w) @ e.vectors.conj().T

@@ -242,8 +242,7 @@ def order_chain_dilation(chain) -> PvmChain:
     Naimark isometry N multiplies each dim_in row block of the top element's
     canonical dilation V_top, so no identity factor is formed.  V is unique
     only up to rotations within degenerate eigenspaces of the top element's
-    process operator, and Naimark roots of rank-deficient POVM elements
-    carry rounding of about sqrt(eps).
+    process operator.
     """
     chain = list(chain)
     if not chain:

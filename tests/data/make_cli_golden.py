@@ -9,8 +9,11 @@ code, stdout and stderr of ``cp_calculus.cli.main`` run from that
 directory.  ``test_cli_golden.py`` replays them; regenerate only when a
 report is meant to change.  ``--only NAME ...`` reruns just the named cases
 on the input files already written and rewrites only their entries of
-``cases.json``, so reports that depend on rounding (the ``chain``
-isometry) keep their recorded bits.
+``cases.json``, so reports that depend on rounding keep their recorded
+bits.  The ``chain`` isometry no longer does (``psd_sqrt`` cuts the
+rounding-level eigenvalues whose roots moved it by about 1e-8); the ascent's
+``lower`` and ``iterations`` in ``bounds`` and ``diamond`` still do, until
+its kernel signs stop depending on rounding (ROADMAP item 2).
 """
 
 import argparse

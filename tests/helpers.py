@@ -19,11 +19,15 @@ acting on one reshaped factor; ``env_sandwich`` computes V*(A (x) P)V the
 same way, for environments too large to form A (x) P.  ``reference_ascend``
 is one restart of the norms ascent on the dense kron(V, 1_r) stacks,
 decomposed by ``herm_eig``, which the GEMM form must follow step for step
-when x has full rank.
+when x has full rank.  ``golden_map`` loads a CLI golden input map, its
+Kraus operators optionally multiplied by one global phase, which changes
+no map.
 
 No ``assert`` here: pytest rewrites asserts only in test modules, so
 ``python -O`` would strip them from this file.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from cp_calculus.cpmap import (
     to_choi,
 )
 from cp_calculus.duality import reference_channel
+from cp_calculus.serialize import parse_input
 from cp_calculus.numerics import (
     EPS_PHASE,
     RANK_TOL,
@@ -47,6 +52,16 @@ from cp_calculus.numerics import (
     psd_sqrt,
     recon_tol,
 )
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden"
+
+
+def golden_map(name, phase=0.0):
+    """The CP map in golden input ``name`` with every Kraus operator
+    multiplied by exp(i phase)."""
+    t = parse_input(GOLDEN / name)
+    return CpMap(t.dim_in, t.dim_out, tuple(np.exp(1j * phase) * v for v in t.kraus))
 
 
 def rand_complex(rng, rows, cols):

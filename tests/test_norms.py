@@ -21,6 +21,7 @@ from cp_calculus.numerics import herm_eig, op_norm, psd_sqrt
 from cp_calculus.radon import rn_derivative
 from helpers import (
     env_sandwich,
+    golden_map,
     rand_channel,
     rand_complex,
     rand_cp_map,
@@ -279,6 +280,17 @@ def test_common_dilation_channel_isometries():
     # isometry norms are 1, so the bound is twice the gap
     gap = op_norm(pair.v1 - pair.v2)
     assert abs(bound_dilation_diff(pair) - 2.0 * gap) < 1e-9
+
+
+@pytest.mark.parametrize("theta", [0.7, 1.3, 2.9])
+def test_common_dilation_ignores_a_global_kraus_phase(theta):
+    # the golden bounds pair: u has Kraus rank one, so its process operator's
+    # zero eigenvalues must not reach its root as sqrt(eps) terms
+    want = common_dilation(golden_map("t.json"), golden_map("u.json"))
+    got = common_dilation(golden_map("t.json", theta), golden_map("u.json", theta))
+    assert np.abs(got.v1 - want.v1).max() <= 1e-12
+    assert np.abs(got.v2 - want.v2).max() <= 1e-12
+    assert abs(bound_dilation_diff(got) - bound_dilation_diff(want)) <= 1e-12
 
 
 def test_common_dilation_sqrt_step_is_contractive():

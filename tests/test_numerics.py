@@ -169,6 +169,18 @@ def test_psd_sqrt_clips_rounding():
     # an eigenvalue rounding left below zero counts as 0, not as an error
     r = numerics.psd_sqrt(np.diag([4.0, -1e-14]))
     assert np.array_equal(r, np.diag([2.0, 0.0]))
+    # with no positive eigenvalue the root is 0, and no negative reaches sqrt
+    assert np.array_equal(numerics.psd_sqrt(-1e-14 * np.eye(2)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_psd_sqrt_of_rank_one_projector_is_itself(d):
+    # rounding leaves v v*'s zero eigenvalues at 1e-17..1e-15; kept, their
+    # roots (about 1e-8) would move the root that far from v v* itself
+    for k in range(4):
+        v = rand_matrix(d, 1, np.random.default_rng([d, k]))[:, 0]
+        p = np.outer(v, v.conj()) / np.vdot(v, v).real
+        assert numerics.op_norm(numerics.psd_sqrt(p) - p) <= 1e-14
 
 
 @st.composite

@@ -41,6 +41,7 @@ from cp_calculus.radon import PovmDecomposition, dominates, rn_derivative, rn_re
 from helpers import (
     conic_chain,
     env_sandwich,
+    golden_map,
     rand_channel,
     rand_complex,
     rand_contraction,
@@ -381,6 +382,19 @@ def test_order_chain_dilation_reconstructs():
                 lhs = result.isometry.conj().T @ np.kron(unit, p) @ result.isometry
                 rhs = apply(t, unit)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("theta", [0.7, 1.3, 2.9])
+def test_order_chain_dilation_ignores_a_global_kraus_phase(theta):
+    # a global Kraus phase changes no map; the golden chain's dilation must
+    # not move with it beyond rounding, as its replay compares at 1e-12
+    names = ["t_low.json", "t_mid.json", "t_high.json"]
+    want = order_chain_dilation([golden_map(name) for name in names])
+    got = order_chain_dilation([golden_map(name, theta) for name in names])
+    assert np.abs(got.isometry - want.isometry).max() <= 1e-12
+    assert len(got.projections) == len(want.projections)
+    for p, q in zip(got.projections, want.projections):
+        assert np.abs(p - q).max() <= 1e-12
 
 
 def test_order_chain_two_scalars_frozen():

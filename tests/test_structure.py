@@ -82,7 +82,15 @@ def test_boundary_modules_use_checked_constructors(name):
 # Trusted by construction inside: the loaders in ``serialize`` are the one
 # place the library builds maps and process operators through the checked
 # public constructors; everything it derives takes the trusted path.
-CHECKED = ("CpMap", "ChoiOperator")
+CHECKED = (
+    "CpMap",
+    "ChoiOperator",
+    "StinespringDilation",
+    "PovmDecomposition",
+    "PvmChain",
+    "CommonDilationPair",
+    "FaithfulState",
+)
 LIBRARY = [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py")) if p.name != "serialize.py"]
 
 
