@@ -28,7 +28,7 @@ from .cpmap import (
     to_choi,
 )
 from .errors import DimensionLimit, InvariantViolation, ShapeMismatch
-from .numerics import MAX_DIM, as_matrix, herm_eig, op_norm, partial_trace, psd_leq, psd_sqrt
+from .numerics import MAX_DIM, as_matrix, op_norm, partial_trace, psd_leq, psd_sqrt
 from .radon import _derivative
 
 # a restart ends when a step gains <= ASCENT_TOL * max(1, value), or at ASCENT_MAX_ITER
@@ -66,12 +66,12 @@ def _ascend(k1, k2, dim, rngs, max_iter, tol, *, g):
     second map, is one GEMM per map on the stacked vectors.  y, the dual
     action of the same difference on x's sign operator S, is one GEMM of g
     with S regrouped from ((input, ancilla), (input, ancilla)) to
-    ((input, input), (ancilla, ancilla)) indices.  Every half-step is one
-    batched GEMM chain and one batched eigh over the restarts still live,
-    and a restart leaves the stack the iteration its stopping test fires.
-    Stacked matmul and eigh make the same BLAS and LAPACK call on each
-    slice, in the same memory layout, as a single restart does, so each
-    restart's value and step count are those it reaches alone.
+    ((input, input), (ancilla, ancilla)) indices.  Over the live restarts,
+    x's half-step is a batched GEMM chain and eigh, y's a GEMM and
+    ``_toward_top``; a restart leaves the stack the iteration its stopping
+    test fires.  Stacked matmul, eigh, eigvalsh and solve make the same
+    BLAS and LAPACK call on each slice, in the same memory layout, as a
+    single restart does, so each restart's value and step count are its own.
     """
     m, n = k1.shape[1:]
     r = dim // n
@@ -86,17 +86,14 @@ def _ascend(k1, k2, dim, rngs, max_iter, tol, *, g):
         a1 = (k1.reshape(-1, n) @ big_psi).reshape(len(live), len(k1), m * r)
         a2 = (k2.reshape(-1, n) @ big_psi).reshape(len(live), len(k2), m * r)
         x = a1.swapaxes(-1, -2) @ a1.conj() - a2.swapaxes(-1, -2) @ a2.conj()
-        # sum |w|, the sign operator and psi psi* do not depend on the
-        # eigenvectors' phases or on the basis eigh picks inside an
-        # eigenspace, so eigh serves without herm_eig's phase fix and sort;
-        # only a tied top eigenvalue of y leaves psi itself undetermined
+        # sum |w| and the sign operator ignore the phases and basis eigh picks
         w, u = np.linalg.eigh(x)
         value = np.abs(w).sum(axis=1)
         values[live] = value
         steps[live] = step
         done = value - prev <= tol * np.maximum(1.0, value)
         if done.any():
-            live, w, u, value = live[~done], w[~done], u[~done], value[~done]
+            live, psi, w, u, value = (a[~done] for a in (live, psi, w, u, value))
             if not len(live):
                 break
         prev = value
@@ -105,12 +102,21 @@ def _ascend(k1, k2, dim, rngs, max_iter, tol, *, g):
         blocks = sign_op.reshape(-1, m, r, m, r).transpose(0, 1, 3, 2, 4)
         blocks = blocks.reshape(-1, m * m, r * r)
         y = (g @ blocks).reshape(-1, n, n, r, r).transpose(0, 1, 3, 2, 4).reshape(-1, dim, dim)
-        w, u = np.linalg.eigh(y)
-        psi = u[:, :, -1]
-        if dim > 1:
-            for row in np.flatnonzero(w[:, -1] == w[:, -2]):
-                psi[row] = herm_eig(y[row]).vectors[:, 0]
+        psi = _toward_top(y, psi)
     return float(values.max()), int(steps.sum())
+
+
+def _toward_top(y, psi):
+    """One inverse-iteration step of each psi on its y, shifted 1e-14 *
+    max|eigenvalue| above y's top one: psi's projection onto a tied top
+    eigenspace in any basis, psi where y = 0, and never a lower <psi|y|psi>."""
+    ev = np.linalg.eigvalsh(y)
+    top = np.abs(ev).max(axis=1, keepdims=True)
+    scale = np.where(top > 0.0, top, 1.0)
+    a = (y / scale[:, :, None]).reshape(len(y), -1)
+    a[:, :: len(y[0]) + 1] -= ev[:, -1:] / scale + 1e-14  # the diagonal
+    v = np.linalg.solve(a.reshape(y.shape), psi[..., None])[..., 0]
+    return np.where(top > 0.0, v / np.linalg.norm(v, axis=1, keepdims=True), psi)
 
 
 def _count(value, name: str) -> int:
@@ -131,12 +137,11 @@ def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol):
         raise DimensionLimit(f"ascent dimension {side} exceeds {MAX_DIM}")
     k1, k2 = t1.kraus_array, t2.kraus_array
     g = _process_difference(k1, k2)
+    rngs = [np.random.default_rng([seed, i]) for i in range(restarts)]
     size = max(1, STACK_ENTRIES // side**2)
-    results = []
-    for start in range(0, restarts, size):
-        rngs = [np.random.default_rng([seed, i]) for i in range(start, min(start + size, restarts))]
-        results.append(_ascend(k1, k2, t1.dim_out * r, rngs, max_iter, tol, g=g))
-    return max(res[0] for res in results), sum(res[1] for res in results)
+    stacks = [rngs[start : start + size] for start in range(0, restarts, size)]
+    results = [_ascend(k1, k2, t1.dim_out * r, s, max_iter, tol, g=g) for s in stacks]
+    return max(v for v, _ in results), sum(n for _, n in results)
 
 
 def diamond_lower(
@@ -157,10 +162,10 @@ def diamond_lower(
     difference of the dual actions on |psi><psi|.  Each restart ascends
     monotonically; restarts use independent streams derived from (seed,
     restart index) and are combined by max, so the result is deterministic
-    for fixed arguments.  A step costs a few GEMMs on arrays the size of
-    the maps' process operators and two dense eigendecompositions, of size
-    dim_in * r and dim_out * r for an ancilla of dimension r; the ancilla
-    is never formed as a Kronecker factor.  The restarts run together in
+    for fixed arguments.  With an ancilla of dimension r, never formed as
+    a Kronecker factor, a step costs a few GEMMs on arrays the size of the
+    maps' process operators, an eigendecomposition of size dim_in * r, and
+    the eigenvalues and one solve of size dim_out * r.  The restarts run in
     stacks of up to STACK_ENTRIES entries per x and y (one restart where
     its own x or y is larger), each reaching the value and step count it
     reaches alone; ``workers`` is accepted for compatibility and ignored.

@@ -125,10 +125,7 @@ def cpmap_from_json(obj, path="") -> CpMap:
     for idx, item in enumerate(kraus):
         v = matrix_from_json(item, f"{path}/kraus/{idx}")
         if v.shape != (m, n):
-            _fail(
-                f"{path}/kraus/{idx}",
-                f"shape {v.shape} does not match dims ({m}, {n})",
-            )
+            _fail(f"{path}/kraus/{idx}", f"shape {v.shape} does not match dims ({m}, {n})")
         ops.append(v)
     return CpMap(dim_in=m, dim_out=n, kraus=tuple(ops))
 
@@ -163,9 +160,7 @@ def povm_from_json(obj, path=""):
     els = obj["elements"]
     if not isinstance(els, list) or not els:
         _fail(path + "/elements", "expected a nonempty list")
-    mats = tuple(
-        matrix_from_json(e, f"{path}/elements/{i}") for i, e in enumerate(els)
-    )
+    mats = tuple(matrix_from_json(e, f"{path}/elements/{i}") for i, e in enumerate(els))
     return PovmDecomposition(elements=mats)
 
 
@@ -183,9 +178,7 @@ def state_from_json(obj, path=""):
     if not isinstance(p, list) or not p:
         _fail(path + "/p", "expected a nonempty list")
     vals = np.array([_real(x, f"{path}/p/{k}") for k, x in enumerate(p)])
-    basis = None
-    if "basis" in obj:
-        basis = matrix_from_json(obj["basis"], path + "/basis")
+    basis = matrix_from_json(obj["basis"], path + "/basis") if "basis" in obj else None
     return FaithfulState(p=vals, basis=basis)
 
 
@@ -235,6 +228,8 @@ def parse_input(path):
         ) from exc
     except ValueError as exc:  # an integer literal beyond int_max_str_digits
         raise SchemaError(f"{path}: number out of float range") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: nesting too deep") from exc
     return parse_obj(obj)
 
 

@@ -100,6 +100,21 @@ def test_overlong_integer_literal_is_an_input_error(files, capsys, int_digit_lim
     assert json.loads(out) == {"valid": False, "error": message}
     assert run(["choi", str(bad)], capsys) == (2, "", f"error: {message}\n")
 
+
+@pytest.mark.parametrize("depth", [1100, 100_000])
+def test_deeply_nested_input_is_an_input_error(files, capsys, depth):
+    # json.loads runs out of recursion on the nesting itself: the file is
+    # invalid, not a traceback whose exit code 1 would read as a verdict
+    tmp, _ = files
+    bad = tmp / "deep.json"
+    bad.write_text("[" * depth)
+    message = f"{bad}: nesting too deep"
+    code, out, err = run(["validate", str(bad)], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"valid": False, "error": message}
+    assert run(["choi", str(bad)], capsys) == (2, "", f"error: {message}\n")
+
+
 def test_validate_missing_file_is_io_error(files, capsys):
     tmp, _ = files
     code, out, err = run(["validate", str(tmp / "absent.json")], capsys)

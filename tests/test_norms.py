@@ -26,6 +26,7 @@ from helpers import (
     rand_complex,
     rand_cp_map,
     rand_operation,
+    rand_unitary,
     reference_ascend,
     reference_common_dilation,
 )
@@ -120,8 +121,8 @@ def test_ascend_signature():
 
 # (m, n, r, Kraus count, identical maps): full rank; low-rank x with
 # k1 + k2 < m * r, whose zero eigenvalues rounding signs; r != n twice;
-# 3x1, where dim = 1; 1x3; and identical maps, whose y = 0 sends every
-# row through herm_eig
+# 3x1, where dim = 1; 1x3; and identical maps, whose y = 0 leaves every
+# row's psi as it is
 STACK_CASES = [
     (3, 3, 3, 5, False),
     (3, 2, 2, 2, False),
@@ -176,42 +177,136 @@ def test_stack_boundaries_leave_results_unchanged(monkeypatch, m, n, r, k, same)
 
 
 def test_stacks_stay_under_the_entry_cap(monkeypatch):
-    shapes = []
+    calls = []
 
-    def recorded(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    def recording(name):
+        fn = getattr(np.linalg, name)
 
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+        def recorded(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return fn(a, *args, **kwargs)
+
+        return recorded
+
+    for name in ("eigh", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
     rng = np.random.default_rng(16)
     t1, t2 = rand_channel(rng, 16, 16, n_kraus=2), rand_channel(rng, 16, 16, n_kraus=2)
     diamond_lower(t1, t2, restarts=3, max_iter=2)
-    assert shapes and all(np.prod(s) <= norms.STACK_ENTRIES for s in shapes)
-    assert {s[0] for s in shapes} == {1}
+    assert calls and all(np.prod(s) <= norms.STACK_ENTRIES for _, s in calls)
+    assert {s[0] for _, s in calls} == {1}
     # at d = 8 sixteen restarts share a stack, the cap's worth; one
-    # iteration takes the eigh of x and of y
-    shapes.clear()
+    # iteration takes the eigh of x, then the eigvalsh of y and one solve
+    calls.clear()
     t1, t2 = rand_channel(rng, 8, 8, n_kraus=2), rand_channel(rng, 8, 8, n_kraus=2)
     diamond_lower(t1, t2, restarts=20, max_iter=1)
-    assert shapes == [(16, 64, 64)] * 2 + [(4, 64, 64)] * 2
+    assert calls == [
+        (name, (size, 64, 64)) for size in (16, 4) for name in ("eigh", "eigvalsh", "solve")
+    ]
 
 
-def test_ascend_takes_herm_eig_only_on_ties(monkeypatch):
-    calls = []
+def test_ascend_takes_no_herm_eig(monkeypatch):
+    # a tied top eigenvalue of y needs no tie-break: the y half-step keeps
+    # psi's projection onto the eigenspace, so no module's herm_eig runs
+    assert not hasattr(norms, "herm_eig")
 
-    def counted(m):
-        calls.append(m.shape)
-        return herm_eig(m)
+    def banned(m):
+        raise RuntimeError("banned call")
 
-    monkeypatch.setattr(norms, "herm_eig", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cp_calculus.") and hasattr(module, "herm_eig"):
+            monkeypatch.setattr(module, "herm_eig", banned)
     rng = np.random.default_rng(9)
     t1, t2 = rand_channel(rng, 3, 3), rand_channel(rng, 3, 3)
     assert diamond_lower(t1, t2, restarts=4) > 0.0
-    assert calls == []
     # identical maps make y = 0, whose top eigenvalue is tied
     assert diamond_lower(t1, t1, restarts=2) == 0.0
-    assert calls == [(9, 9), (9, 9)]
+
+
+def _unit_rows(rng, count, dim):
+    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _rayleigh(y, psi):
+    return np.einsum("bi,bij,bj->b", psi.conj(), y, psi).real
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16, 64])
+def test_toward_top_reaches_the_top_eigenvalue(dim):
+    # one shifted solve from a random psi: <psi|y|psi> >= lambda_max -
+    # 1e-12 * max|eigenvalue| for top gaps from 1e-12 to 1, at any scale,
+    # and never below the starting <psi|y|psi>
+    rng = np.random.default_rng([21, dim])
+    for gap in 10.0 ** np.arange(-12, 1):
+        count = 8
+        rest = rng.uniform(-1.0, 0.5, (count, dim - 1))
+        ev = np.concatenate([rest, rest.max(axis=1, keepdims=True) + gap], axis=1)
+        ev *= 10.0 ** rng.uniform(-6, 6, (count, 1))
+        u = np.array([rand_unitary(rng, dim) for _ in range(count)])
+        y = (u * ev[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        y = (y + y.conj().swapaxes(-1, -2)) / 2
+        psi = _unit_rows(rng, count, dim)
+        got = norms._toward_top(y, psi)
+        scale = np.abs(ev).max(axis=1)
+        assert np.allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(_rayleigh(y, got) >= ev.max(axis=1) - 1e-12 * scale)
+        assert np.all(_rayleigh(y, got) >= _rayleigh(y, psi) - 1e-14 * scale)
+
+
+def test_toward_top_keeps_psi_where_y_is_zero():
+    rng = np.random.default_rng(22)
+    psi = _unit_rows(rng, 3, 4)
+    y = np.zeros((3, 4, 4), dtype=complex)
+    y[1] = rand_complex(rng, 4, 4) + rand_complex(rng, 4, 4).conj().T
+    got = norms._toward_top(y, psi)
+    assert np.array_equal(got[[0, 2]], psi[[0, 2]])
+    assert not np.allclose(got[1], psi[1])
+
+
+def test_toward_top_projects_onto_a_tied_top_eigenspace():
+    # y's top eigenvalue 3 is threefold; the step returns psi's unit
+    # projection onto its eigenspace, so a unitary w inside the eigenspace,
+    # which leaves y unchanged, moves the result exactly as it moves psi
+    rng = np.random.default_rng(23)
+    y = np.diag([3.0, 3.0, 3.0, 1.0, -2.0]).astype(complex)[None]
+    w = np.eye(5, dtype=complex)
+    w[:3, :3] = rand_unitary(rng, 3)
+    for psi in _unit_rows(rng, 4, 5):
+        got = norms._toward_top(y, psi[None])[0]
+        want = np.concatenate([psi[:3], np.zeros(2)]) / np.linalg.norm(psi[:3])
+        assert abs(abs(np.vdot(want, got)) - 1.0) <= 1e-12
+        assert np.linalg.norm(got[3:]) <= 1e-12
+        turned = norms._toward_top(y, (w @ psi)[None])[0]
+        assert abs(abs(np.vdot(w @ got, turned)) - 1.0) <= 1e-12
+    # in a rotated basis rounding splits the tie by about 1e-16, and the
+    # result still lies in the eigenspace
+    u = rand_unitary(rng, 5)
+    ty = u @ y[0] @ u.conj().T
+    ty = (ty + ty.conj().T) / 2
+    got = norms._toward_top(ty[None], _unit_rows(rng, 1, 5))[0]
+    assert np.linalg.norm(u[:, 3:].conj().T @ got) <= 1e-12
+
+
+def test_toward_top_in_one_dimension():
+    rng = np.random.default_rng(24)
+    psi = _unit_rows(rng, 3, 1)
+    y = np.array([2.5, -1e-300, 0.0]).reshape(3, 1, 1).astype(complex)
+    got = norms._toward_top(y, psi)
+    assert np.allclose(np.abs(got), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(got[2], psi[2])
+
+
+@pytest.mark.parametrize("factor", [1e-100, 1e-200])
+def test_ascent_on_a_tiny_pair(factor):
+    # maps scaled far below 1 keep every solve regular and every value
+    # finite: no LinAlgError, and no RuntimeWarning (an error here)
+    rng = np.random.default_rng(25)
+    t1, t2 = rand_channel(rng, 3, 3, n_kraus=2), rand_channel(rng, 3, 3, n_kraus=2)
+    lower = diamond_lower(scale(t1, factor), scale(t2, factor), restarts=4)
+    assert 0.0 < lower <= 2.0 * factor * (1.0 + 1e-9)
+    rep = norm_report(scale(t1, factor), scale(t2, factor), restarts=4)
+    assert rep.lower == lower
 
 
 def test_norm_report_one_dimensional_output():
@@ -449,7 +544,7 @@ def test_upper_bounds_need_no_reference_channel_or_sum_map(monkeypatch):
     [
         (2, 2, 1, 1.688307501335492, 24),
         (4, 4, 16, 1.222198909063584, 108),
-        (3, 2, 2, 1.7595040647706761, 202),
+        (3, 2, 2, 1.75950406476703, 210),
     ],
 )
 def test_norm_report_pinned_ascent(m, n, k, lower, iterations):
