@@ -32,6 +32,7 @@ from .numerics import (
     hermitize,
     norm_excess,
     psd_leq,
+    psd_rank,
 )
 
 
@@ -212,18 +213,14 @@ def choi_unnormalized(c: ChoiOperator) -> np.ndarray:
 
 
 def choi_rank(c: ChoiOperator, rank_tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues above rank_tol times the largest."""
-    w = np.linalg.eigvalsh(hermitize(c.matrix))
-    top = float(w[-1])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(w >= rank_tol * top))
+    """Number of eigenvalues at or above rank_tol times the largest."""
+    return psd_rank(np.linalg.eigvalsh(hermitize(c.matrix))[::-1], rank_tol)
 
 
 def from_choi(c: ChoiOperator) -> CpMap:
     """Canonical Kraus family of a process operator.
 
-    Eigenvectors with eigenvalue >= RANK_TOL * largest become Kraus
+    The eigenvectors psd_rank keeps (RANK_TOL's cut) become Kraus
     operators sqrt(lam / dim_in) * unvec; the deterministic eigensystem
     makes the family canonical (a ChoiOperator is Hermitian, by check or
     by construction).  A rank-zero input yields the zero map as a single
@@ -231,13 +228,12 @@ def from_choi(c: ChoiOperator) -> CpMap:
     """
     m, n = c.dim_in, c.dim_out
     e = herm_eig(c.matrix)
-    top = float(e.values[0]) if e.values.size else 0.0
-    if top <= 0.0:
+    k = psd_rank(e.values)
+    if not k:
         return _trusted_map(m, n, np.zeros((1, m, n), dtype=complex))
-    lam = e.values[e.values >= RANK_TOL * top]
-    u = e.vectors[:, : lam.size].T.reshape(lam.size, n, m)
+    u = e.vectors[:, :k].T.reshape(k, n, m)
     return _trusted_map(
-        m, n, np.sqrt(lam / m)[:, None, None] * u.conj().transpose(0, 2, 1)
+        m, n, np.sqrt(e.values[:k] / m)[:, None, None] * u.conj().transpose(0, 2, 1)
     )
 
 

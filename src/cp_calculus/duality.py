@@ -215,9 +215,9 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     <f_mu|T(|b_i><b_j|)f_nu> / sqrt(p_i p_j) at environment index
     (mu, i) -> mu * m + i; FaithfulState accepts a basis orthonormal to
     1e-8, and for such a basis the two differ at that order.
-    ``constant`` is its operator norm, the least c with t dominated by c
-    times the faithful channel.  The uniform state in the standard basis
-    returns the process operator.
+    ``constant`` is its top eigenvalue (its norm: it is PSD), the least c
+    with t dominated by c times the faithful channel.  The uniform state in
+    the standard basis returns the process operator.
     Raises InvariantViolation if c fails to dominate or exceeds
     p_min**-2 * ||T(1)||.
     """
@@ -229,7 +229,7 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     wp = np.eye(n)[:, None, :, None] * np.linalg.inv(stack[:m, :m])[:, None, :]
     ct = to_choi(t)
     f = _density(ct, stack, wp.reshape(stack.shape))
-    c = float(op_norm(f))
+    c = max(0.0, float(np.linalg.eigvalsh(f)[-1]))
     # m W W* is the faithful channel's process operator, as to_choi forms it
     if not psd_leq(ct.matrix, c * (m * (stack @ stack.conj().T))):
         raise InvariantViolation(

@@ -31,7 +31,7 @@ from .errors import DimensionLimit, InvariantViolation, ShapeMismatch
 from .numerics import MAX_DIM, as_matrix, op_norm, partial_trace, psd_leq, psd_sqrt
 from .radon import _derivative
 
-# a restart ends when a step gains <= ASCENT_TOL * max(1, value), or at ASCENT_MAX_ITER
+# a restart ends when a step gains <= ASCENT_TOL * value, or at ASCENT_MAX_ITER
 ASCENT_MAX_ITER = 200
 ASCENT_TOL = 1e-10
 # entries one stacked x or y of the ascent may hold: restarts at d=16 run
@@ -91,7 +91,7 @@ def _ascend(k1, k2, dim, rngs, max_iter, tol, *, g):
         value = np.abs(w).sum(axis=1)
         values[live] = value
         steps[live] = step
-        done = value - prev <= tol * np.maximum(1.0, value)
+        done = value - prev <= tol * value
         if done.any():
             live, psi, w, u, value = (a[~done] for a in (live, psi, w, u, value))
             if not len(live):

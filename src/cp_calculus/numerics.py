@@ -20,7 +20,7 @@ from .errors import ShapeMismatch
 EPS_PSD = 1e-9      # PSD slack, relative to max(1, scale)
 EPS_HERM = 1e-8     # Hermiticity deviation, relative to the operator norm
 EPS_PHASE = 1e-10   # smallest component magnitude used to fix a phase
-RANK_TOL = 1e-10    # relative eigenvalue / singular value cutoff
+RANK_TOL = 1e-10    # relative eigenvalue cutoff, see psd_rank
 MAX_DIM = 2 ** 14   # cap on environment, Naimark and loaded dimensions
 
 
@@ -143,20 +143,20 @@ def psd_leq(a, b, tol: float = EPS_PSD) -> bool:
     return bool(w.size == 0 or w[0] >= -tol * scale)
 
 
-def pinv(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose inverse, zeroing singular values below rank_tol * largest."""
-    return np.linalg.pinv(as_matrix(m), rcond=rank_tol)
+def psd_rank(values, tol: float = RANK_TOL) -> int:
+    """How many descending ``values`` are >= tol times the first; 0 unless it is > 0."""
+    if not len(values) or values[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(values >= tol * values[0]))
 
 
 def psd_sqrt(m) -> np.ndarray:
     """Unique PSD square root of a PSD matrix.
 
-    Input is assumed PSD, as herm_eig assumes it Hermitian.  Eigenvalues
-    below RANK_TOL times the largest (from_choi's cut) count as 0, so
-    rounding's zeros add no sqrt(eps) terms; with none above 0, the root is 0.
+    Input is assumed PSD, as herm_eig assumes it Hermitian.  Only the
+    eigenpairs psd_rank keeps (from_choi's cut) enter, so rounding's zeros
+    add no sqrt(eps) terms; with none kept, the root is 0.
     """
     e = herm_eig(m)
-    if e.values[0] <= 0.0:
-        return np.zeros_like(e.vectors)
-    w = np.sqrt(np.where(e.values >= RANK_TOL * e.values[0], e.values, 0.0))
-    return (e.vectors * w) @ e.vectors.conj().T
+    u = e.vectors[:, : psd_rank(e.values)]
+    return (u * np.sqrt(e.values[: u.shape[1]])) @ u.conj().T

@@ -44,13 +44,13 @@ from .errors import (
 from .numerics import (
     EPS_PSD,
     MAX_DIM,
-    RANK_TOL,
     as_matrix,
     herm_eig,
     hermitize,
     norm_excess,
     op_norm,
     psd_leq,
+    psd_rank,
     psd_sqrt,
     recon_tol,
 )
@@ -117,8 +117,8 @@ def c_min(s: CpMap, t: CpMap) -> DominationConstant:
     the matrix rn_derivative returns before its [0, 1] window check.  It
     is infinite, as the sentinel (inf, attained=False), exactly when
     rn_derivative reports that s leaks outside t's support.  Like
-    rn_derivative, it reuses t's canonical family and pinv stack, which
-    are computed once per map object.
+    rn_derivative, it reuses t's canonical family and its stack W with
+    W's closed-form inverse, which are computed once per map object.
     """
     _check_same_dims(s, t)
     try:
@@ -156,15 +156,13 @@ def pad_to_channel(t: CpMap) -> CpMap:
         pad = np.eye(m, n) @ psd_sqrt(defect)
     else:
         e = herm_eig(defect)
-        vals = np.clip(e.values, 0.0, None)
-        rank = int(np.count_nonzero(vals >= RANK_TOL * vals[0])) if vals[0] > 0.0 else 0
+        rank = psd_rank(e.values)
         if rank > m:
             raise CpError(
                 f"defect rank {rank} exceeds dim_in {m}; "
                 "no single appended operator can complete this map"
             )
-        basis = e.vectors[:, :rank]
-        pad = np.eye(m, rank) @ (np.sqrt(vals[:rank])[:, None] * basis.conj().T)
+        pad = np.eye(m, rank) @ (e.vectors[:, :rank] * np.sqrt(e.values[:rank])).conj().T
     return canonicalize(add(t, _trusted_map(m, n, pad[None])))
 
 

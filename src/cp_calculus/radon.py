@@ -6,8 +6,9 @@ unique operator F on the environment of T's minimal dilation V with
 into maps, and decomposes instruments into such densities.
 
 Extraction works on the canonical Kraus stack W (columns vec(V_x*)): the
-unnormalized process matrix of S equals W F W^T-conjugate up to scaling, so
-F = pinv(W) @ choi_unnormalized(S) @ pinv(W)*.  Reconstruction residual and
+unnormalized process matrix of S equals W F W* up to scaling, so
+F = W+ @ choi_unnormalized(S) @ W+*, W+ being W* with row x divided by
+||w_x||^2 (W's columns are orthogonal).  Reconstruction residual and
 the eigenvalue window of F together decide domination exactly, which is why
 no separate order check is run first.  This compression is the library's
 one density computation, and the dominating Kraus family is the dominator:
@@ -47,7 +48,6 @@ from .numerics import (
     herm_eig,
     hermitize,
     norm_excess,
-    pinv,
     psd_leq,
     recon_tol,
 )
@@ -120,15 +120,18 @@ def _resolution(mats) -> tuple[np.ndarray, ...]:
 
 
 def _prepare(family: CpMap) -> tuple[np.ndarray, np.ndarray]:
-    """(W, pinv(W)) for the Kraus family a dominating map's densities live
-    on (``canonicalize(t)``, or a linearly independent one the caller
-    fixes), with no pinv cutoff: canonical stacks keep singular values >=
-    sqrt(RANK_TOL) * largest.  Taken once per family object and kept in its
-    instance dict, as ``canonicalize`` keeps its result."""
+    """(W, W+) for a ``from_choi`` family (``canonicalize(t)`` is one), which
+    a dominating map's densities live on: its operators are eigenvectors
+    scaled by sqrt(lam / dim_in), so W+ is W* with row x divided by
+    ||w_x||^2, and the zero map's zero column gives a zero row.  Taken once
+    per family and kept in its instance dict, as ``canonicalize`` keeps its own."""
     stack = family.__dict__.get("_stack")
     if stack is None:
         w = _columns(family.kraus_array)
-        stack = family.__dict__["_stack"] = (w, pinv(w, 0.0))
+        wp = np.ascontiguousarray(w.conj().T)
+        sq = (wp.real**2 + wp.imag**2).sum(axis=1)
+        wp /= np.where(sq > 0.0, sq, 1.0)[:, None]
+        stack = family.__dict__["_stack"] = (w, wp)
     return stack
 
 
@@ -137,17 +140,17 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
 
     Raises NotDominated when the reconstruction residual exceeds tolerance
     (support escape) or F's spectrum leaves [0, 1] beyond EPS_PSD; those
-    two checks are exactly the domination criterion.  T's canonical family
-    and pinv stack are computed once per map object, so every S against
-    one ``t`` reuses them.
+    two checks are exactly the domination criterion.  T's canonical family,
+    its stack W and W's closed-form inverse are computed once per map
+    object, so every S against one ``t`` reuses them.
     """
     _check_same_dims(s, t)
     return _derivative(to_choi(s), canonicalize(t))
 
 
 def _density(c: ChoiOperator, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
-    """F = wp C wp* for c's unnormalized process matrix C and wp = pinv(w);
-    raises NotDominated when w F w* misses C, a leak outside w's range."""
+    """F = wp C wp* for c's unnormalized process matrix C and wp w's inverse
+    on its range; raises NotDominated when w F w* misses C, a leak outside it."""
     cs = choi_unnormalized(c)
     f = hermitize(wp @ cs @ wp.conj().T)
     resid = norm_excess(w @ f @ w.conj().T - cs, recon_tol, cs)
@@ -185,9 +188,8 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     Accepts an RnDerivative or a bare matrix, Hermitian by the rule
     ChoiOperator applies (NotHermitian otherwise) with spectrum in [0, 1]
     (NotPsd otherwise); the result is returned in canonical Kraus form and
-    is dominated by ``t`` by construction.  It takes T's canonical family
-    from the map's memo but forms the stack W itself, so a first call on a
-    fresh map takes no pinv it does not use.
+    is dominated by ``t`` by construction.  T's canonical family and its
+    stack W come from the map's memo.
     """
     family = canonicalize(t)
     d = len(family.kraus)
@@ -197,7 +199,7 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     _check_hermitian(mat)
     h = hermitize(mat)
     _check_window(h, NotPsd)
-    w = _columns(family.kraus_array)
+    w = _prepare(family)[0]
     choi = t.dim_in * (w @ h @ w.conj().T)
     return from_choi(_trusted_choi(t.dim_in, t.dim_out, hermitize(choi)))
 

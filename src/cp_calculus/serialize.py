@@ -230,7 +230,10 @@ def parse_input(path):
         raise SchemaError(f"{path}: number out of float range") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: nesting too deep") from exc
-    return parse_obj(obj)
+    try:
+        return parse_obj(obj)
+    except SchemaError as exc:  # its entry path, within this file
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _render(x, pad):

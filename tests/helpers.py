@@ -267,9 +267,15 @@ def reference_canonical_kraus(t):
 
 
 def reference_density(s, t):
-    """Density pinv(W) C_s pinv(W)* of s on t's canonical stack W."""
-    w = reference_kraus_stack(reference_canonical_kraus(t))
-    wp = np.linalg.pinv(w, rcond=0.0)
+    """Density W+ C_s W+* of s on t's canonical stack W, with W+ built one
+    operator at a time: row x is conj(w_x) / ||w_x||^2, or zero for a zero
+    operator, which is pinv(W) for W's orthogonal columns."""
+    rows = []
+    for v in reference_canonical_kraus(t):
+        col = reference_kraus_stack([v])[:, 0]
+        sq = (col.real**2 + col.imag**2).sum()
+        rows.append(col.conj() / sq if sq > 0.0 else np.zeros_like(col))
+    wp = np.array(rows)
     cs = reference_to_choi(s).matrix / s.dim_in
     return hermitize(wp @ cs @ wp.conj().T)
 

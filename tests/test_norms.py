@@ -309,6 +309,17 @@ def test_ascent_on_a_tiny_pair(factor):
     assert rep.lower == lower
 
 
+def test_ascent_stop_is_scale_free():
+    # a restart stops on a gain relative to its value, so scaling both maps
+    # by c scales the lower estimate by c and leaves the stopping steps alone
+    rng = np.random.default_rng(25)
+    t1, t2 = rand_channel(rng, 3, 3, n_kraus=2), rand_channel(rng, 3, 3, n_kraus=2)
+    base = norm_report(t1, t2, restarts=4).lower
+    for c in (1e-6, 1e-12):
+        lower = norm_report(scale(t1, c), scale(t2, c), restarts=4).lower
+        assert abs(lower / c - base) <= 1e-8 * base
+
+
 def test_norm_report_one_dimensional_output():
     # maps into C are states rho_i = sum_x v_x v_x*, and the distinguishability
     # norm is ||rho1 - rho2||_1; y is 1 x 1, so no second eigenvalue exists

@@ -142,19 +142,12 @@ def test_psd_leq_transitive_on_exact_fixtures():
     assert numerics.psd_leq(a, c, tol=0.0)
 
 
-def test_pinv_penrose():
-    m = rand_matrix(5, 3) @ rand_matrix(3, 4)  # rank <= 3
-    p = numerics.pinv(m)
-    assert np.allclose(m @ p @ m, m, atol=1e-9)
-    assert np.allclose(p @ m @ p, p, atol=1e-9)
-    assert np.allclose((m @ p).conj().T, m @ p, atol=1e-9)
-    assert np.allclose((p @ m).conj().T, p @ m, atol=1e-9)
-
-
-def test_pinv_rank_cutoff():
-    m = np.diag([2.0, 0.5, 1e-14])
-    p = numerics.pinv(m)
-    assert np.allclose(np.diag(p).real, [0.5, 2.0, 0.0])
+def test_psd_rank_counts_the_leading_cut():
+    assert numerics.psd_rank(np.array([2.0, 1.0, 2e-10, 1e-10, 0.0])) == 3
+    assert numerics.psd_rank(np.array([2.0, 1.0, 0.5]), tol=0.5) == 2
+    assert numerics.psd_rank(np.array([0.0, -1.0])) == 0
+    assert numerics.psd_rank(np.array([-1e-17])) == 0
+    assert numerics.psd_rank(np.array([])) == 0
 
 
 def test_psd_sqrt_squares_back():

@@ -13,6 +13,7 @@ from cp_calculus.cpmap import (
     add,
     apply,
     canonicalize,
+    from_choi,
     is_channel,
     scale,
     to_choi,
@@ -208,27 +209,25 @@ def _dominator_calls(m, n):
 
 
 def test_dominator_prepared_once_per_map(monkeypatch):
-    # canonicalize keeps its family on the map and _prepare keeps (W,
-    # pinv(W)) on that family, so five calls against one map take one
-    # eigensolve of its process operator and one pinv
+    # canonicalize keeps its family on the map and _prepare keeps (W, W+)
+    # on that family, so five calls against one map take one eigensolve of
+    # its process operator and one _stack entry, which no call replaces
     t, calls = _dominator_calls(3, 2)
     choi = to_choi(t).matrix
     seen = Counter()
-    eig, pinv = cpmap.herm_eig, radon.pinv
+    eig = cpmap.herm_eig
 
     def counted_eig(m):
         seen["eig"] += np.array_equal(m, choi)
         return eig(m)
 
-    def counted_pinv(*args):
-        seen["pinv"] += 1
-        return pinv(*args)
-
     monkeypatch.setattr(cpmap, "herm_eig", counted_eig)
-    monkeypatch.setattr(radon, "pinv", counted_pinv)
+    stacks = []
     for call in calls.values():
         call(t)
-    assert dict(seen) == {"eig": 1, "pinv": 1}
+        stacks.append(canonicalize(t).__dict__["_stack"])
+    assert dict(seen) == {"eig": 1}
+    assert all(stack is stacks[0] for stack in stacks)
 
 
 DOMINATOR_CALLS = ["rn_derivative", "c_min", "rescaled_kraus", "rn_reconstruct", "instrument_rn"]
@@ -433,6 +432,51 @@ def test_passing_checks_take_no_svd(norm_calls, name):
     # and ChoiOperator takes its scale only for an eigenvalue below -EPS_PSD
     DECISIONS[name]()
     assert dict(norm_calls) == {}
+
+
+def _spanning_family(rng, m, n, k):
+    """from_choi of a process operator whose k eigenvalues run from 1 down
+    to 1.5e-10, ten decades, all above from_choi's RANK_TOL cut."""
+    a = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
+    q = np.linalg.qr(a)[0][:, :k]
+    c = m * (q * np.geomspace(1.0, 1.5e-10, k)) @ q.conj().T
+    return from_choi(ChoiOperator(m, n, numerics.hermitize(c)))
+
+
+def test_prepare_inverts_canonical_stacks():
+    # W's columns are orthogonal, so W+ is W* with row x divided by
+    # ||w_x||^2: W W+ is the orthogonal projector onto W's range
+    rng = np.random.default_rng(2201)
+    spanning = [_spanning_family(rng, m, n, k) for m, n, k in [(2, 2, 4), (2, 3, 6), (4, 4, 16)]]
+    randoms = [
+        canonicalize(rand_cp_map(rng, m, n, n_kraus=int(rng.integers(1, m * n + 1))))
+        for m, n in [(2, 2), (2, 3), (4, 4), (16, 16)]
+    ]
+    for family in spanning + randoms:
+        w, wp = _prepare(family)
+        assert w.shape[1] == len(family.kraus)
+        p = w @ wp
+        assert np.abs(p - p.conj().T).max() <= 1e-12
+        assert np.abs(p @ p - p).max() <= 1e-12
+        assert np.abs(p @ w - w).max() <= 1e-12 * np.abs(w).max()
+        # the density certifies itself: rn_derivative's residual check passes
+        der = rn_derivative(scale(family, 0.3), family)
+        assert der.env_dim == len(family.kraus)
+    for family in randoms:
+        w, wp = _prepare(family)
+        assert np.abs(wp @ w - np.eye(w.shape[1])).max() <= 1e-12
+        s = scale(family, rng.uniform(0.1, 0.9))
+        want = np.linalg.pinv(w, rcond=0.0)
+        cs = to_choi(s).matrix / s.dim_in
+        want = numerics.hermitize(want @ cs @ want.conj().T)
+        got = rn_derivative(s, family).matrix
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the zero map's one zero column gives a zero row, as pinv does, with no
+    # RuntimeWarning (an error in this suite)
+    zero = canonicalize(CpMap(2, 3, (np.zeros((2, 3)),)))
+    w, wp = _prepare(zero)
+    assert np.array_equal(wp, np.zeros((1, 6))) and np.array_equal(wp, np.linalg.pinv(w))
+    assert np.array_equal(rn_derivative(zero, zero).matrix, np.zeros((1, 1)))
 
 
 def test_not_dominated_takes_exact_path(norm_calls):

@@ -163,7 +163,7 @@ def test_no_identity_kronecker_temporaries(path):
 # directly only where the norm is a result or is printed.  A new residual
 # check either uses the helper or edits this pin on purpose.
 OP_NORM_SITES = {
-    "duality.faithful_rn": 2,  # the constant, and the limit it is held to
+    "duality.faithful_rn": 1,  # the limit the constant is held to
     "norms._bound_dilation": 2,
     "norms._bound_rn": 2,
     "norms.bound_dilation_diff": 1,  # the gap, which norm_report passes in
