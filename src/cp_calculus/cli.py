@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -102,7 +101,7 @@ class _Kind(NamedTuple):
     describe: Callable  # fields of the ``validate`` report
 
 
-_KINDS = {  # keyed by type name: the POVM and state classes load with their layers
+_KINDS = {  # keyed by type name: parsing the first POVM or state loads its layer
     "CpMap": _Kind(
         "a CP map",
         lambda t: [t.dim_in, t.dim_out],
@@ -209,15 +208,14 @@ class _Command(NamedTuple):
 
     A kind is a type name, or a tuple of them; a variadic command repeats
     its last kind.  ``bad_input`` turns a load failure into a report, not a
-    usage error.  ``layer`` is the module the handler runs, imported before
-    the inputs are parsed; handlers reach it through the package.
+    usage error.  Handlers reach their layers through the package, which
+    imports each on its first lookup.
     """
 
     kinds: tuple
     run: Callable
     variadic: bool = False
     bad_input: Callable | None = None
-    layer: str = "cpmap"
 
 
 _EITHER = ("CpMap", "ChoiOperator")
@@ -230,35 +228,30 @@ _COMMANDS = {
     "choi": _Command(("CpMap",), lambda o, t: (0, choi_to_json(to_choi(t)))),
     "canonical": _Command(("CpMap",), lambda o, t: (0, cpmap_to_json(canonicalize(t)))),
     "apply": _Command((_EITHER, "ndarray"), _apply),
-    "dominate": _Command(("CpMap", "CpMap"), _dominate, layer="radon"),
+    "dominate": _Command(("CpMap", "CpMap"), _dominate),
     "derivative": _Command(
         ("CpMap", "CpMap"),
         lambda o, s, t: (0, _fields(cp.rn_derivative(s, t))),
-        layer="radon",
     ),
-    "cmin": _Command(("CpMap", "CpMap"), _cmin, layer="order"),
+    "cmin": _Command(("CpMap", "CpMap"), _cmin),
     "chain": _Command(
         ("CpMap",),
         lambda o, *maps: (0, _fields(cp.order_chain_dilation(maps))),
         variadic=True,
-        layer="order",
     ),
     "naimark": _Command(
         ("PovmDecomposition",),
         lambda o, povm: (0, _fields(cp.naimark_dilate(povm))),
-        layer="order",
     ),
-    "compose": _Command((_EITHER, _EITHER), _compose, layer="duality"),
-    "diamond": _Command(("CpMap", "CpMap"), _diamond, layer="norms"),
+    "compose": _Command((_EITHER, _EITHER), _compose),
+    "diamond": _Command(("CpMap", "CpMap"), _diamond),
     "bounds": _Command(
         ("CpMap", "CpMap"),
         lambda o, t1, t2: (0, _fields(cp.norm_report(t1, t2, o.seed, o.restarts))),
-        layer="norms",
     ),
     "faithful": _Command(
         ("CpMap", "FaithfulState"),
         lambda o, t, w: (0, _fields(cp.faithful_rn(t, w))),
-        layer="duality",
     ),
 }
 
@@ -272,7 +265,6 @@ def dispatch(args: argparse.Namespace):
     if count < lo or (count > lo and not cmd.variadic):
         expected = f"at least {lo}" if cmd.variadic else str(lo)
         raise SchemaError(f"{args.command} takes {expected} input file(s), got {count}")
-    import_module(f"{__package__}.{cmd.layer}")
     try:
         loaded = [_load(path, args.max_dim) for path in args.inputs]
     except SchemaError as exc:

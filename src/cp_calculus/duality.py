@@ -224,14 +224,14 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     m, n = t.dim_in, t.dim_out
     if w.dim != m:
         raise DimMismatch(f"state dim {w.dim} does not match input dim {m}")
-    stack = _columns(faithful_channel(w, n).kraus_array)
+    phi = faithful_channel(w, n)
+    stack = _columns(phi.kraus_array)
     # W holds n copies of one m x m diagonal block: pinv(W) inverts it once
     wp = np.eye(n)[:, None, :, None] * np.linalg.inv(stack[:m, :m])[:, None, :]
     ct = to_choi(t)
     f = _density(ct, stack, wp.reshape(stack.shape))
     c = max(0.0, float(np.linalg.eigvalsh(f)[-1]))
-    # m W W* is the faithful channel's process operator, as to_choi forms it
-    if not psd_leq(ct.matrix, c * (m * (stack @ stack.conj().T))):
+    if not psd_leq(ct.matrix, c * to_choi(phi).matrix):
         raise InvariantViolation(
             f"map is not dominated by {c!r} times the faithful channel"
         )

@@ -44,23 +44,13 @@ def cb_norm_cp(t: CpMap) -> float:
     return float(op_norm(apply(t, np.eye(t.dim_in))))
 
 
-def _process_difference(k1, k2):
-    """G[(i,j),(p,q)] = sum_k conj(K1[k,p,i]) K1[k,q,j], minus the same for
-    K2, as an (n^2, m^2) array for (k, m, n) Kraus arrays.  Each map's sum
-    is formed before the subtraction, so identical maps give exactly 0."""
-    m, n = k1.shape[1:]
-    g1 = np.tensordot(k1.conj(), k1, axes=(0, 0)).transpose(1, 3, 0, 2)
-    g2 = np.tensordot(k2.conj(), k2, axes=(0, 0)).transpose(1, 3, 0, 2)
-    return (g1 - g2).reshape(n * n, m * m)
-
-
 def _ascend(k1, k2, dim, rngs, max_iter, tol, *, g):
     """Restarts of the alternating ascent, one per generator in ``rngs``,
     run as one stack; returns (best value, total iterations).
 
     ``k1`` and ``k2`` are the maps' (k, m, n) Kraus arrays, ``dim`` is n * r
-    for an ancilla of dimension r, and ``g`` is their
-    ``_process_difference``.  No Kronecker factor is formed.  With
+    for an ancilla of dimension r, and ``g`` is their process operators'
+    (C1 - C2) / m, (out, out) by (in, in).  No Kronecker factor is formed.  With
     Psi = psi.reshape(n, r), (K (x) 1_r) psi is (K Psi).reshape(-1), so
     x = sum_k (K_k (x) 1_r) psi psi* (K_k (x) 1_r)*, minus the same for the
     second map, is one GEMM per map on the stacked vectors.  y, the dual
@@ -129,19 +119,23 @@ def _count(value, name: str) -> int:
 
 
 def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol):
+    """(best value, summed steps, c1, c2), c_i the process operator of t_i."""
     _check_same_dims(t1, t2)
     restarts = _count(restarts, "restarts")
     r = _count(t1.dim_out if ancilla_dim is None else ancilla_dim, "ancilla dimension")
-    side = max(t1.dim_in, t1.dim_out) * r
+    m, n = t1.dim_in, t1.dim_out
+    side = max(m, n) * r
     if side > MAX_DIM:
         raise DimensionLimit(f"ascent dimension {side} exceeds {MAX_DIM}")
+    c1, c2 = to_choi(t1), to_choi(t2)
+    diff = (c1.matrix - c2.matrix).reshape(n, m, n, m)
+    g = diff.transpose(0, 2, 1, 3).reshape(n * n, m * m) / m
     k1, k2 = t1.kraus_array, t2.kraus_array
-    g = _process_difference(k1, k2)
     rngs = [np.random.default_rng([seed, i]) for i in range(restarts)]
     size = max(1, STACK_ENTRIES // side**2)
     stacks = [rngs[start : start + size] for start in range(0, restarts, size)]
-    results = [_ascend(k1, k2, t1.dim_out * r, s, max_iter, tol, g=g) for s in stacks]
-    return max(v for v, _ in results), sum(n for _, n in results)
+    results = [_ascend(k1, k2, n * r, s, max_iter, tol, g=g) for s in stacks]
+    return max(v for v, _ in results), sum(k for _, k in results), c1, c2
 
 
 def diamond_lower(
@@ -173,8 +167,7 @@ def diamond_lower(
     bool, raises ValueError, and max(dim_in, dim_out) * r above MAX_DIM
     raises DimensionLimit before anything is allocated.
     """
-    value, _ = _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol)
-    return value
+    return _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol)[0]
 
 
 def bound_rn(t1: CpMap, t2: CpMap) -> float:
@@ -298,18 +291,17 @@ def norm_report(
 ) -> NormReport:
     """Run the full bracket: lower estimate plus both upper bounds.
 
-    t1's and t2's process operators, formed once, serve both bounds and
-    the cb_exact test: when the difference of the maps is CP in either
+    t1's and t2's process operators, formed once, serve the search, both
+    bounds and the cb_exact test: when the difference of the maps is CP in either
     direction the CB norm has the closed form ||(t1 - t2)(1)||, reported
     as cb_exact (else None).  ``workers`` is accepted and ignored, and
     ``restarts`` is checked as diamond_lower checks it.  A
     lower estimate above either upper bound, or a common-dilation gap
     ||v1 - v2|| above dim_in * sqrt(upper_rn), raises InvariantViolation.
     """
-    lower, iterations = _diamond_search(
+    lower, iterations, c1, c2 = _diamond_search(
         t1, t2, seed, restarts, None, ASCENT_MAX_ITER, ASCENT_TOL
     )
-    c1, c2 = to_choi(t1), to_choi(t2)
     upper_rn = _upper_bound("upper_rn", _bound_rn(c1, c2), lower)
     pair = _common_dilation(c1, c2)
     gap = op_norm(pair.v1 - pair.v2)

@@ -9,8 +9,9 @@ Extraction works on the canonical Kraus stack W (columns vec(V_x*)): the
 unnormalized process matrix of S equals W F W* up to scaling, so
 F = W+ @ choi_unnormalized(S) @ W+*, W+ being W* with row x divided by
 ||w_x||^2 (W's columns are orthogonal).  Reconstruction residual and
-the eigenvalue window of F together decide domination exactly, which is why
-no separate order check is run first.  This compression is the library's
+the eigenvalue window of F are the density's domination criterion, run in
+place of an order check; ``dominates`` tests process operators, and the
+two can disagree within about 1e-9.  This compression is the library's
 one density computation, and the dominating Kraus family is the dominator:
 c_min is F's top eigenvalue; duality inverts its own block-diagonal stack.
 """
@@ -140,7 +141,8 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
 
     Raises NotDominated when the reconstruction residual exceeds tolerance
     (support escape) or F's spectrum leaves [0, 1] beyond EPS_PSD; those
-    two checks are exactly the domination criterion.  T's canonical family,
+    two checks are the density's domination criterion, which can contradict
+    ``dominates`` within about 1e-9.  T's canonical family,
     its stack W and W's closed-form inverse are computed once per map
     object, so every S against one ``t`` reuses them.
     """

@@ -19,9 +19,10 @@ acting on one reshaped factor; ``env_sandwich`` computes V*(A (x) P)V the
 same way, for environments too large to form A (x) P.  ``reference_ascend``
 is one restart of the norms ascent on the dense kron(V, 1_r) stacks,
 decomposed by ``herm_eig``, which the GEMM form must follow step for step
-when x has full rank.  ``golden_map`` loads a CLI golden input map, its
-Kraus operators optionally multiplied by one global phase, which changes
-no map.
+when x has full rank; ``ascent_input`` is the ascent's other input, the
+``to_choi`` difference regrouped.  ``golden_map`` loads a CLI golden input
+map, its Kraus operators optionally multiplied by one global phase, which
+changes no map.
 
 No ``assert`` here: pytest rewrites asserts only in test modules, so
 ``python -O`` would strip them from this file.
@@ -337,6 +338,14 @@ def reference_naimark_pvm(d, k):
 def reference_chain_projections(d, k, length):
     """Partial sums of the first ``length`` dense Naimark projections."""
     return np.cumsum(reference_naimark_pvm(d, k)[:length], axis=0)
+
+
+def ascent_input(t1, t2):
+    """The norms ascent's ``g``: (C1 - C2) / m for the maps' ``to_choi``
+    process operators, regrouped to ((out, out), (in, in)) indices."""
+    m, n = t1.dim_in, t1.dim_out
+    diff = (to_choi(t1).matrix - to_choi(t2).matrix).reshape(n, m, n, m)
+    return diff.transpose(0, 2, 1, 3).reshape(n * n, m * m) / m
 
 
 def reference_ascend(k1, k2, dim, rng, max_iter, tol):

@@ -365,7 +365,7 @@ def test_diamond_lower_rejects_ancilla_before_allocating(monkeypatch, case):
     def allocates(*args, **kwargs):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(norms, "_process_difference", allocates)
+    monkeypatch.setattr(norms, "to_choi", allocates)
     monkeypatch.setattr(norms, "_ascend", allocates)
     with pytest.raises(getattr(errors, cls, ValueError)) as info:
         diamond_lower(t1, t2, restarts=2, ancilla_dim=ancilla_dim)
@@ -391,7 +391,7 @@ def test_restarts_rejected_before_allocating(monkeypatch, fn, case):
     def allocates(*args, **kwargs):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(norms, "_process_difference", allocates)
+    monkeypatch.setattr(norms, "to_choi", allocates)
     monkeypatch.setattr(norms, "_ascend", allocates)
     with pytest.raises(ValueError) as info:
         fn(ID2, FLIP, restarts=restarts)

@@ -284,6 +284,17 @@ def test_diamond_and_bounds_reports(files, capsys):
     assert report["cb_exact"] is None
 
 
+@pytest.mark.parametrize("command", ["diamond", "bounds"])
+def test_ascent_dimension_limit_exits_3(files, capsys, command):
+    # a 1 x 130 map passes --max-dim, but the ascent's side, dim_out times
+    # an ancilla of dim_out, is 16900: a domain failure, like a Naimark one
+    _, write = files
+    t = write("t.json", cpmap_to_json(CpMap(1, 130, (np.ones((1, 130)),))))
+    code, out, err = run([command, t, t], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: ascent dimension 16900 exceeds 16384\n"
+
+
 def test_faithful_command(files, capsys):
     _, write = files
     t = write("t.json", cpmap_to_json(IDENT))

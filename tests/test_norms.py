@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from cp_calculus.cpmap import CpMap, add, apply, scale, to_choi
-from cp_calculus import cpmap, duality, norms, radon
+from cp_calculus.cpmap import CpMap, add, apply, scale
+from cp_calculus import cpmap, norms
 from cp_calculus.errors import DimMismatch, InvariantViolation, ShapeMismatch
 from cp_calculus.duality import jam_forward
 from cp_calculus.norms import (
@@ -20,6 +20,7 @@ from cp_calculus.norms import (
 from cp_calculus.numerics import herm_eig, op_norm, psd_sqrt
 from cp_calculus.radon import rn_derivative
 from helpers import (
+    ascent_input,
     env_sandwich,
     golden_map,
     rand_channel,
@@ -93,9 +94,9 @@ def test_diamond_ancilla_saturation():
 def test_ascend_matches_dense_reference(m, n, r, k):
     for seed in range(3):
         rng = np.random.default_rng([seed, m, n, r, k])
-        k1 = rand_channel(rng, m, n, n_kraus=k).kraus_array
-        k2 = rand_operation(rng, m, n, n_kraus=k).kraus_array
-        g = norms._process_difference(k1, k2)
+        t1 = rand_channel(rng, m, n, n_kraus=k)
+        t2 = rand_operation(rng, m, n, n_kraus=k)
+        k1, k2, g = t1.kraus_array, t2.kraus_array, ascent_input(t1, t2)
         want = []
         for ridx in range(4):
             got = norms._ascend(k1, k2, n * r, [np.random.default_rng(ridx)], 200, 1e-10, g=g)
@@ -137,9 +138,9 @@ STACK_CASES = [
 @pytest.mark.parametrize("m, n, r, k, same", STACK_CASES)
 def test_stacked_restarts_match_each_run_alone(m, n, r, k, same):
     rng = np.random.default_rng([7, m, n, k])
-    k1 = rand_channel(rng, m, n, n_kraus=k).kraus_array
-    k2 = k1 if same else rand_operation(rng, m, n, n_kraus=k).kraus_array
-    g = norms._process_difference(k1, k2)
+    t1 = rand_channel(rng, m, n, n_kraus=k)
+    t2 = t1 if same else rand_operation(rng, m, n, n_kraus=k)
+    k1, k2, g = t1.kraus_array, t2.kraus_array, ascent_input(t1, t2)
 
     def run(ridxs):
         rngs = [np.random.default_rng([3, ridx]) for ridx in ridxs]
@@ -159,7 +160,7 @@ def test_stack_boundaries_leave_results_unchanged(monkeypatch, m, n, r, k, same)
     rng = np.random.default_rng([8, m, n, k])
     t1 = rand_channel(rng, m, n, n_kraus=k)
     t2 = t1 if same else rand_operation(rng, m, n, n_kraus=k)
-    whole = norms._diamond_search(t1, t2, 4, 7, r, 200, 1e-10)
+    whole = norms._diamond_search(t1, t2, 4, 7, r, 200, 1e-10)[:2]
     sizes = []
 
     def recorded(k1, k2, dim, rngs, *args, **kwargs):
@@ -172,7 +173,7 @@ def test_stack_boundaries_leave_results_unchanged(monkeypatch, m, n, r, k, same)
     for per_stack, expected in ((1, [1] * 7), (3, [3, 3, 1])):
         monkeypatch.setattr(norms, "STACK_ENTRIES", per_stack * side**2)
         sizes.clear()
-        assert norms._diamond_search(t1, t2, 4, 7, r, 200, 1e-10) == whole
+        assert norms._diamond_search(t1, t2, 4, 7, r, 200, 1e-10)[:2] == whole
         assert sizes == expected
 
 
@@ -499,23 +500,28 @@ def test_norm_report_rejects_dilation_gap(monkeypatch):
         norm_report(IDENT, XCONJ, seed=0, restarts=2)
 
 
-def test_norm_report_forms_each_process_operator_once(monkeypatch):
-    # t1's and t2's: both bounds and the cb_exact test share them, and the
-    # sum's is their sum, not the process operator of a Kraus-union map
-    calls = []
+@pytest.mark.parametrize("fn", [diamond_lower, norm_report], ids=lambda fn: fn.__name__)
+def test_each_process_operator_is_formed_once(monkeypatch, fn):
+    # t1's and t2's, counted wherever the package binds to_choi: the ascent
+    # regroups their difference, both bounds and the cb_exact test share
+    # them, and the sum's is their sum, not that of a Kraus-union map
+    seen = []
+    orig = cpmap.to_choi
 
     def counted(t):
-        calls.append(t)
-        return to_choi(t)
+        seen.append(t)
+        return orig(t)
 
-    for module in (cpmap, duality, norms, radon):
-        monkeypatch.setattr(module, "to_choi", counted)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cp_calculus.") and getattr(mod, "to_choi", None) is orig:
+            monkeypatch.setattr(mod, "to_choi", counted)
     rng = np.random.default_rng(3)
     t = rand_channel(rng, 2, 3)
     for t2 in (rand_channel(rng, 2, 3), scale(t, 0.7)):
-        calls.clear()
-        norm_report(t, t2, seed=0, restarts=2)
-        assert len(calls) == 2
+        seen.clear()
+        fn(t, t2, seed=0, restarts=2)
+        assert [sum(x is u for x in seen) for u in (t, t2)] == [1, 1]
+        assert len(seen) == 2
 
 
 def test_upper_bounds_need_no_reference_channel_or_sum_map(monkeypatch):
@@ -555,7 +561,7 @@ def test_upper_bounds_need_no_reference_channel_or_sum_map(monkeypatch):
     [
         (2, 2, 1, 1.688307501335492, 24),
         (4, 4, 16, 1.222198909063584, 108),
-        (3, 2, 2, 1.75950406476703, 210),
+        (3, 2, 2, 1.7595040647546725, 206),
     ],
 )
 def test_norm_report_pinned_ascent(m, n, k, lower, iterations):
