@@ -48,6 +48,15 @@ def _frozen(m) -> np.ndarray:
     return m
 
 
+def _operators(kraus, shape=None) -> list[np.ndarray]:
+    """A nonempty Kraus family's operators, each through as_matrix at ``shape``."""
+    kraus = tuple(kraus)
+    if not kraus:
+        raise ShapeMismatch("a CP map needs at least one Kraus operator")
+    shape = np.shape(kraus[0]) if shape is None else shape
+    return [as_matrix(v, shape, f"kraus operator {i}") for i, v in enumerate(kraus)]
+
+
 @dataclass(frozen=True)
 class CpMap:
     """Kraus representation of a CP map, Heisenberg picture.
@@ -63,20 +72,7 @@ class CpMap:
     kraus_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise ShapeMismatch("dimensions must be at least 1")
-        if not self.kraus:
-            raise ShapeMismatch("a CP map needs at least one Kraus operator")
-        ops = []
-        for idx, v in enumerate(self.kraus):
-            v = as_matrix(v)
-            if v.shape != (self.dim_in, self.dim_out):
-                raise ShapeMismatch(
-                    f"kraus operator {idx} has shape {v.shape}, "
-                    f"expected {(self.dim_in, self.dim_out)}"
-                )
-            ops.append(v)
-        ops = _frozen(ops)
+        ops = _frozen(_operators(self.kraus, (self.dim_in, self.dim_out)))
         self.__dict__.update(kraus=tuple(ops), kraus_array=ops)
 
 
@@ -85,6 +81,15 @@ def _check_hermitian(m: np.ndarray, prefix: str = "") -> None:
     dev = norm_excess(m - m.conj().T, lambda s: EPS_HERM * max(1.0, s), m)
     if dev is not None:
         raise NotHermitian(f"{prefix}deviation from Hermiticity {dev:.3e}")
+
+
+def _check_psd(m: np.ndarray, prefix: str = "") -> None:
+    """_check_hermitian, then raise NotPsd unless psd_leq(0, m) holds."""
+    _check_hermitian(m, prefix)
+    w = np.linalg.eigvalsh(hermitize(m))
+    scale = max(-w[0], w[-1])
+    if w[0] < -EPS_PSD * max(1.0, scale):
+        raise NotPsd(f"{prefix}eigenvalue {w[0]:.3e} below zero at scale {scale:.3e}")
 
 
 @dataclass(frozen=True)
@@ -100,17 +105,11 @@ class ChoiOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim_in < 1 or self.dim_out < 1:
+        if self.dim_in < 1 or self.dim_out < 1:  # -1 * -1 would pass as a side
             raise ShapeMismatch("dimensions must be at least 1")
-        m = as_matrix(self.matrix)
         d = self.dim_in * self.dim_out
-        if m.shape != (d, d):
-            raise ShapeMismatch(f"expected shape {(d, d)}, got {m.shape}")
-        _check_hermitian(m)
-        w = np.linalg.eigvalsh(hermitize(m))
-        scale = max(-w[0], w[-1])
-        if w[0] < -EPS_PSD * max(1.0, scale):
-            raise NotPsd(f"eigenvalue {w[0]:.3e} below zero at scale {scale:.3e}")
+        m = as_matrix(self.matrix, (d, d))
+        _check_psd(m)
         object.__setattr__(self, "matrix", _frozen(m.copy()))
 
 
@@ -139,7 +138,7 @@ class StinespringDilation:
 
     ``matrix`` has shape (dim_in * env_dim) x dim_out with the environment
     index fastest, i.e. row (i, x) = i * env_dim + x holds component x of
-    the image of basis vector i.
+    the image of basis vector i.  Every dimension must be at least 1.
     """
 
     dim_in: int
@@ -149,12 +148,7 @@ class StinespringDilation:
     minimal: bool
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape != (self.dim_in * self.env_dim, self.dim_out):
-            raise ShapeMismatch(
-                f"expected shape {(self.dim_in * self.env_dim, self.dim_out)}, "
-                f"got {m.shape}"
-            )
+        m = as_matrix(self.matrix, (self.dim_in * self.env_dim, self.dim_out))
         object.__setattr__(self, "matrix", _frozen(m.copy()))
 
 
@@ -167,18 +161,14 @@ def _check_same_dims(s: CpMap, t: CpMap):
 
 def apply(t: CpMap, a) -> np.ndarray:
     """Heisenberg action sum_x V_x* A V_x on a dim_in x dim_in matrix."""
-    a = as_matrix(a)
-    if a.shape != (t.dim_in, t.dim_in):
-        raise ShapeMismatch(f"expected {(t.dim_in, t.dim_in)}, got {a.shape}")
+    a = as_matrix(a, (t.dim_in, t.dim_in), "input")
     ops = t.kraus_array
     return (ops.conj().transpose(0, 2, 1) @ a @ ops).sum(axis=0)
 
 
 def apply_dual(t: CpMap, rho) -> np.ndarray:
     """Predual action sum_x V_x rho V_x* on a dim_out x dim_out matrix."""
-    rho = as_matrix(rho)
-    if rho.shape != (t.dim_out, t.dim_out):
-        raise ShapeMismatch(f"expected {(t.dim_out, t.dim_out)}, got {rho.shape}")
+    rho = as_matrix(rho, (t.dim_out, t.dim_out), "input")
     ops = t.kraus_array
     return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
@@ -189,7 +179,7 @@ def kraus_stack(kraus) -> np.ndarray:
     The Choi operator equals dim_in times the outer product W W* of this
     stack, which is what ties the kernel calculus to plain linear algebra.
     """
-    return _columns(np.array([as_matrix(v) for v in kraus]))
+    return _columns(np.array(_operators(kraus)))
 
 
 def _columns(ops: np.ndarray) -> np.ndarray:

@@ -109,10 +109,8 @@ def jam_apply(f: ChoiOperator, a) -> np.ndarray:
     standard basis, as one tensordot of a with F's input indices, so no
     identity factor is formed; for F = jam_forward(t) this equals apply(t, a).
     """
-    a = as_matrix(a)
     m, n = f.dim_in, f.dim_out
-    if a.shape != (m, m):
-        raise ShapeMismatch(f"expected shape {(m, m)}, got {a.shape}")
+    a = as_matrix(a, (m, m), "input")
     return np.tensordot(f.matrix.reshape(n, m, n, m), a, axes=([1, 3], [0, 1])) / m
 
 
@@ -167,9 +165,8 @@ class FaithfulState:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         m = p.size
-        b = np.eye(m, dtype=complex) if self.basis is None else as_matrix(self.basis)
-        if b.shape != (m, m):
-            raise ShapeMismatch(f"basis has shape {b.shape}, expected {(m, m)}")
+        b = self.basis
+        b = np.eye(m, dtype=complex) if b is None else as_matrix(b, (m, m), "basis")
         if norm_excess(b @ b.conj().T - np.eye(m), 1e-8) is not None:
             raise ValueError("basis columns are not orthonormal")
         p = p.copy()

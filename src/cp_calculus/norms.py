@@ -27,7 +27,7 @@ from .cpmap import (
     from_choi,
     to_choi,
 )
-from .errors import DimensionLimit, InvariantViolation, ShapeMismatch
+from .errors import DimensionLimit, InvariantViolation
 from .numerics import MAX_DIM, as_matrix, op_norm, partial_trace, psd_leq, psd_sqrt
 from .radon import _derivative
 
@@ -199,7 +199,7 @@ class CommonDilationPair:
 
     Both operators act from the output space to (input) x (environment)
     with env_dim = dim_in * dim_out, and each map is recovered as
-    T_i(A) = V_i*(A (x) 1)V_i.
+    T_i(A) = V_i*(A (x) 1)V_i.  Every dimension must be at least 1.
     """
 
     dim_in: int
@@ -210,10 +210,7 @@ class CommonDilationPair:
     def __post_init__(self):
         shape = (self.dim_in * self.env_dim, self.dim_out)
         for name, v in (("v1", self.v1), ("v2", self.v2)):
-            v = as_matrix(v)
-            if v.shape != shape:
-                raise ShapeMismatch(f"{name} has shape {v.shape}, expected {shape}")
-            object.__setattr__(self, name, _frozen(v.copy()))
+            object.__setattr__(self, name, _frozen(as_matrix(v, shape, name).copy()))
 
     @property
     def env_dim(self) -> int:

@@ -29,13 +29,19 @@ def recon_tol(scale: float) -> float:
     return 1e-9 * max(1.0, float(scale))
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a complex 2-d array, rejecting non-finite entries."""
+def as_matrix(a, shape=None, what: str = "matrix") -> np.ndarray:
+    """Coerce to a complex 2-d array, without copying, rejecting non-finite
+    entries and, with ``shape`` given, sides below 1 (checked first) and any
+    other shape; the one place a shape meets its expected one."""
+    if shape and min(shape) < 1:
+        raise ShapeMismatch("dimensions must be at least 1")
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got array of ndim {m.ndim}")
     if not np.isfinite(m).all():
         raise ShapeMismatch("matrix entries must be finite")
+    if shape is not None and m.shape != shape:
+        raise ShapeMismatch(f"{what} has shape {m.shape}, expected {shape}")
     return m
 
 
@@ -52,12 +58,7 @@ def partial_trace(m, over: str, d1: int, d2: int) -> np.ndarray:
     ``over`` selects the factor: "first" returns a d2 x d2 matrix, "second"
     a d1 x d1 matrix.
     """
-    m = as_matrix(m)
-    if m.shape != (d1 * d2, d1 * d2):
-        raise ShapeMismatch(
-            f"expected shape {(d1 * d2, d1 * d2)} for factors {d1}x{d2}, got {m.shape}"
-        )
-    t = m.reshape(d1, d2, d1, d2)
+    t = as_matrix(m, (d1 * d2, d1 * d2)).reshape(d1, d2, d1, d2)
     if over == "first":
         return np.einsum("ikil->kl", t)
     if over == "second":

@@ -39,7 +39,6 @@ from .errors import (
     NotAnOperation,
     NotDominated,
     NotMonotone,
-    ShapeMismatch,
 )
 from .numerics import (
     EPS_PSD,
@@ -203,6 +202,7 @@ class PvmChain:
 
     Each input map satisfies T_k(A) = isometry*(A (x) projections[k])isometry,
     with projections orthogonal, increasing, and contained in the identity.
+    Every dimension must be at least 1.
     """
 
     dim_in: int
@@ -212,20 +212,14 @@ class PvmChain:
     projections: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        iso = as_matrix(self.isometry)
-        if iso.shape != (self.dim_in * self.env_dim, self.dim_out):
-            raise ShapeMismatch(
-                f"isometry shape {iso.shape}, expected "
-                f"{(self.dim_in * self.env_dim, self.dim_out)}"
-            )
-        projs = []
-        for idx, p in enumerate(self.projections):
-            p = as_matrix(p)
-            if p.shape != (self.env_dim, self.env_dim):
-                raise ShapeMismatch(f"projection {idx} has shape {p.shape}")
-            projs.append(_frozen(p.copy()))
+        e = self.env_dim
+        iso = as_matrix(self.isometry, (self.dim_in * e, self.dim_out), "isometry")
+        projs = tuple(
+            _frozen(as_matrix(p, (e, e), f"projection {idx}").copy())
+            for idx, p in enumerate(self.projections)
+        )
         object.__setattr__(self, "isometry", _frozen(iso.copy()))
-        object.__setattr__(self, "projections", tuple(projs))
+        object.__setattr__(self, "projections", projs)
 
 
 def order_chain_dilation(chain) -> PvmChain:

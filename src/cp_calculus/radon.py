@@ -26,6 +26,7 @@ from .cpmap import (
     ChoiOperator,
     CpMap,
     _check_hermitian,
+    _check_psd,
     _check_same_dims,
     _columns,
     _frozen,
@@ -88,22 +89,14 @@ class PovmDecomposition:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.elements:
+        elements = tuple(self.elements)
+        if not elements:
             raise ShapeMismatch("a POVM needs at least one element")
+        shape = np.shape(elements[0])[:1] * 2  # (d, d), d the first element's rows
         mats = []
-        d = None
-        for idx, f in enumerate(self.elements):
-            f = as_matrix(f)
-            if f.shape[0] != f.shape[1]:
-                raise ShapeMismatch(f"element {idx} is not square: {f.shape}")
-            if d is None:
-                d = f.shape[0]
-            elif f.shape[0] != d:
-                raise ShapeMismatch(f"element {idx} has dim {f.shape[0]}, expected {d}")
-            _check_hermitian(f, f"element {idx}: ")
-            w = np.linalg.eigvalsh(hermitize(f))
-            if w[0] < -EPS_PSD * max(1.0, -w[0], w[-1]):
-                raise NotPsd(f"element {idx} has eigenvalue {w[0]:.3e}")
+        for idx, f in enumerate(elements):
+            f = as_matrix(f, shape, f"element {idx}")
+            _check_psd(f, f"element {idx}: ")
             mats.append(_frozen(f.copy()))
         object.__setattr__(self, "elements", _resolution(mats))
 
@@ -195,9 +188,7 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     """
     family = canonicalize(t)
     d = len(family.kraus)
-    mat = as_matrix(f.matrix if isinstance(f, RnDerivative) else f)
-    if mat.shape != (d, d):
-        raise ShapeMismatch(f"density has shape {mat.shape}, environment dim is {d}")
+    mat = as_matrix(f.matrix if isinstance(f, RnDerivative) else f, (d, d), "density")
     _check_hermitian(mat)
     h = hermitize(mat)
     _check_window(h, NotPsd)

@@ -23,6 +23,7 @@ from cp_calculus.cpmap import (
     canonicalize,
     compose,
     from_stinespring,
+    kraus_stack,
     scale,
     to_choi,
     to_stinespring,
@@ -53,6 +54,7 @@ I2 = np.eye(2, dtype=complex)
 NON_HERMITIAN = np.eye(4, dtype=complex) + np.diag([1.0, 0.0, 0.0], k=1)
 NON_PSD = np.diag([1.0, -1.0, 0.5, 0.5]).astype(complex)
 FINITE = "matrix entries must be finite"
+DIMS = "dimensions must be at least 1"
 HERM = "deviation from Hermiticity 1.000e+00"
 PSD = "eigenvalue -1.000e+00 below zero at scale 1.000e+00"
 # a resolution of the identity whose elements are not Hermitian
@@ -98,16 +100,22 @@ CONSTRUCTORS = {
         "ShapeMismatch",
         "a CP map needs at least one Kraus operator",
     ),
-    "cpmap_dims": (
-        lambda: CpMap(0, 2, (I2,)), "ShapeMismatch", "dimensions must be at least 1"
+    "cpmap_dims": (lambda: CpMap(0, 2, (I2,)), "ShapeMismatch", DIMS),
+    "cpmap_empty_generator": (
+        lambda: CpMap(2, 2, (v for v in ())),
+        "ShapeMismatch",
+        "a CP map needs at least one Kraus operator",
     ),
     "choi_nan": (lambda: ChoiOperator(2, 2, entry(np.eye(4), 0, 0, NAN)), "ShapeMismatch", FINITE),
     "choi_inf": (lambda: ChoiOperator(2, 2, entry(np.eye(4), 2, 3, INF)), "ShapeMismatch", FINITE),
     "choi_shape": (
         lambda: ChoiOperator(2, 2, np.eye(3)),
         "ShapeMismatch",
-        "expected shape (4, 4), got (3, 3)",
+        "matrix has shape (3, 3), expected (4, 4)",
     ),
+    # each side is a product of two dims, and a pair of negative dims
+    # multiplies to a side of 1
+    "choi_negative_dims": (lambda: ChoiOperator(-1, -1, [[1.0]]), "ShapeMismatch", DIMS),
     "choi_non_hermitian": (lambda: ChoiOperator(2, 2, NON_HERMITIAN), "NotHermitian", HERM),
     "choi_non_psd": (lambda: ChoiOperator(2, 2, NON_PSD), "NotPsd", PSD),
     "stinespring_nan": (
@@ -118,20 +126,34 @@ CONSTRUCTORS = {
     "stinespring_shape": (
         lambda: StinespringDilation(2, 2, 2, I2, True),
         "ShapeMismatch",
-        "expected shape (4, 2), got (2, 2)",
+        "matrix has shape (2, 2), expected (4, 2)",
+    ),
+    "stinespring_env_dim": (
+        lambda: StinespringDilation(2, 2, 0, np.zeros((0, 2)), True), "ShapeMismatch", DIMS
+    ),
+    "stinespring_dim_in": (
+        lambda: StinespringDilation(0, 2, 2, np.zeros((0, 2)), True), "ShapeMismatch", DIMS
     ),
     "povm_nan": (lambda: PovmDecomposition((entry(I2, 0, 0, NAN),)), "ShapeMismatch", FINITE),
     "povm_shape": (
         lambda: PovmDecomposition((np.ones((2, 3)),)),
         "ShapeMismatch",
-        "element 0 is not square: (2, 3)",
+        "element 0 has shape (2, 3), expected (2, 2)",
     ),
     "povm_non_psd": (
         lambda: PovmDecomposition((np.diag([2.0, 1.0]), np.diag([-1.0, 0.0]))),
         "NotPsd",
-        "element 1 has eigenvalue -1.000e+00",
+        "element 1: eigenvalue -1.000e+00 below zero at scale 1.000e+00",
     ),
     "povm_non_hermitian": (lambda: PovmDecomposition(POVM_SKEW), "NotHermitian", POVM_HERM),
+    "povm_empty_element": (
+        lambda: PovmDecomposition((np.zeros((0, 0)),)), "ShapeMismatch", DIMS
+    ),
+    "povm_empty_generator": (
+        lambda: PovmDecomposition(f for f in ()),
+        "ShapeMismatch",
+        "a POVM needs at least one element",
+    ),
     "dilation_pair_nan": (
         lambda: CommonDilationPair(1, 1, [[1.0]], [[NAN]]), "ShapeMismatch", FINITE
     ),
@@ -140,11 +162,29 @@ CONSTRUCTORS = {
         "ShapeMismatch",
         "v2 has shape (2, 1), expected (2, 2)",
     ),
+    "dilation_pair_dim_in": (
+        lambda: CommonDilationPair(0, 2, np.zeros((0, 2)), np.zeros((0, 2))),
+        "ShapeMismatch",
+        DIMS,
+    ),
     "pvm_chain_nan": (
         lambda: PvmChain(1, 1, 1, [[NAN]], ([[1.0]],)), "ShapeMismatch", FINITE
     ),
     "pvm_chain_projection_nan": (
         lambda: PvmChain(1, 1, 1, [[1.0]], ([[INF]],)), "ShapeMismatch", FINITE
+    ),
+    "pvm_chain_env_dim": (
+        lambda: PvmChain(1, 1, 0, np.zeros((0, 1)), ()), "ShapeMismatch", DIMS
+    ),
+    "pvm_chain_isometry_shape": (
+        lambda: PvmChain(1, 1, 2, [[1.0]], ()),
+        "ShapeMismatch",
+        "isometry has shape (1, 1), expected (2, 1)",
+    ),
+    "pvm_chain_projection_shape": (
+        lambda: PvmChain(1, 1, 2, [[1.0], [0.0]], (np.eye(2), np.eye(3))),
+        "ShapeMismatch",
+        "projection 1 has shape (3, 3), expected (2, 2)",
     ),
     "state_nan": (
         lambda: FaithfulState(p=np.array([NAN, 1.0])),
@@ -193,12 +233,12 @@ LOADERS = {
     "povm_shape": (
         lambda: povm_from_json({"elements": [js(np.ones((2, 3)))]}),
         "ShapeMismatch",
-        "element 0 is not square: (2, 3)",
+        "element 0 has shape (2, 3), expected (2, 2)",
     ),
     "povm_non_psd": (
         lambda: povm_from_json({"elements": [js(np.diag([2.0, 1.0])), js(np.diag([-1.0, 0.0]))]}),
         "NotPsd",
-        "element 1 has eigenvalue -1.000e+00",
+        "element 1: eigenvalue -1.000e+00 below zero at scale 1.000e+00",
     ),
     "povm_non_hermitian": (
         lambda: povm_from_json({"elements": [js(f) for f in POVM_SKEW]}),
@@ -234,6 +274,31 @@ def test_serialize_loader_rejects(case):
         load()
     assert type(info.value).__name__ == cls
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ([], "a CP map needs at least one Kraus operator"),
+        ([I2, np.ones((2, 3))], "kraus operator 1 has shape (2, 3), expected (2, 2)"),
+        ([np.zeros((0, 0))], DIMS),
+    ],
+    ids=["empty", "ragged", "zero_sides"],
+)
+def test_kraus_stack_rejects(family, message):
+    with pytest.raises(errors.ShapeMismatch) as info:
+        kraus_stack(family)
+    assert str(info.value) == message
+
+
+def test_stacked_families_are_accepted():
+    # a (k, m, n) array is a family of k operators, as its tuple of slices is
+    t = rand_cp_map(np.random.default_rng(25), 2, 3, n_kraus=3)
+    assert np.array_equal(CpMap(2, 3, t.kraus_array).kraus_array, t.kraus_array)
+    elements = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    povm = PovmDecomposition(elements)
+    assert len(povm.elements) == 2
+    assert np.array_equal(np.stack(povm.elements), elements)
 
 
 def test_parse_input_rejects_non_psd_choi(tmp_path):

@@ -331,3 +331,53 @@ def test_indent_check_sees_json_indent():
     calls = ("json.dumps(x, indent=2)", "json.JSONEncoder(indent=None)", "f(**kw, indent=1)")
     for src in calls:
         assert _indent_sites(ast.parse(src)) == [1]
+
+
+# One boundary rule: numerics.as_matrix is the one place a matrix's shape is
+# compared with the shape its caller expects, so every constructor and
+# function gives the same messages, and a dimension below 1 is refused
+# wherever a shape is checked.  psd_leq compares its two operands with each
+# other, and serialize's loaders check shapes first to name the JSON path.
+SHAPE_SITES = {
+    "numerics.as_matrix": 1,
+    "numerics.psd_leq": 2,
+    "serialize.choi_from_json": 1,
+    "serialize.cpmap_from_json": 1,
+}
+
+
+def _reads_shape(node):
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "shape"
+
+
+def _shape_compares(node, scope, found):
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Compare) and any(
+            _reads_shape(side) for side in (child.left, *child.comparators)
+        ):
+            found[scope] += 1
+        _shape_compares(child, inner, found)
+
+
+def test_only_as_matrix_checks_shapes():
+    found = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        _shape_compares(ast.parse(path.read_text(), filename=str(path)), path.stem, found)
+    assert dict(found) == SHAPE_SITES
+
+
+def test_shape_check_sees_comparisons():
+    sources = (
+        "if m.shape != (d, d): pass",
+        "ok = f.shape[0] == f.shape[1]",
+        "if (n, n) != self.matrix.shape: pass",
+    )
+    for src in sources:
+        found = Counter()
+        _shape_compares(ast.parse(src), "m", found)
+        assert found == {"m": 1}
