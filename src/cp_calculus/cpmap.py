@@ -27,9 +27,11 @@ from .numerics import (
     EPS_HERM,
     EPS_PSD,
     RANK_TOL,
+    as_count,
     as_matrix,
     herm_eig,
     hermitize,
+    is_psd,
     norm_excess,
     psd_leq,
     psd_rank,
@@ -46,6 +48,11 @@ def _frozen(m) -> np.ndarray:
         raise ShapeMismatch("matrix entries must be finite")
     m.setflags(write=False)
     return m
+
+
+def _dims(*dims) -> tuple[int, ...]:
+    """Each dimension as an int through as_count, which raises ShapeMismatch."""
+    return tuple(as_count(d, "dimensions", ShapeMismatch) for d in dims)
 
 
 def _operators(kraus, shape=None) -> list[np.ndarray]:
@@ -72,7 +79,7 @@ class CpMap:
     kraus_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = _frozen(_operators(self.kraus, (self.dim_in, self.dim_out)))
+        ops = _frozen(_operators(self.kraus, _dims(self.dim_in, self.dim_out)))
         self.__dict__.update(kraus=tuple(ops), kraus_array=ops)
 
 
@@ -84,11 +91,11 @@ def _check_hermitian(m: np.ndarray, prefix: str = "") -> None:
 
 
 def _check_psd(m: np.ndarray, prefix: str = "") -> None:
-    """_check_hermitian, then raise NotPsd unless psd_leq(0, m) holds."""
+    """_check_hermitian, then raise NotPsd unless is_psd(m); eigvalsh words a failure."""
     _check_hermitian(m, prefix)
-    w = np.linalg.eigvalsh(hermitize(m))
-    scale = max(-w[0], w[-1])
-    if w[0] < -EPS_PSD * max(1.0, scale):
+    if not is_psd(m):
+        w = np.linalg.eigvalsh(hermitize(m))
+        scale = max(-w[0], w[-1])
         raise NotPsd(f"{prefix}eigenvalue {w[0]:.3e} below zero at scale {scale:.3e}")
 
 
@@ -105,12 +112,10 @@ class ChoiOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim_in < 1 or self.dim_out < 1:  # -1 * -1 would pass as a side
-            raise ShapeMismatch("dimensions must be at least 1")
-        d = self.dim_in * self.dim_out
-        m = as_matrix(self.matrix, (d, d))
-        _check_psd(m)
-        object.__setattr__(self, "matrix", _frozen(m.copy()))
+        m, n = _dims(self.dim_in, self.dim_out)  # each: -1 * -1 would pass as a side
+        f = as_matrix(self.matrix, (m * n, m * n))
+        _check_psd(f)
+        object.__setattr__(self, "matrix", _frozen(f.copy()))
 
 
 def _trusted(cls, **fields):
@@ -148,8 +153,8 @@ class StinespringDilation:
     minimal: bool
 
     def __post_init__(self):
-        m = as_matrix(self.matrix, (self.dim_in * self.env_dim, self.dim_out))
-        object.__setattr__(self, "matrix", _frozen(m.copy()))
+        m, n, e = _dims(self.dim_in, self.dim_out, self.env_dim)
+        object.__setattr__(self, "matrix", _frozen(as_matrix(self.matrix, (m * e, n)).copy()))
 
 
 def _check_same_dims(s: CpMap, t: CpMap):

@@ -22,6 +22,7 @@ from .cpmap import (
     ChoiOperator,
     CpMap,
     _columns,
+    _dims,
     _trusted_choi,
     _trusted_map,
     apply,
@@ -66,8 +67,7 @@ def _trace_channel(cls, m: int, n: int, scaled_cols) -> CpMap:
     ``scaled_cols()`` gives the m x m matrix whose column i is c_i; it runs
     only after the dimension guards, so no out-of-range size is allocated.
     """
-    if m < 1 or n < 1:
-        raise ShapeMismatch("dimensions must be at least 1")
+    m, n = _dims(m, n)
     if m * n > MAX_DIM:
         raise DimensionLimit(f"environment dimension {m * n} exceeds {MAX_DIM}")
     cols = scaled_cols()

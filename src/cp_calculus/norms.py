@@ -11,7 +11,6 @@ estimator is reported as a lower bound only and never claimed exact.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .cpmap import (
     ChoiOperator,
     CpMap,
     _check_same_dims,
+    _dims,
     _frozen,
     _trusted,
     _trusted_choi,
@@ -28,7 +28,7 @@ from .cpmap import (
     to_choi,
 )
 from .errors import DimensionLimit, InvariantViolation
-from .numerics import MAX_DIM, as_matrix, op_norm, partial_trace, psd_leq, psd_sqrt
+from .numerics import MAX_DIM, as_count, as_matrix, op_norm, partial_trace, psd_leq, psd_sqrt
 from .radon import _derivative
 
 # a restart ends when a step gains <= ASCENT_TOL * value, or at ASCENT_MAX_ITER
@@ -109,20 +109,11 @@ def _toward_top(y, psi):
     return np.where(top > 0.0, v / np.linalg.norm(v, axis=1, keepdims=True), psi)
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int, once it is an integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return int(value)
-
-
 def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol):
     """(best value, summed steps, c1, c2), c_i the process operator of t_i."""
     _check_same_dims(t1, t2)
-    restarts = _count(restarts, "restarts")
-    r = _count(t1.dim_out if ancilla_dim is None else ancilla_dim, "ancilla dimension")
+    restarts = as_count(restarts, "restarts")
+    r = as_count(t1.dim_out if ancilla_dim is None else ancilla_dim, "ancilla dimension")
     m, n = t1.dim_in, t1.dim_out
     side = max(m, n) * r
     if side > MAX_DIM:
@@ -208,9 +199,9 @@ class CommonDilationPair:
     v2: np.ndarray
 
     def __post_init__(self):
-        shape = (self.dim_in * self.env_dim, self.dim_out)
+        m, n = _dims(self.dim_in, self.dim_out)
         for name, v in (("v1", self.v1), ("v2", self.v2)):
-            object.__setattr__(self, name, _frozen(as_matrix(v, shape, name).copy()))
+            object.__setattr__(self, name, _frozen(as_matrix(v, (m * m * n, n), name).copy()))
 
     @property
     def env_dim(self) -> int:

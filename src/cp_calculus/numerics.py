@@ -7,10 +7,14 @@ makes every decomposition built on top of them deterministic for identical
 input.  Tolerances are module constants rather than per-call magic numbers;
 a residual is held to its tolerance by ``norm_excess``, which takes an SVD only
 where Frobenius bounds on the residual and its scale cannot decide the check.
+Every PSD-order verdict goes through ``is_psd`` the same way: from side 32
+up, Cholesky factorizations decide it from a column-norm and a Frobenius
+bound on the scale, and eigvalsh only in the rounding band between them.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,15 @@ MAX_DIM = 2 ** 14   # cap on environment, Naimark and loaded dimensions
 def recon_tol(scale: float) -> float:
     """Reconstruction tolerance at a given operator-norm scale."""
     return 1e-9 * max(1.0, float(scale))
+
+
+def as_count(value, name: str, error=ValueError) -> int:
+    """``value`` as an int, once it is an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(f"{name} must be at least 1")
+    return int(value)
 
 
 def as_matrix(a, shape=None, what: str = "matrix") -> np.ndarray:
@@ -131,17 +144,45 @@ def herm_eig(m) -> HermEig:
 
 
 def psd_leq(a, b, tol: float = EPS_PSD) -> bool:
-    """Decide a <= b in the PSD order, for Hermitian a and b.
-
-    True iff the smallest eigenvalue of b - a is >= -tol * max(1, ||b - a||).
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    """Decide a <= b in the PSD order, for Hermitian a and b, as is_psd(b - a, tol)."""
+    a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    w = np.linalg.eigvalsh(hermitize(b - a))
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    return bool(w.size == 0 or w[0] >= -tol * scale)
+    return is_psd(b - a, tol)
+
+
+def _factors(work: np.ndarray, shift: float) -> bool:
+    """Add ``shift`` to work's diagonal in place; whether Cholesky then runs through."""
+    work.flat[:: len(work) + 1] += shift
+    try:
+        np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def is_psd(m, tol: float = EPS_PSD) -> bool:
+    """The one PSD rule: the Hermitian part d of a square m has lowest eigenvalue
+    >= -tol * max(1, ||d||), decided from side 32 up by Cholesky (module docs)."""
+    d = hermitize(m)
+    n = len(d)
+    if n >= 32:  # below, one eigvalsh costs less than the norms and a factorization
+        with np.errstate(over="ignore"):
+            cols = np.square(d.real).sum(0) + np.square(d.imag).sum(0)
+        lo, hi = np.sqrt(cols.max()), np.sqrt(cols.sum())  # lo <= ||d|| <= hi
+        # Cholesky runs through on A + E with ||E|| <= n(n+1) u ||A||, and fails only
+        # if lambda_min(A) < 20 n^1.5 u ||A|| (Higham, Thms 10.3, 10.7); u = eps, for complex
+        top = tol * max(1.0, hi)
+        slack = max(n * (n + 1), 20 * n**1.5) * np.finfo(float).eps * (hi + top)
+        shift = tol * max(1.0, lo) - slack
+        if shift > 0.0:  # False on nan, so overflowed norms take eigvalsh
+            if _factors(d, shift):
+                return True
+            if not _factors(d, top + slack - shift):
+                return False
+            d = hermitize(m)  # unshifted, for the rounding band
+    w = np.linalg.eigvalsh(d)
+    return bool(w.size == 0 or w[0] >= -tol * max(1.0, -w[0], w[-1]))
 
 
 def psd_rank(values, tol: float = RANK_TOL) -> int:

@@ -18,6 +18,7 @@ import numpy as np
 from .cpmap import (
     CpMap,
     _check_same_dims,
+    _dims,
     _frozen,
     _trusted,
     _trusted_map,
@@ -212,8 +213,8 @@ class PvmChain:
     projections: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        e = self.env_dim
-        iso = as_matrix(self.isometry, (self.dim_in * e, self.dim_out), "isometry")
+        m, n, e = _dims(self.dim_in, self.dim_out, self.env_dim)
+        iso = as_matrix(self.isometry, (m * e, n), "isometry")
         projs = tuple(
             _frozen(as_matrix(p, (e, e), f"projection {idx}").copy())
             for idx, p in enumerate(self.projections)

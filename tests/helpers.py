@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's conversion paths: the
 positivity-order oracle samples the defining quadratic forms directly, and
 the direct Heisenberg sum re-implements the Kraus action with a plain loop.
 ``reference_herm_eig`` is the per-column, tuple-sorted form of
-``numerics.herm_eig``, kept to check the vectorised one bit for bit.
+``numerics.herm_eig``, kept to check the vectorised one bit for bit;
+``reference_psd_leq`` is the one-eigvalsh PSD rule that the Cholesky
+decision in ``numerics.is_psd`` must reproduce verdict for verdict.
 ``reference_c_min`` (inverse square root of t's process operator on its
 support) and ``reference_faithful_rn`` (one ``apply`` per pair of basis
 vectors) compute by a second route what the library reads off one
@@ -45,6 +47,7 @@ from cp_calculus.duality import reference_channel
 from cp_calculus.serialize import parse_input
 from cp_calculus.numerics import (
     EPS_PHASE,
+    EPS_PSD,
     RANK_TOL,
     herm_eig,
     hermitize,
@@ -209,6 +212,16 @@ def reference_herm_eig(m):
     values = np.array([float(w[k]) for k in order])
     vectors = np.column_stack([cols[k] for k in order]) if order else u
     return values, vectors
+
+
+def reference_psd_leq(a, b, tol=EPS_PSD):
+    """psd_leq's rule by one eigvalsh, as numerics decided it before the
+    Cholesky test: the lowest eigenvalue of the Hermitian part of b - a is at
+    least -tol * max(1, largest |eigenvalue|)."""
+    d = np.asarray(b, dtype=complex) - np.asarray(a, dtype=complex)
+    w = np.linalg.eigvalsh((d + d.conj().T) / 2.0)
+    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
+    return bool(w.size == 0 or w[0] >= -tol * scale)
 
 
 def reference_c_min(s, t):

@@ -55,6 +55,7 @@ NON_HERMITIAN = np.eye(4, dtype=complex) + np.diag([1.0, 0.0, 0.0], k=1)
 NON_PSD = np.diag([1.0, -1.0, 0.5, 0.5]).astype(complex)
 FINITE = "matrix entries must be finite"
 DIMS = "dimensions must be at least 1"
+FLOAT_DIM = "dimensions must be an integer, got 2.0"
 HERM = "deviation from Hermiticity 1.000e+00"
 PSD = "eigenvalue -1.000e+00 below zero at scale 1.000e+00"
 # a resolution of the identity whose elements are not Hermitian
@@ -101,6 +102,13 @@ CONSTRUCTORS = {
         "a CP map needs at least one Kraus operator",
     ),
     "cpmap_dims": (lambda: CpMap(0, 2, (I2,)), "ShapeMismatch", DIMS),
+    # a dim that is a float or a bool passes no dimension check by comparison
+    "cpmap_float_dim": (lambda: CpMap(2.0, 2, (I2,)), "ShapeMismatch", FLOAT_DIM),
+    "cpmap_bool_dims": (
+        lambda: CpMap(True, True, (np.eye(1),)),
+        "ShapeMismatch",
+        "dimensions must be an integer, got True",
+    ),
     "cpmap_empty_generator": (
         lambda: CpMap(2, 2, (v for v in ())),
         "ShapeMismatch",
@@ -116,6 +124,7 @@ CONSTRUCTORS = {
     # each side is a product of two dims, and a pair of negative dims
     # multiplies to a side of 1
     "choi_negative_dims": (lambda: ChoiOperator(-1, -1, [[1.0]]), "ShapeMismatch", DIMS),
+    "choi_float_dim": (lambda: ChoiOperator(2.0, 2, np.eye(4)), "ShapeMismatch", FLOAT_DIM),
     "choi_non_hermitian": (lambda: ChoiOperator(2, 2, NON_HERMITIAN), "NotHermitian", HERM),
     "choi_non_psd": (lambda: ChoiOperator(2, 2, NON_PSD), "NotPsd", PSD),
     "stinespring_nan": (
@@ -133,6 +142,9 @@ CONSTRUCTORS = {
     ),
     "stinespring_dim_in": (
         lambda: StinespringDilation(0, 2, 2, np.zeros((0, 2)), True), "ShapeMismatch", DIMS
+    ),
+    "stinespring_negative_dims": (
+        lambda: StinespringDilation(-1, 2, -2, np.zeros((2, 2)), True), "ShapeMismatch", DIMS
     ),
     "povm_nan": (lambda: PovmDecomposition((entry(I2, 0, 0, NAN),)), "ShapeMismatch", FINITE),
     "povm_shape": (
@@ -167,6 +179,9 @@ CONSTRUCTORS = {
         "ShapeMismatch",
         DIMS,
     ),
+    "dilation_pair_negative_dim": (
+        lambda: CommonDilationPair(-1, 1, [[1.0]], [[0.5]]), "ShapeMismatch", DIMS
+    ),
     "pvm_chain_nan": (
         lambda: PvmChain(1, 1, 1, [[NAN]], ([[1.0]],)), "ShapeMismatch", FINITE
     ),
@@ -175,6 +190,9 @@ CONSTRUCTORS = {
     ),
     "pvm_chain_env_dim": (
         lambda: PvmChain(1, 1, 0, np.zeros((0, 1)), ()), "ShapeMismatch", DIMS
+    ),
+    "pvm_chain_negative_dims": (
+        lambda: PvmChain(-1, 1, -1, [[1.0]], ()), "ShapeMismatch", DIMS
     ),
     "pvm_chain_isometry_shape": (
         lambda: PvmChain(1, 1, 2, [[1.0]], ()),
@@ -185,6 +203,9 @@ CONSTRUCTORS = {
         lambda: PvmChain(1, 1, 2, [[1.0], [0.0]], (np.eye(2), np.eye(3))),
         "ShapeMismatch",
         "projection 1 has shape (3, 3), expected (2, 2)",
+    ),
+    "reference_channel_float_dim": (
+        lambda: reference_channel(2.0, 2), "ShapeMismatch", FLOAT_DIM
     ),
     "state_nan": (
         lambda: FaithfulState(p=np.array([NAN, 1.0])),

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cp_calculus import numerics
+from cp_calculus.cpmap import ChoiOperator, scale
 from cp_calculus.errors import ShapeMismatch
-from helpers import reference_herm_eig
+from cp_calculus.radon import dominates
+from helpers import rand_cp_map, reference_herm_eig, reference_psd_leq
 
 RNG = np.random.default_rng(20240817)
 
@@ -140,6 +142,132 @@ def test_psd_leq_transitive_on_exact_fixtures():
     assert numerics.psd_leq(a, b, tol=0.0)
     assert numerics.psd_leq(b, c, tol=0.0)
     assert numerics.psd_leq(a, c, tol=0.0)
+
+
+# is_psd decides with two Cholesky factorizations and takes eigvalsh only in
+# a rounding band, so its verdicts are held to the one-eigvalsh rule it
+# replaced, reference_psd_leq, over the inputs where they could part: ties,
+# rank-deficient differences, tol = 0 and pairs on both sides of the line.
+SIDES = [1, 4, 16, 31, 32, 33, 48, 64, 128, 256]
+
+
+@st.composite
+def psd_pairs(draw):
+    """(a, b, tol) for psd_leq: a random Hermitian a and b = a + d, with d of
+    tie-heavy small-integer spectrum, rank-deficient PSD, or top eigenvalue
+    ``size`` and lowest one a factor off the line at -EPS_PSD * max(1, size);
+    or (s, t) = ((1 +- eps) t, t) for a random PSD t of any rank, on a log
+    grid of eps that crosses EPS_PSD."""
+    n = draw(st.sampled_from(SIDES))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    tol = draw(st.sampled_from([numerics.EPS_PSD, 0.0]))
+    size = 10.0 ** draw(st.sampled_from([-3.0, 0.0, 3.0]))
+    kind = draw(st.sampled_from(["ties", "rank_deficient", "line", "scaled"]))
+    if kind == "scaled":
+        g = rand_matrix(n, draw(st.sampled_from([1, max(1, n // 2), n])), rng)
+        t = size * (g @ g.conj().T) / n
+        eps = 10.0 ** draw(st.sampled_from(np.arange(-13.0, -4.5, 0.5).tolist()))
+        return (1.0 + draw(st.sampled_from([1.0, -1.0])) * eps) * t, t, tol
+    if kind == "ties":
+        lam = size * rng.integers(draw(st.sampled_from([-1, 0])), 3, size=n)
+    elif kind == "rank_deficient":
+        lam = size * np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+    else:
+        lam = size * rng.random(n)
+        lam[0] = size
+        factor = draw(st.sampled_from([0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0]))
+        lam[-1] = -factor * numerics.EPS_PSD * max(1.0, size)
+    u = rand_unitary(n, rng)
+    a = rand_hermitian(n, rng)
+    return a, a + (u * lam) @ u.conj().T, tol
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(pair=psd_pairs())
+def test_psd_leq_matches_the_eigvalsh_rule(pair):
+    a, b, tol = pair
+    assert numerics.psd_leq(a, b, tol) is reference_psd_leq(a, b, tol)
+
+
+def _diag(top, low, n=32, fill=0.0):
+    """diag(top, fill, ..., fill, low) of side n, where is_psd factorizes."""
+    return np.diag([top] + [fill] * (n - 2) + [low]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "d, verdict",
+    [
+        # ||d|| = 1 and ||d||_F = sqrt(31): a pass shift at tol * ||d||_F would accept
+        (_diag(1.0, -2e-9, fill=1.0), False),
+        # ||d|| < 1, so the tolerance is tol * 1: tol * ||d|| would reject
+        (_diag(0.5, -0.8e-9), True),
+        (_diag(0.5, -1.2e-9), False),
+        # inside the rounding band below tol * 1, which eigvalsh decides
+        (_diag(0.5, -(1.0 - 1e-7) * 1e-9), True),
+        (_diag(3.0, -2.9e-9), True),
+        (_diag(3.0, -3.1e-9), False),
+    ],
+    ids=[
+        "frobenius_scale",
+        "unit_floor",
+        "unit_floor_fails",
+        "unit_floor_band",
+        "norm_scale",
+        "norm_scale_fails",
+    ],
+)
+def test_psd_rule_scale_on_exact_spectra(d, verdict):
+    # diagonal d factor exactly, so each verdict is the exact one
+    assert numerics.is_psd(d) is verdict is reference_psd_leq(0 * d, d)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["optimistic", "pessimistic"])
+def test_psd_rule_survives_the_cholesky_backward_error(monkeypatch, sign):
+    # a Cholesky that errs by Higham's backward-error bound n(n+1) u ||A||,
+    # always toward success or always toward failure; the rule's slack keeps
+    # each verdict on d = diag(1, 0, ..., 0, -x), with x half that bound off
+    # the line, where ||d|| = ||d||_F leaves the failing side no headroom
+    def cholesky(a):
+        n = len(a)
+        err = n * (n + 1) * 2.0**-53 * np.linalg.norm(a, 2)
+        if np.linalg.eigvalsh(a)[0] + sign * err <= 0.0:
+            raise np.linalg.LinAlgError("not positive definite")
+        return a
+
+    tol = numerics.EPS_PSD
+    d = _diag(1.0, -(tol + sign * 16 * 33 * 2.0**-53))
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    assert numerics.is_psd(d, tol) is (sign < 0) is reference_psd_leq(0 * d, d, tol)
+
+
+def _counting_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_clear_verdicts_take_no_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(26)
+    t = rand_cp_map(rng, 16, 16, n_kraus=8)
+    bad = rand_cp_map(rng, 16, 16, n_kraus=256)
+    f = rand_psd(256, rng)
+    calls = _counting_eigvalsh(monkeypatch)
+    assert dominates(scale(t, 0.5), t)
+    assert not dominates(bad, t)
+    ChoiOperator(16, 16, f)
+    # ||d|| < 1 below the line by 0.8 tol: passed on the floor of 1, not on ||d||
+    assert numerics.is_psd(_diag(0.5, -0.8e-9))
+    assert calls == []
+    # below side 32, and at tol = 0, which leaves no pass window, eigvalsh decides
+    assert numerics.psd_leq(0.5 * f[:31, :31], f[:31, :31])
+    assert numerics.psd_leq(0.5 * f, f, tol=0.0)
+    assert calls == [(31, 31), (256, 256)]
 
 
 def test_psd_rank_counts_the_leading_cut():

@@ -174,21 +174,58 @@ OP_NORM_SITES = {
 }
 
 
-def _op_norm_calls(node, scope, found):
+def _calls(node, name, scope, found):
+    """Count the calls of ``name`` in ``node`` per enclosing function or class."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
-        elif isinstance(child, ast.Call) and "op_norm" in _names(child.func):
+        elif isinstance(child, ast.Call) and name in _names(child.func):
             found[scope] += 1
-        _op_norm_calls(child, inner, found)
+        _calls(child, name, inner, found)
+
+
+def _call_sites(name):
+    found = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        _calls(ast.parse(path.read_text(), filename=str(path)), name, path.stem, found)
+    return dict(found)
 
 
 def test_op_norm_only_where_a_norm_is_the_result():
+    assert _call_sites("op_norm") == OP_NORM_SITES
+
+
+# A PSD-order verdict goes through numerics.is_psd, which runs eigvalsh only
+# in its rounding band; eigvalsh is called directly only where an eigenvalue
+# is a value the caller reads, not a yes/no.  A new PSD verdict either uses
+# the rule or edits this pin on purpose.
+EIGVALSH_SITES = {
+    "cpmap._check_psd": 1,  # words a failure is_psd has decided
+    "cpmap.choi_rank": 1,
+    "duality.faithful_rn": 1,  # the constant, the top eigenvalue
+    "norms._toward_top": 1,
+    "numerics.is_psd": 1,  # the rounding band
+    "order.c_min": 1,
+    "radon._check_window": 1,  # both spectrum ends, for the message
+}
+
+
+def test_eigvalsh_only_where_an_eigenvalue_is_read():
+    assert _call_sites("eigvalsh") == EIGVALSH_SITES
+
+
+def test_call_sites_see_every_call_form():
+    sources = (
+        "def f(m):\n    return np.linalg.eigvalsh(m)\n",
+        "def f(m):\n    return eigvalsh(m)\n",
+        "class C:\n    def f(self, m):\n        return la.eigvalsh(m)[0]\n",
+        "w = np.linalg.eigvalsh(m)\n",
+    )
     found = Counter()
-    for path in sorted(SRC.glob("*.py")):
-        _op_norm_calls(ast.parse(path.read_text(), filename=str(path)), path.stem, found)
-    assert dict(found) == OP_NORM_SITES
+    for src in sources:
+        _calls(ast.parse(src), "eigvalsh", "m", found)
+    assert found == {"m.f": 2, "m.C.f": 1, "m": 1}
 
 
 # pyproject declares numpy>=1.24, and CI installs the latest numpy, so a
