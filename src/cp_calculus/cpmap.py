@@ -29,6 +29,7 @@ from .numerics import (
     RANK_TOL,
     as_count,
     as_matrix,
+    canonical_eig,
     herm_eig,
     hermitize,
     is_psd,
@@ -193,6 +194,11 @@ def _columns(ops: np.ndarray) -> np.ndarray:
     return ops.conj().transpose(2, 1, 0).reshape(n * m, k)
 
 
+def _thin(t: CpMap) -> bool:
+    """Whether t's stack W is thinner than its process operator, k < dim_in * dim_out."""
+    return len(t.kraus) < t.dim_in * t.dim_out
+
+
 def to_choi(t: CpMap) -> ChoiOperator:
     """Process operator of ``t`` (amplification scaling, see module docs).
 
@@ -218,11 +224,16 @@ def from_choi(c: ChoiOperator) -> CpMap:
     The eigenvectors psd_rank keeps (RANK_TOL's cut) become Kraus
     operators sqrt(lam / dim_in) * unvec; the deterministic eigensystem
     makes the family canonical (a ChoiOperator is Hermitian, by check or
-    by construction).  A rank-zero input yields the zero map as a single
-    all-zero operator.  The family is built on the trusted path.
+    by construction) up to rotations within degenerate eigenspaces, where
+    ``canonicalize``'s SVD route may pick another basis.  A rank-zero input
+    yields the zero map as a single all-zero operator.  The family is built
+    on the trusted path.
     """
-    m, n = c.dim_in, c.dim_out
-    e = herm_eig(c.matrix)
+    return _family(c.dim_in, c.dim_out, herm_eig(c.matrix))
+
+
+def _family(m: int, n: int, e) -> CpMap:
+    """from_choi on the HermEig ``e`` of a dim_in = m, dim_out = n process operator."""
     k = psd_rank(e.values)
     if not k:
         return _trusted_map(m, n, np.zeros((1, m, n), dtype=complex))
@@ -235,13 +246,21 @@ def from_choi(c: ChoiOperator) -> CpMap:
 def canonicalize(t: CpMap) -> CpMap:
     """Canonical Kraus representation via the process-operator eigensystem.
 
-    Computed once per map object and kept in its instance dict, out of
-    ``repr``, ``==`` and the dataclass fields: maps are immutable values,
-    so making ``kraus_array`` writable voids this memo just as it voids the
-    constructor's checks."""
+    A thin family (``_thin``) reads it off a thin SVD of its stack W, as
+    C = dim_in W W*: lam = dim_in sigma^2 on W's left singular vectors,
+    which may span a degenerate eigenspace in another basis than
+    ``from_choi``'s.  Computed once per map object and kept in its instance
+    dict, out of ``repr``, ``==`` and the dataclass fields: maps are
+    immutable values, so making ``kraus_array`` writable voids this memo
+    just as it voids the constructor's checks."""
     canon = t.__dict__.get("_canonical")
     if canon is None:
-        canon = t.__dict__["_canonical"] = from_choi(to_choi(t))
+        if _thin(t):
+            u, sv = np.linalg.svd(_columns(t.kraus_array), full_matrices=False)[:2]
+            e = canonical_eig(t.dim_in * sv[::-1] ** 2, u[:, ::-1])
+        else:
+            e = herm_eig(to_choi(t).matrix)
+        canon = t.__dict__["_canonical"] = _family(t.dim_in, t.dim_out, e)
     return canon
 
 

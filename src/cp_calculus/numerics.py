@@ -69,8 +69,9 @@ def partial_trace(m, over: str, d1: int, d2: int) -> np.ndarray:
     """Trace out one tensor factor of an operator on C^d1 (x) C^d2.
 
     ``over`` selects the factor: "first" returns a d2 x d2 matrix, "second"
-    a d1 x d1 matrix.
+    a d1 x d1 matrix.  Each dim is checked by as_count, raising ShapeMismatch.
     """
+    d1, d2 = (as_count(d, "dimensions", ShapeMismatch) for d in (d1, d2))
     t = as_matrix(m, (d1 * d2, d1 * d2)).reshape(d1, d2, d1, d2)
     if over == "first":
         return np.einsum("ikil->kl", t)
@@ -128,7 +129,11 @@ def herm_eig(m) -> HermEig:
     largest first, so the standard basis comes out in natural order for
     diagonal input.
     """
-    w, u = np.linalg.eigh(hermitize(m))
+    return canonical_eig(*np.linalg.eigh(hermitize(m)))
+
+
+def canonical_eig(w, u) -> HermEig:
+    """herm_eig's phase fix and order on eigenpairs (w ascending, u's columns)."""
     n = u.shape[1]
     # np.hypot rounds like the scalar abs(); the vectorised np.abs does not
     mag = np.hypot(u.real, u.imag)
@@ -138,7 +143,7 @@ def herm_eig(m) -> HermEig:
     if np.all(w[1:] != w[:-1]):
         order = cols[::-1]
     else:
-        parts = np.stack([-u.real, -u.imag], axis=1).reshape(2 * n, n)
+        parts = np.stack([-u.real, -u.imag], axis=1).reshape(2 * len(u), n)
         order = np.lexsort(np.vstack([parts[::-1], -w]))
     return HermEig(values=w[order], vectors=u[:, order])
 

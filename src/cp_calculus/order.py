@@ -122,7 +122,7 @@ def c_min(s: CpMap, t: CpMap) -> DominationConstant:
     """
     _check_same_dims(s, t)
     try:
-        f = _density(to_choi(s), *_prepare(canonicalize(t)))
+        f = _density(s, *_prepare(canonicalize(t)))
     except NotDominated:
         return DominationConstant(value=float("inf"), attained=False)
     top = float(np.linalg.eigvalsh(f)[-1])

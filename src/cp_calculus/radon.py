@@ -8,12 +8,17 @@ into maps, and decomposes instruments into such densities.
 Extraction works on the canonical Kraus stack W (columns vec(V_x*)): the
 unnormalized process matrix of S equals W F W* up to scaling, so
 F = W+ @ choi_unnormalized(S) @ W+*, W+ being W* with row x divided by
-||w_x||^2 (W's columns are orthogonal).  Reconstruction residual and
-the eigenvalue window of F are the density's domination criterion, run in
-place of an order check; ``dominates`` tests process operators, and the
-two can disagree within about 1e-9.  This compression is the library's
-one density computation, and the dominating Kraus family is the dominator:
-c_min is F's top eigenvalue; duality inverts its own block-diagonal stack.
+||w_x||^2 (W's columns are orthogonal).  A thin S (``cpmap._thin``) skips
+C_S = v v*, v its own stack: F = X X* for X = W+ v, and the residual, at
+most 2 ||W X||_F ||E||_F + ||E||_F^2 for the leak E = v - W X, passes when
+that is within half the tolerance at v's largest squared column norm (a
+lower bound on ||C_S||); else C_S decides, so verdicts and messages stay.
+Reconstruction residual and the eigenvalue window of F are the density's
+domination criterion, run in place of an order check; ``dominates`` tests
+process operators, and the two can disagree within about 1e-9.  This
+compression is the library's one density computation, and the dominating
+Kraus family is the dominator: c_min is F's top eigenvalue; duality
+inverts its own block-diagonal stack.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .cpmap import (
     _check_same_dims,
     _columns,
     _frozen,
+    _thin,
     _trusted,
     _trusted_choi,
     canonicalize,
@@ -140,13 +146,23 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     object, so every S against one ``t`` reuses them.
     """
     _check_same_dims(s, t)
-    return _derivative(to_choi(s), canonicalize(t))
+    return _derivative(s, canonicalize(t))
 
 
-def _density(c: ChoiOperator, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
-    """F = wp C wp* for c's unnormalized process matrix C and wp w's inverse
-    on its range; raises NotDominated when w F w* misses C, a leak outside it."""
-    cs = choi_unnormalized(c)
+def _density(s, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
+    """F = wp C wp* for the unnormalized process matrix C of a map or process
+    operator s and wp w's inverse on its range; raises NotDominated when
+    w F w* misses C, a leak outside it.  A thin map takes the stack route."""
+    if isinstance(s, CpMap) and _thin(s):
+        v = _columns(s.kraus_array)  # C = v v*
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the test
+            x = wp @ v
+            wx = w @ x
+            leak, cols = np.linalg.norm(v - wx), np.linalg.norm(v, axis=0) ** 2
+            bound = 2.0 * np.linalg.norm(wx) * leak + leak**2  # >= ||w F w* - C||
+        if s.dim_in * cols.sum() < np.inf and bound <= 0.5 * recon_tol(cols.max()):
+            return hermitize(x @ x.conj().T)
+    cs = choi_unnormalized(to_choi(s) if isinstance(s, CpMap) else s)
     f = hermitize(wp @ cs @ wp.conj().T)
     resid = norm_excess(w @ f @ w.conj().T - cs, recon_tol, cs)
     if resid is not None:
@@ -165,8 +181,8 @@ def _check_window(f: np.ndarray, error) -> None:
         )
 
 
-def _derivative(c: ChoiOperator, family: CpMap) -> RnDerivative:
-    """rn_derivative of the map with process operator ``c`` on a dominating family."""
+def _derivative(c, family: CpMap) -> RnDerivative:
+    """rn_derivative of a map or a process operator ``c`` on a dominating family."""
     f = _density(c, *_prepare(family))
     _check_window(f, NotDominated)
     return RnDerivative(
@@ -206,7 +222,7 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     """
     _check_same_dims(s, t)
     family = canonicalize(t)
-    e = herm_eig(_derivative(to_choi(s), family).matrix)
+    e = herm_eig(_derivative(s, family).matrix)
     weights = np.clip(e.values, 0.0, 1.0)
     rotated = np.tensordot(e.vectors.conj(), family.kraus_array, axes=(0, 0))
     return RescaledKraus(
@@ -250,12 +266,13 @@ def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
     dev = norm_excess(sum(c.matrix for c in chois) - ct.matrix, recon_tol, ct.matrix)
     if dev is not None:
         raise NotADecomposition(f"parts sum differs from the map by {dev:.3e}")
-    return _instrument_rn(canonicalize(t), chois)
+    operands = [p if _thin(p) else c for p, c in zip(parts, chois)]  # as _density takes them
+    return _instrument_rn(canonicalize(t), operands)
 
 
-def _instrument_rn(family: CpMap, chois) -> PovmDecomposition:
-    """Densities of process operators that sum to the dominating family's
+def _instrument_rn(family: CpMap, parts) -> PovmDecomposition:
+    """Densities of maps or process operators that sum to the dominating family's
     map by construction; instrument_rn checks the sum of parts from outside.
     Each density has passed _check_window, so only the resolution is checked."""
-    mats = [_frozen(_derivative(c, family).matrix) for c in chois]
+    mats = [_frozen(_derivative(p, family).matrix) for p in parts]
     return _trusted(PovmDecomposition, elements=_resolution(mats))

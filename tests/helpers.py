@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's conversion paths: the
 positivity-order oracle samples the defining quadratic forms directly, and
 the direct Heisenberg sum re-implements the Kraus action with a plain loop.
 ``reference_herm_eig`` is the per-column, tuple-sorted form of
-``numerics.herm_eig``, kept to check the vectorised one bit for bit;
+``numerics.herm_eig`` (its ordering, ``reference_eig_order``, that of
+``numerics.canonical_eig``), kept to check the vectorised one bit for bit;
 ``reference_psd_leq`` is the one-eigvalsh PSD rule that the Cholesky
 decision in ``numerics.is_psd`` must reproduce verdict for verdict.
 ``reference_c_min`` (inverse square root of t's process operator on its
@@ -15,7 +16,10 @@ Radon-Nikodym compression.  ``reference_kraus_stack`` and
 validated ``ChoiOperator`` that the stacked Kraus array and the trusted
 ``to_choi`` replace; ``reference_canonical_kraus``, ``reference_density``
 and the plain Kraus loops below build on them, to pin the stacked forms
-bit for bit.  ``reference_common_dilation`` and ``reference_jam_apply``
+bit for bit, a thin stack's SVD and X = W+ v included.  ``dense_canonical``
+and ``dense_density`` keep the process-operator routes that thin stacks
+skip: ``from_choi(to_choi(t))`` and the density of ``to_choi(s)`` with its
+dense residual check.  ``reference_common_dilation`` and ``reference_jam_apply``
 form the dense identity Kronecker products that the library replaces by
 acting on one reshaped factor; ``env_sandwich`` computes V*(A (x) P)V the
 same way, for environments too large to form A (x) P.  ``reference_ascend``
@@ -40,10 +44,12 @@ from cp_calculus.cpmap import (
     add,
     apply,
     dilation_matrix,
+    from_choi,
     scale,
     to_choi,
 )
 from cp_calculus.duality import reference_channel
+from cp_calculus.errors import NotDominated
 from cp_calculus.serialize import parse_input
 from cp_calculus.numerics import (
     EPS_PHASE,
@@ -51,6 +57,7 @@ from cp_calculus.numerics import (
     RANK_TOL,
     herm_eig,
     hermitize,
+    norm_excess,
     op_norm,
     partial_trace,
     psd_sqrt,
@@ -184,14 +191,16 @@ def matrix_units(d):
 
 
 def reference_herm_eig(m):
-    """herm_eig's (values, vectors) by a per-column loop and a tuple sort.
-
-    Each column's first component above EPS_PHASE is made real positive;
-    pairs are sorted by descending eigenvalue, then by the components'
-    (real, imag) parts, largest first.
-    """
+    """herm_eig's (values, vectors) by a per-column loop and a tuple sort."""
     m = np.asarray(m, dtype=complex)
-    w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return reference_eig_order(*np.linalg.eigh((m + m.conj().T) / 2.0))
+
+
+def reference_eig_order(w, u):
+    """canonical_eig's (values, vectors) for eigenpairs (w ascending, u's
+    columns): each column's first component above EPS_PHASE is made real
+    positive; pairs are sorted by descending eigenvalue, then by the
+    components' (real, imag) parts, largest first."""
 
     def fix_phase(v):
         for x in v:
@@ -267,31 +276,60 @@ def reference_to_choi(t):
 
 
 def reference_canonical_kraus(t):
-    """Canonical Kraus operators of t, one eigenvector at a time."""
+    """Canonical Kraus operators of t, one eigenvector at a time, from the
+    per-operator stack's thin SVD (lam = m sigma^2) when it has fewer than
+    m * n columns, else from the process operator's eigh."""
     m, n = t.dim_in, t.dim_out
-    e = herm_eig(reference_to_choi(t).matrix)
-    top = float(e.values[0])
+    if len(t.kraus) < m * n:
+        u, sv = np.linalg.svd(reference_kraus_stack(t.kraus), full_matrices=False)[:2]
+        values, vectors = reference_eig_order(m * sv[::-1] ** 2, u[:, ::-1])
+    else:
+        values, vectors = reference_herm_eig(reference_to_choi(t).matrix)
+    top = float(values[0])
     kraus = []
-    for k, lam in enumerate(e.values):
+    for k, lam in enumerate(values):
         if top <= 0.0 or lam < RANK_TOL * top:
             break
-        u = e.vectors[:, k].reshape(n, m)
+        u = vectors[:, k].reshape(n, m)
         kraus.append(np.sqrt(lam / m) * u.conj().T)
     return kraus or [np.zeros((m, n), dtype=complex)]
 
 
 def reference_density(s, t):
-    """Density W+ C_s W+* of s on t's canonical stack W, with W+ built one
-    operator at a time: row x is conj(w_x) / ||w_x||^2, or zero for a zero
-    operator, which is pinv(W) for W's orthogonal columns."""
+    """Density of s on t's canonical stack W, with W+ built one operator at
+    a time: row x is conj(w_x) / ||w_x||^2, or zero for a zero operator,
+    which is pinv(W) for W's orthogonal columns.  X X* for X = W+ v, v the
+    per-operator stack of s, when it has fewer than m * n columns; else
+    W+ C_s W+* for s's unnormalized process matrix C_s."""
     rows = []
     for v in reference_canonical_kraus(t):
         col = reference_kraus_stack([v])[:, 0]
         sq = (col.real**2 + col.imag**2).sum()
         rows.append(col.conj() / sq if sq > 0.0 else np.zeros_like(col))
     wp = np.array(rows)
+    if len(s.kraus) < s.dim_in * s.dim_out:
+        x = wp @ reference_kraus_stack(s.kraus)
+        return hermitize(x @ x.conj().T)
     cs = reference_to_choi(s).matrix / s.dim_in
     return hermitize(wp @ cs @ wp.conj().T)
+
+
+def dense_canonical(t):
+    """canonicalize as it was before thin stacks took an SVD: the
+    eigensystem of t's process operator, whatever t's Kraus rank."""
+    return from_choi(to_choi(t))
+
+
+def dense_density(s, w, wp):
+    """radon._density as it was before thin stacks skipped the process
+    operator: F = wp C_s wp*, and NotDominated, with its message, when the
+    residual w F w* - C_s fails norm_excess at recon_tol."""
+    cs = to_choi(s).matrix / s.dim_in
+    f = hermitize(wp @ cs @ wp.conj().T)
+    resid = norm_excess(w @ f @ w.conj().T - cs, recon_tol, cs)
+    if resid is not None:
+        raise NotDominated(f"residual {resid:.3e} outside the dominating map's support")
+    return f
 
 
 def reference_apply(t, a):

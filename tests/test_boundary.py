@@ -35,6 +35,7 @@ from cp_calculus.norms import (
     diamond_lower,
     norm_report,
 )
+from cp_calculus.numerics import partial_trace
 from cp_calculus.order import PvmChain, naimark_dilate
 from cp_calculus.radon import PovmDecomposition, rn_reconstruct
 from cp_calculus.serialize import (
@@ -216,6 +217,14 @@ CONSTRUCTORS = {
         lambda: FaithfulState(p=np.array([0.5, 0.5]), basis=np.eye(3)),
         "ShapeMismatch",
         "basis has shape (3, 3), expected (2, 2)",
+    ),
+    # partial_trace takes its dims from the caller, and (-1) * (-1) would
+    # pass as the side of a 1 x 1 matrix
+    "partial_trace_negative_dims": (
+        lambda: partial_trace(np.eye(1), "first", -1, -1), "ShapeMismatch", DIMS
+    ),
+    "partial_trace_float_dim": (
+        lambda: partial_trace(np.eye(4), "first", 2.0, 2), "ShapeMismatch", FLOAT_DIM
     ),
 }
 

@@ -286,9 +286,10 @@ def pinned_pairs():
 @pytest.mark.parametrize("part, other, rng", pinned_pairs())
 def test_stacked_forms_match_per_operator_reference(part, other, rng):
     """The stacked Kraus array and the trusted to_choi give the bits of the
-    per-operator reference: to_choi, canonicalize, rn_derivative and
-    instrument_rn exactly; the batched products of apply, apply_dual and
-    compose within 1e-12 relative."""
+    per-operator reference: to_choi, canonicalize (a thin SVD of the stack
+    below m * n operators), rn_derivative and instrument_rn (X X* for
+    X = W+ v below m * n operators) exactly; the batched products of apply,
+    apply_dual and compose within 1e-12 relative."""
     t = add(part, other)
     for u in (part, other, t):
         assert np.array_equal(to_choi(u).matrix, reference_to_choi(u).matrix)

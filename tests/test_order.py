@@ -478,9 +478,10 @@ def test_order_chain_forms_each_operator_once(monkeypatch):
     assert not is_channel(chain[-1])
     order_chain_dilation(chain)
     assert [sum(x is t for x in seen) for t in chain] == [1, 1, 1]
-    # plus the padding's canonical form and the padded top; the differences
-    # are taken on process operators and never pass through a Kraus family
-    assert len(seen) == 5
+    # plus the padded top; the padding's canonical form is a thin SVD of its
+    # seven-column stack, and the differences are taken on process operators
+    # and never pass through a Kraus family
+    assert len(seen) == 4
     seen.clear()
     top = rand_channel(RNG, 4, 4)
     chain = [scale(top, 0.25), scale(top, 0.5), top]
@@ -490,23 +491,29 @@ def test_order_chain_forms_each_operator_once(monkeypatch):
 
 
 def test_order_chain_runs_one_eigendecomposition(monkeypatch):
-    # the canonical form of the top element is the only eigh of size m*n;
-    # the chains' Kraus ranks stay below 16, so the Naimark roots are smaller
+    # the canonical form of the top element is the only factorization of
+    # size m*n: a thin SVD of the padded top's stack (at most seven columns),
+    # or the eigh of the unpadded top's process operator; the chains' Kraus
+    # ranks stay below 16, so the Naimark roots are smaller
     sizes = []
-    orig = np.linalg.eigh
+    orig_eigh, orig_svd = np.linalg.eigh, np.linalg.svd
 
-    def counted(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return orig(a, *args, **kwargs)
+    def counted(name, orig):
+        def call(a, *args, **kwargs):
+            sizes.append((name, a.shape[0]))
+            return orig(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", orig_eigh))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", orig_svd))
     padded = conic_chain(RNG, 4, 4, 3)
     assert not is_channel(padded[-1])
     top = rand_channel(RNG, 4, 4, n_kraus=2)
-    for chain in (padded, [scale(top, 0.5), top]):
+    for chain, route in ((padded, "svd"), ([scale(top, 0.5), top], "eigh")):
         sizes.clear()
         order_chain_dilation(chain)
-        assert sizes.count(16) == 1
+        assert [call for call in sizes if call[1] == 16] == [(route, 16)]
 
 
 def test_chain_converse_direction():

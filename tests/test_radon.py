@@ -210,23 +210,29 @@ def _dominator_calls(m, n):
 
 def test_dominator_prepared_once_per_map(monkeypatch):
     # canonicalize keeps its family on the map and _prepare keeps (W, W+)
-    # on that family, so five calls against one map take one eigensolve of
-    # its process operator and one _stack entry, which no call replaces
+    # on that family, so five calls against one map take one factorization,
+    # a thin SVD of its four-column stack (no eigensolve of its process
+    # operator), and one _stack entry, which no call replaces
     t, calls = _dominator_calls(3, 2)
-    choi = to_choi(t).matrix
+    choi, stack = to_choi(t).matrix, cpmap.kraus_stack(t.kraus)
     seen = Counter()
-    eig = cpmap.herm_eig
+    eig, svd = cpmap.herm_eig, np.linalg.svd
 
     def counted_eig(m):
         seen["eig"] += np.array_equal(m, choi)
         return eig(m)
 
+    def counted_svd(a, *args, **kwargs):
+        seen["svd"] += np.array_equal(a, stack)
+        return svd(a, *args, **kwargs)
+
     monkeypatch.setattr(cpmap, "herm_eig", counted_eig)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     stacks = []
     for call in calls.values():
         call(t)
         stacks.append(canonicalize(t).__dict__["_stack"])
-    assert dict(seen) == {"eig": 1}
+    assert (seen["eig"], seen["svd"]) == (0, 1)
     assert all(stack is stacks[0] for stack in stacks)
 
 
@@ -428,8 +434,12 @@ DECISIONS = {
 
 @pytest.mark.parametrize("name", sorted(DECISIONS))
 def test_passing_checks_take_no_svd(norm_calls, name):
-    # residuals far below tolerance pass norm_excess's Frobenius pre-test,
-    # and ChoiOperator takes its scale only for an eigenvalue below -EPS_PSD
+    # residuals far below tolerance pass norm_excess's Frobenius pre-test or
+    # the stack route's leak bound, and ChoiOperator takes its scale only for
+    # an eigenvalue below -EPS_PSD; T44's canonical family, a thin SVD of its
+    # five-column stack taken once per map, is formed before counting
+    canonicalize(T44)
+    norm_calls.clear()
     DECISIONS[name]()
     assert dict(norm_calls) == {}
 
@@ -480,8 +490,12 @@ def test_prepare_inverts_canonical_stacks():
 
 
 def test_not_dominated_takes_exact_path(norm_calls):
+    # the leak bound cannot pass s, so the dense residual takes its one SVD;
+    # t's canonical family, a thin SVD of its stack, is formed before counting
     t = CpMap(2, 2, (np.diag([1.0, 0.0]),))
     s = CpMap(2, 2, (np.eye(2),))
+    canonicalize(t)
+    norm_calls.clear()
     with pytest.raises(NotDominated) as info:
         rn_derivative(s, t)
     assert dict(norm_calls) == {"op_norm": 1, "svd": 1}

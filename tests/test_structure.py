@@ -215,6 +215,23 @@ def test_eigvalsh_only_where_an_eigenvalue_is_read():
     assert _call_sites("eigvalsh") == EIGVALSH_SITES
 
 
+# Full factorizations: an eigensystem comes from eigh only in herm_eig and
+# the ascent's batched x half-step, and an SVD only in op_norm and in
+# canonicalize's thin SVD of a Kraus stack with fewer columns than its
+# process operator's side; both canonical routes order their eigenpairs
+# through canonical_eig.  A new factorization edits these pins on purpose.
+FACTORIZATION_SITES = {
+    "eigh": {"norms._ascend": 1, "numerics.herm_eig": 1},
+    "svd": {"cpmap.canonicalize": 1, "numerics.op_norm": 1},
+    "canonical_eig": {"cpmap.canonicalize": 1, "numerics.herm_eig": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIZATION_SITES))
+def test_factorizations_only_at_their_sites(name):
+    assert _call_sites(name) == FACTORIZATION_SITES[name]
+
+
 def test_call_sites_see_every_call_form():
     sources = (
         "def f(m):\n    return np.linalg.eigvalsh(m)\n",
