@@ -246,13 +246,13 @@ def _family(m: int, n: int, e) -> CpMap:
 def canonicalize(t: CpMap) -> CpMap:
     """Canonical Kraus representation via the process-operator eigensystem.
 
-    A thin family (``_thin``) reads it off a thin SVD of its stack W, as
-    C = dim_in W W*: lam = dim_in sigma^2 on W's left singular vectors,
-    which may span a degenerate eigenspace in another basis than
-    ``from_choi``'s.  Computed once per map object and kept in its instance
-    dict, out of ``repr``, ``==`` and the dataclass fields: maps are
-    immutable values, so making ``kraus_array`` writable voids this memo
-    just as it voids the constructor's checks."""
+    Unique only up to rotations within degenerate eigenspaces: a thin family
+    (``_thin``) reads it off a thin SVD of its stack W, as C = dim_in W W*,
+    lam = dim_in sigma^2 on W's left singular vectors, whose basis there
+    may differ from ``from_choi``'s.  Computed once per map object and kept
+    in its instance dict, out of ``repr``, ``==`` and the dataclass fields:
+    maps are immutable values, so making ``kraus_array`` writable voids
+    this memo just as it voids the constructor's checks."""
     canon = t.__dict__.get("_canonical")
     if canon is None:
         if _thin(t):

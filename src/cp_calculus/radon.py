@@ -120,8 +120,8 @@ def _resolution(mats) -> tuple[np.ndarray, ...]:
 
 
 def _prepare(family: CpMap) -> tuple[np.ndarray, np.ndarray]:
-    """(W, W+) for a ``from_choi`` family (``canonicalize(t)`` is one), which
-    a dominating map's densities live on: its operators are eigenvectors
+    """(W, W+) for a canonical family (``from_choi``'s or ``canonicalize``'s),
+    which a dominating map's densities live on: its operators are eigenvectors
     scaled by sqrt(lam / dim_in), so W+ is W* with row x divided by
     ||w_x||^2, and the zero map's zero column gives a zero row.  Taken once
     per family and kept in its instance dict, as ``canonicalize`` keeps its own."""

@@ -19,16 +19,16 @@ and the plain Kraus loops below build on them, to pin the stacked forms
 bit for bit, a thin stack's SVD and X = W+ v included.  ``dense_canonical``
 and ``dense_density`` keep the process-operator routes that thin stacks
 skip: ``from_choi(to_choi(t))`` and the density of ``to_choi(s)`` with its
-dense residual check.  ``reference_common_dilation`` and ``reference_jam_apply``
-form the dense identity Kronecker products that the library replaces by
-acting on one reshaped factor; ``env_sandwich`` computes V*(A (x) P)V the
-same way, for environments too large to form A (x) P.  ``reference_ascend``
-is one restart of the norms ascent on the dense kron(V, 1_r) stacks,
-decomposed by ``herm_eig``, which the GEMM form must follow step for step
-when x has full rank; ``ascent_input`` is the ascent's other input, the
-``to_choi`` difference regrouped.  ``golden_map`` loads a CLI golden input
-map, its Kraus operators optionally multiplied by one global phase, which
-changes no map.
+dense residual check.  ``reference_common_dilation`` and
+``reference_jam_apply`` form the dense identity Kronecker products that the
+library replaces by acting on one reshaped factor; ``env_sandwich``
+computes V*(A (x) P)V the same way, for environments too large to form
+A (x) P.  ``reference_ascend`` is one restart of the norms ascent on the
+dense kron(V, 1_r) stacks, decomposed by ``herm_eig``, which the GEMM form
+must follow step for step when x has full rank; ``ascent_input`` is the
+ascent's other input, the ``to_choi`` difference regrouped.  ``golden_map``
+loads a CLI golden input map, its Kraus operators optionally multiplied by
+one global phase, which changes no map.
 
 No ``assert`` here: pytest rewrites asserts only in test modules, so
 ``python -O`` would strip them from this file.
@@ -315,15 +315,15 @@ def reference_density(s, t):
 
 
 def dense_canonical(t):
-    """canonicalize as it was before thin stacks took an SVD: the
-    eigensystem of t's process operator, whatever t's Kraus rank."""
+    """canonicalize's process-operator route, whatever t's Kraus rank: the
+    eigensystem of to_choi(t), as from_choi takes it."""
     return from_choi(to_choi(t))
 
 
 def dense_density(s, w, wp):
-    """radon._density as it was before thin stacks skipped the process
-    operator: F = wp C_s wp*, and NotDominated, with its message, when the
-    residual w F w* - C_s fails norm_excess at recon_tol."""
+    """radon._density's dense route on to_choi(s), whatever s's Kraus rank:
+    F = wp C_s wp*, and NotDominated, with its message, when the residual
+    w F w* - C_s fails norm_excess at recon_tol."""
     cs = to_choi(s).matrix / s.dim_in
     f = hermitize(wp @ cs @ wp.conj().T)
     resid = norm_excess(w @ f @ w.conj().T - cs, recon_tol, cs)

@@ -479,8 +479,8 @@ def test_order_chain_forms_each_operator_once(monkeypatch):
     order_chain_dilation(chain)
     assert [sum(x is t for x in seen) for t in chain] == [1, 1, 1]
     # plus the padded top; the padding's canonical form is a thin SVD of its
-    # seven-column stack, and the differences are taken on process operators
-    # and never pass through a Kraus family
+    # stack of at most seven columns, and the differences are taken on
+    # process operators and never pass through a Kraus family
     assert len(seen) == 4
     seen.clear()
     top = rand_channel(RNG, 4, 4)

@@ -10,8 +10,8 @@ and conftest, which hold reference code, are held to the same rule.
 The loaders in ``serialize`` and the CLI must not reach the trusted
 constructors, and the package must not export them; no other module may
 call the checked ``CpMap`` and ``ChoiOperator`` constructors.  No module
-calls ``kron`` or ``tensor``, and ``op_norm`` is called only where a norm
-is a result or is printed.  No module uses a numpy name that needs
+calls ``kron`` or ``tensor``, ``op_norm`` is called only where a norm
+is a result or is printed, and ``eigh`` and ``svd`` only at pinned sites.  No module uses a numpy name that needs
 numpy 2, since the declared floor is 1.24, no module keeps a memo
 that could outlive the object it describes, no module contracts two
 operands with ``einsum``, and no module renders JSON with ``indent=``.
