@@ -253,13 +253,18 @@ def canonicalize(t: CpMap) -> CpMap:
     in its instance dict, out of ``repr``, ``==`` and the dataclass fields:
     maps are immutable values, so making ``kraus_array`` writable voids
     this memo just as it voids the constructor's checks."""
+    return _canonical(t)
+
+
+def _canonical(t: CpMap, c: ChoiOperator | None = None) -> CpMap:
+    """canonicalize(t), from a wide t's process operator ``c`` if held."""
     canon = t.__dict__.get("_canonical")
     if canon is None:
         if _thin(t):
             u, sv = np.linalg.svd(_columns(t.kraus_array), full_matrices=False)[:2]
             e = canonical_eig(t.dim_in * sv[::-1] ** 2, u[:, ::-1])
         else:
-            e = herm_eig(to_choi(t).matrix)
+            e = herm_eig((to_choi(t) if c is None else c).matrix)
         canon = t.__dict__["_canonical"] = _family(t.dim_in, t.dim_out, e)
     return canon
 

@@ -23,7 +23,6 @@ from .cpmap import (
     CpMap,
     _columns,
     _dims,
-    _thin,
     _trusted_choi,
     _trusted_map,
     apply,
@@ -226,8 +225,8 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     stack = _columns(phi.kraus_array)
     # W holds n copies of one m x m diagonal block: pinv(W) inverts it once
     wp = np.eye(n)[:, None, :, None] * np.linalg.inv(stack[:m, :m])[:, None, :]
-    ct = to_choi(t)  # for the check; _density takes t's stack when it is thinner
-    f = _density(t if _thin(t) else ct, stack, wp.reshape(stack.shape))
+    ct = to_choi(t)  # for the check, and a wide t's density
+    f = _density(t, stack, wp.reshape(stack.shape), ct)
     c = max(0.0, float(np.linalg.eigvalsh(f)[-1]))
     if not psd_leq(ct.matrix, c * to_choi(phi).matrix):
         raise InvariantViolation(

@@ -122,9 +122,10 @@ def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol):
     diff = (c1.matrix - c2.matrix).reshape(n, m, n, m)
     g = diff.transpose(0, 2, 1, 3).reshape(n * n, m * m) / m
     k1, k2 = t1.kraus_array, t2.kraus_array
-    rngs = [np.random.default_rng([seed, i]) for i in range(restarts)]
     size = max(1, STACK_ENTRIES // side**2)
-    stacks = [rngs[start : start + size] for start in range(0, restarts, size)]
+    # each stack's generators are seeded as it starts, so one stack's are held at a time
+    ranges = (range(i, min(i + size, restarts)) for i in range(0, restarts, size))
+    stacks = ([np.random.default_rng([seed, i]) for i in s] for s in ranges)
     results = [_ascend(k1, k2, n * r, s, max_iter, tol, g=g) for s in stacks]
     return max(v for v, _ in results), sum(k for _, k in results), c1, c2
 
@@ -169,17 +170,17 @@ def bound_rn(t1: CpMap, t2: CpMap) -> float:
     which collapses to ||F1 - F2|| whenever the dominator is a channel.
     """
     _check_same_dims(t1, t2)
-    return _bound_rn(to_choi(t1), to_choi(t2))
+    return _bound_rn(t1, t2, to_choi(t1), to_choi(t2))
 
 
-def _bound_rn(c1: ChoiOperator, c2: ChoiOperator) -> float:
-    """bound_rn on the maps' process operators alone: T's is their sum, its
-    canonical family the dominator, and T(1) = tr_in(C1 + C2) / dim_in."""
+def _bound_rn(t1: CpMap, t2: CpMap, c1: ChoiOperator, c2: ChoiOperator) -> float:
+    """bound_rn given the maps' process operators: T's is their exactly
+    symmetric sum, its canonical family the dominator, T(1) = tr_in(C1 + C2) / dim_in."""
     m, n = c1.dim_in, c1.dim_out
     total = _trusted_choi(m, n, c1.matrix + c2.matrix)
     family = from_choi(total)
-    f1 = _derivative(c1, family).matrix
-    f2 = _derivative(c2, family).matrix
+    f1 = _derivative(t1, family, c1).matrix
+    f2 = _derivative(t2, family, c2).matrix
     unit = partial_trace(total.matrix, "second", n, m) / m
     return float(op_norm(unit) * op_norm(f1 - f2))
 
@@ -290,7 +291,7 @@ def norm_report(
     lower, iterations, c1, c2 = _diamond_search(
         t1, t2, seed, restarts, None, ASCENT_MAX_ITER, ASCENT_TOL
     )
-    upper_rn = _upper_bound("upper_rn", _bound_rn(c1, c2), lower)
+    upper_rn = _upper_bound("upper_rn", _bound_rn(t1, t2, c1, c2), lower)
     pair = _common_dilation(c1, c2)
     gap = op_norm(pair.v1 - pair.v2)
     limit = pair.dim_in * np.sqrt(upper_rn) * (1.0 + 1e-9) + 1e-12

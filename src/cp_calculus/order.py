@@ -4,7 +4,8 @@ Channels are extreme in the complete-positivity order: two distinct
 channels never dominate one another, so the only way to compare them is by
 a constant, s <= c * t.  This module computes the least such constant,
 builds mixtures and paddings, and turns an increasing chain of operations
-into a single dilation carrying an increasing family of projections.
+into a single dilation carrying an increasing family of projections, from
+the successive differences of the elements' densities on the top's environment.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .cpmap import (
     CpMap,
+    _canonical,
     _check_same_dims,
     _dims,
     _frozen,
@@ -26,7 +28,6 @@ from .cpmap import (
     apply,
     canonicalize,
     dilation_matrix,
-    from_choi,
     is_channel,
     is_quantum_operation,
     scale,
@@ -54,13 +55,7 @@ from .numerics import (
     psd_sqrt,
     recon_tol,
 )
-from .radon import (
-    PovmDecomposition,
-    _density,
-    _difference,
-    _instrument_rn,
-    _prepare,
-)
+from .radon import PovmDecomposition, _check_window, _density, _prepare
 
 
 class DifferenceVerdict(enum.Enum):
@@ -226,9 +221,11 @@ class PvmChain:
 def order_chain_dilation(chain) -> PvmChain:
     """Represent an increasing chain of operations on one dilation.
 
-    The last element is padded to a channel when necessary, successive
-    differences are decomposed as an instrument, and the resulting
-    environment POVM is dilated projectively; the increasing projections
+    The last element, padded to a channel when necessary, is the top.  The
+    elements' densities on its canonical environment, ending in its own, 1,
+    come from the monotonicity check's process operators (a thin element's
+    from its stack); their successive differences, each checked in [0, 1]
+    (NotDominated), are a POVM dilated projectively; the increasing projections
     are the family's partial sums, built directly as diagonals, for the
     input chain only (the padding part, when present, is excluded).
     The contract is T_k(A) = V*(A (x) P_k)V with V = (1 (x) N) V_top: the
@@ -243,23 +240,24 @@ def order_chain_dilation(chain) -> PvmChain:
     for k, t in enumerate(chain):
         if not is_quantum_operation(t):
             raise NotAnOperation(f"chain element {k} has T(1) > 1")
-    # each element's process operator is formed once, and only two are held
-    prev = to_choi(chain[0])
-    parts = [prev]
+    # each element's process operator is formed once
+    chois = [to_choi(chain[0])]
     for k in range(1, len(chain)):
         _check_same_dims(chain[k - 1], chain[k])
-        cur = to_choi(chain[k])
-        if not psd_leq(prev.matrix, cur.matrix):
+        chois.append(to_choi(chain[k]))
+        if not psd_leq(chois[k - 1].matrix, chois[k].matrix):
             raise NotMonotone(f"element {k - 1} is not dominated by element {k}")
-        parts.append(_difference(cur, prev))
-        prev = cur
 
     padded = not is_channel(chain[-1])
-    top = pad_to_channel(chain[-1]) if padded else from_choi(prev)
-    if padded:
-        parts.append(_difference(to_choi(top), prev))
-
-    povm = _instrument_rn(top, parts)
+    top = pad_to_channel(chain[-1]) if padded else _canonical(chain[-1], chois[-1])
+    w, wp = _prepare(top)
+    held = len(chain) - 1 + padded  # an unpadded top's density is 1
+    dens = [_density(t, w, wp, c) for t, c in zip(chain[:held], chois)] + [np.eye(len(wp))]
+    parts = [f - g for f, g in zip(dens, [0.0, *dens])]
+    for f in parts:
+        _check_window(f, NotDominated)
+    # the differences telescope to 1, so they resolve the identity by construction
+    povm = _trusted(PovmDecomposition, elements=tuple(_frozen(f) for f in parts))
     nai = _naimark(povm, np.tri(len(chain), len(parts)))
     v_top = dilation_matrix(top).reshape(top.dim_in, -1, top.dim_out)
     isometry = (nai.isometry @ v_top).reshape(-1, top.dim_out)

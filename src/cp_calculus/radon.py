@@ -18,7 +18,8 @@ domination criterion, run in place of an order check; ``dominates`` tests
 process operators, and the two can disagree within about 1e-9.  This
 compression is the library's one density computation, and the dominating
 Kraus family is the dominator: c_min is F's top eigenvalue; duality
-inverts its own block-diagonal stack.
+inverts its own block-diagonal stack.  rn_reconstruct reweights T's
+family rotated by F's eigenvectors, the family rescaled_kraus returns.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from .cpmap import (
     ChoiOperator,
     CpMap,
+    _canonical,
     _check_hermitian,
     _check_psd,
     _check_same_dims,
@@ -38,6 +40,7 @@ from .cpmap import (
     _thin,
     _trusted,
     _trusted_choi,
+    _trusted_map,
     canonicalize,
     choi_unnormalized,
     from_choi,
@@ -149,11 +152,12 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     return _derivative(s, canonicalize(t))
 
 
-def _density(s, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
-    """F = wp C wp* for the unnormalized process matrix C of a map or process
-    operator s and wp w's inverse on its range; raises NotDominated when
-    w F w* misses C, a leak outside it.  A thin map takes the stack route."""
-    if isinstance(s, CpMap) and _thin(s):
+def _density(s: CpMap, w, wp, c: ChoiOperator | None = None) -> np.ndarray:
+    """F = wp C wp* for the unnormalized process matrix C of the map s and wp
+    w's inverse on its range; raises NotDominated when w F w* misses C, a
+    leak outside it.  A thin s takes the stack route; else C comes from
+    ``c``, s's process operator when the caller holds it."""
+    if _thin(s):
         v = _columns(s.kraus_array)  # C = v v*
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the test
             x = wp @ v
@@ -162,7 +166,7 @@ def _density(s, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
             bound = 2.0 * np.linalg.norm(wx) * leak + leak**2  # >= ||w F w* - C||
         if s.dim_in * cols.sum() < np.inf and bound <= 0.5 * recon_tol(cols.max()):
             return hermitize(x @ x.conj().T)
-    cs = choi_unnormalized(to_choi(s) if isinstance(s, CpMap) else s)
+    cs = choi_unnormalized(to_choi(s) if c is None else c)
     f = hermitize(wp @ cs @ wp.conj().T)
     resid = norm_excess(w @ f @ w.conj().T - cs, recon_tol, cs)
     if resid is not None:
@@ -181,15 +185,12 @@ def _check_window(f: np.ndarray, error) -> None:
         )
 
 
-def _derivative(c, family: CpMap) -> RnDerivative:
-    """rn_derivative of a map or a process operator ``c`` on a dominating family."""
-    f = _density(c, *_prepare(family))
+def _derivative(s: CpMap, family: CpMap, c: ChoiOperator | None = None) -> RnDerivative:
+    """rn_derivative of s on a dominating family, ``c`` as ``_density`` takes it."""
+    f = _density(s, *_prepare(family), c)
     _check_window(f, NotDominated)
     return RnDerivative(
-        dim_in=c.dim_in,
-        dim_out=c.dim_out,
-        env_dim=len(family.kraus),
-        matrix=f,
+        dim_in=s.dim_in, dim_out=s.dim_out, env_dim=len(family.kraus), matrix=f
     )
 
 
@@ -198,9 +199,10 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
 
     Accepts an RnDerivative or a bare matrix, Hermitian by the rule
     ChoiOperator applies (NotHermitian otherwise) with spectrum in [0, 1]
-    (NotPsd otherwise); the result is returned in canonical Kraus form and
-    is dominated by ``t`` by construction.  T's canonical family and its
-    stack W come from the map's memo.
+    (NotPsd otherwise).  The map is rescaled_kraus's family read backwards,
+    each rotated operator scaled by the root of its eigenvalue of F (a
+    negative one reads as 0), in canonical Kraus form and dominated by
+    ``t`` by construction.  T's canonical family comes from the map's memo.
     """
     family = canonicalize(t)
     d = len(family.kraus)
@@ -208,9 +210,16 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     _check_hermitian(mat)
     h = hermitize(mat)
     _check_window(h, NotPsd)
-    w = _prepare(family)[0]
-    choi = t.dim_in * (w @ h @ w.conj().T)
-    return from_choi(_trusted_choi(t.dim_in, t.dim_out, hermitize(choi)))
+    lam, ops = _rotated(h, family)
+    ops *= np.sqrt(np.maximum(lam, 0.0))[:, None, None]
+    return canonicalize(_trusted_map(t.dim_in, t.dim_out, ops))
+
+
+def _rotated(f: np.ndarray, family: CpMap) -> tuple[np.ndarray, np.ndarray]:
+    """F's eigenvalues lam_x, descending, and the family rotated by its
+    eigenvectors phi_x: W_x = sum_y conj(phi_x[y]) V_y, a fresh array."""
+    e = herm_eig(f)
+    return e.values, np.tensordot(e.vectors.conj(), family.kraus_array, axes=(0, 0))
 
 
 def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
@@ -222,14 +231,10 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     """
     _check_same_dims(s, t)
     family = canonicalize(t)
-    e = herm_eig(_derivative(s, family).matrix)
-    weights = np.clip(e.values, 0.0, 1.0)
-    rotated = np.tensordot(e.vectors.conj(), family.kraus_array, axes=(0, 0))
+    lam, rotated = _rotated(_derivative(s, family).matrix, family)
+    weights = np.clip(lam, 0.0, 1.0)
     return RescaledKraus(
-        dim_in=t.dim_in,
-        dim_out=t.dim_out,
-        kraus=tuple(rotated[x] for x in range(rotated.shape[0])),
-        weights=weights,
+        dim_in=t.dim_in, dim_out=t.dim_out, kraus=tuple(rotated), weights=weights
     )
 
 
@@ -242,19 +247,15 @@ def cp_difference(t: CpMap, s: CpMap) -> CpMap:
     ct, cs = to_choi(t), to_choi(s)
     if not psd_leq(cs.matrix, ct.matrix):
         raise NotDominated("difference is not completely positive")
-    return from_choi(_difference(ct, cs))
-
-
-def _difference(ct: ChoiOperator, cs: ChoiOperator) -> ChoiOperator:
-    """Process operator of T - S from those of a pair with S <= T."""
-    return _trusted_choi(ct.dim_in, ct.dim_out, hermitize(ct.matrix - cs.matrix))
+    return from_choi(_trusted_choi(t.dim_in, t.dim_out, hermitize(ct.matrix - cs.matrix)))
 
 
 def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
     """Derivatives of an instrument's parts form a POVM on T's environment.
 
     ``parts`` must sum to ``t``; each density F_i = D_T(part_i) is PSD and
-    the family resolves the identity on the canonical environment.
+    the family resolves the identity on the canonical environment; the sum
+    check's process operators serve wide maps' densities and canonical form.
     """
     parts = list(parts)
     if not parts:
@@ -266,13 +267,7 @@ def instrument_rn(t: CpMap, parts) -> PovmDecomposition:
     dev = norm_excess(sum(c.matrix for c in chois) - ct.matrix, recon_tol, ct.matrix)
     if dev is not None:
         raise NotADecomposition(f"parts sum differs from the map by {dev:.3e}")
-    operands = [p if _thin(p) else c for p, c in zip(parts, chois)]  # as _density takes them
-    return _instrument_rn(canonicalize(t), operands)
-
-
-def _instrument_rn(family: CpMap, parts) -> PovmDecomposition:
-    """Densities of maps or process operators that sum to the dominating family's
-    map by construction; instrument_rn checks the sum of parts from outside.
-    Each density has passed _check_window, so only the resolution is checked."""
-    mats = [_frozen(_derivative(p, family).matrix) for p in parts]
+    family = _canonical(t, ct)
+    # each density has passed _check_window, so only the resolution is checked
+    mats = [_frozen(_derivative(p, family, c).matrix) for p, c in zip(parts, chois)]
     return _trusted(PovmDecomposition, elements=_resolution(mats))

@@ -177,6 +177,33 @@ def test_stack_boundaries_leave_results_unchanged(monkeypatch, m, n, r, k, same)
         assert sizes == expected
 
 
+def test_generators_seeded_when_their_stack_starts(monkeypatch):
+    # seven restarts in stacks of three: each stack's generators are created
+    # after the previous stack's ascent has returned, and the result is the
+    # one the default stacking gives
+    rng = np.random.default_rng(31)
+    t1, t2 = rand_channel(rng, 2, 2), rand_operation(rng, 2, 2)
+    whole = norms._diamond_search(t1, t2, 4, 7, None, 200, 1e-10)[:2]
+    events = []
+    make, ascend = np.random.default_rng, norms._ascend
+
+    def seeded(seed):
+        events.append(("rng", seed[1]))
+        return make(seed)
+
+    def recorded(*args, **kwargs):
+        result = ascend(*args, **kwargs)
+        events.append(("ascend", len(args[3])))
+        return result
+
+    monkeypatch.setattr(np.random, "default_rng", seeded)
+    monkeypatch.setattr(norms, "_ascend", recorded)
+    monkeypatch.setattr(norms, "STACK_ENTRIES", 3 * 4**2)
+    assert norms._diamond_search(t1, t2, 4, 7, None, 200, 1e-10)[:2] == whole
+    stacks = [range(0, 3), range(3, 6), range(6, 7)]
+    assert events == [e for s in stacks for e in [*(("rng", i) for i in s), ("ascend", len(s))]]
+
+
 def test_stacks_stay_under_the_entry_cap(monkeypatch):
     calls = []
 

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from cp_calculus import cpmap
+from cp_calculus import cpmap, order
 from cp_calculus.cpmap import (
     CpMap,
     StinespringDilation,
@@ -478,23 +478,27 @@ def test_order_chain_forms_each_operator_once(monkeypatch):
     assert not is_channel(chain[-1])
     order_chain_dilation(chain)
     assert [sum(x is t for x in seen) for t in chain] == [1, 1, 1]
-    # plus the padded top; the padding's canonical form is a thin SVD of its
-    # stack of at most seven columns, and the differences are taken on
-    # process operators and never pass through a Kraus family
-    assert len(seen) == 4
-    seen.clear()
-    top = rand_channel(RNG, 4, 4)
-    chain = [scale(top, 0.25), scale(top, 0.5), top]
-    order_chain_dilation(chain)
-    assert [sum(x is t for x in seen) for t in chain] == [1, 1, 1]
+    # and nothing else: the padding's canonical form is a thin SVD of its
+    # stack of at most seven columns, and the top's density is 1
     assert len(seen) == 3
+    # thin elements take the stack route; wide ones (16 operators at 4 x 4)
+    # take the densities, and the top its canonical family, from the
+    # process operators the monotonicity check formed
+    for n_kraus in (None, 16):
+        seen.clear()
+        top = rand_channel(RNG, 4, 4, n_kraus=n_kraus)
+        chain = [scale(top, 0.25), scale(top, 0.5), top]
+        order_chain_dilation(chain)
+        assert [sum(x is t for x in seen) for t in chain] == [1, 1, 1]
+        assert len(seen) == 3
 
 
 def test_order_chain_runs_one_eigendecomposition(monkeypatch):
     # the canonical form of the top element is the only factorization of
-    # size m*n: a thin SVD of the padded top's stack (at most seven columns),
-    # or the eigh of the unpadded top's process operator; the chains' Kraus
-    # ranks stay below 16, so the Naimark roots are smaller
+    # size m*n: a thin SVD of the top's stack (the padded top's has at most
+    # seven columns, the unpadded top's two), and no eigh of that size runs,
+    # as thin elements take their densities from their stacks; the chains'
+    # Kraus ranks stay below 16, so the Naimark roots are smaller
     sizes = []
     orig_eigh, orig_svd = np.linalg.eigh, np.linalg.svd
 
@@ -510,10 +514,37 @@ def test_order_chain_runs_one_eigendecomposition(monkeypatch):
     padded = conic_chain(RNG, 4, 4, 3)
     assert not is_channel(padded[-1])
     top = rand_channel(RNG, 4, 4, n_kraus=2)
-    for chain, route in ((padded, "svd"), ([scale(top, 0.5), top], "eigh")):
+    for chain in (padded, [scale(top, 0.5), top]):
         sizes.clear()
         order_chain_dilation(chain)
-        assert [call for call in sizes if call[1] == 16] == [(route, 16)]
+        assert [call for call in sizes if call[1] == 16] == [("svd", 16)]
+
+
+def test_order_chain_povm_is_differences_of_densities(monkeypatch):
+    # the POVM the chain dilates is the successive differences of
+    # rn_derivative(T_k, top), ending in the top's own density, 1; it sums to 1
+    povms, naimark = [], order._naimark
+
+    def recorded(povm, masks):
+        povms.append(povm)
+        return naimark(povm, masks)
+
+    monkeypatch.setattr(order, "_naimark", recorded)
+    for m, n, n_kraus in ((2, 2, None), (3, 2, None), (4, 4, 16)):
+        base = rand_channel(RNG, m, n, n_kraus=n_kraus)
+        for chain in (conic_chain(RNG, m, n, 3), [scale(base, 0.3), scale(base, 0.7), base]):
+            order_chain_dilation(chain)
+            top = chain[-1] if is_channel(chain[-1]) else pad_to_channel(chain[-1])
+            dens = [rn_derivative(t, top).matrix for t in chain]
+            if top is chain[-1]:
+                dens.pop()
+            dens.append(np.eye(len(dens[0])))
+            want = [f - g for f, g in zip(dens, [0.0, *dens])]
+            got = povms.pop().elements
+            assert len(got) == len(want)
+            for el, ref in zip(got, want):
+                assert np.abs(el - ref).max() <= 1e-12
+            assert np.abs(sum(got) - np.eye(len(got[0]))).max() <= 1e-12
 
 
 def test_chain_converse_direction():

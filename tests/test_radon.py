@@ -236,6 +236,26 @@ def test_dominator_prepared_once_per_map(monkeypatch):
     assert all(stack is stacks[0] for stack in stacks)
 
 
+def test_reconstruct_on_a_thin_dominator_takes_no_process_operator_eigh(monkeypatch):
+    # t has four operators at 3 x 2: the rotated, reweighted family is a
+    # four-column stack too, so its canonical form is a thin SVD and no
+    # eigh of side 6 runs; the result is the map the density describes
+    t, _ = _dominator_calls(3, 2)
+    density = rand_contraction(RNG, 4)
+    sides = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sides.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    s = rn_reconstruct(t, density)
+    assert 6 not in sides
+    monkeypatch.undo()
+    assert np.abs(rn_derivative(s, t).matrix - density).max() <= 1e-12
+
+
 DOMINATOR_CALLS = ["rn_derivative", "c_min", "rescaled_kraus", "rn_reconstruct", "instrument_rn"]
 
 

@@ -217,19 +217,31 @@ def test_eigvalsh_only_where_an_eigenvalue_is_read():
 
 # Full factorizations: an eigensystem comes from eigh only in herm_eig and
 # the ascent's batched x half-step, and an SVD only in op_norm and in
-# canonicalize's thin SVD of a Kraus stack with fewer columns than its
-# process operator's side; both canonical routes order their eigenpairs
-# through canonical_eig.  A new factorization edits these pins on purpose.
+# canonicalize's thin SVD (its body, _canonical) of a Kraus stack with fewer
+# columns than its process operator's side; both canonical routes order
+# their eigenpairs through canonical_eig.  A new factorization edits these
+# pins on purpose.
 FACTORIZATION_SITES = {
     "eigh": {"norms._ascend": 1, "numerics.herm_eig": 1},
-    "svd": {"cpmap.canonicalize": 1, "numerics.op_norm": 1},
-    "canonical_eig": {"cpmap.canonicalize": 1, "numerics.herm_eig": 1},
+    "svd": {"cpmap._canonical": 1, "numerics.op_norm": 1},
+    "canonical_eig": {"cpmap._canonical": 1, "numerics.herm_eig": 1},
 }
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIZATION_SITES))
 def test_factorizations_only_at_their_sites(name):
     assert _call_sites(name) == FACTORIZATION_SITES[name]
+
+
+# Every density is a density of a map, and reconstruction reweights a Kraus
+# family, so a process operator becomes a Kraus family only where none is
+# at hand: the difference T - S and the sum C1 + C2, which is exactly
+# symmetric in the two maps where their union family's SVD is not.
+FROM_CHOI_SITES = {"radon.cp_difference": 1, "norms._bound_rn": 1}
+
+
+def test_from_choi_only_where_no_family_is_at_hand():
+    assert _call_sites("from_choi") == FROM_CHOI_SITES
 
 
 def test_call_sites_see_every_call_form():
