@@ -45,7 +45,7 @@ from .numerics import (
     partial_trace,
     psd_leq,
 )
-from .radon import _density
+from .radon import _density, _spectrum
 
 
 @dataclass(frozen=True)
@@ -212,9 +212,10 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     <f_mu|T(|b_i><b_j|)f_nu> / sqrt(p_i p_j) at environment index
     (mu, i) -> mu * m + i; FaithfulState accepts a basis orthonormal to
     1e-8, and for such a basis the two differ at that order.
-    ``constant`` is its top eigenvalue (its norm: it is PSD), the least c
-    with t dominated by c times the faithful channel.  The uniform state in
-    the standard basis returns the process operator.
+    ``constant`` is its top eigenvalue, read as c_min reads its own (a thin
+    t's from its stack factor's Gram), the least c with t dominated by c
+    times the faithful channel.  The uniform state in the standard basis
+    returns the process operator.
     Raises InvariantViolation if c fails to dominate or exceeds
     p_min**-2 * ||T(1)||.
     """
@@ -226,8 +227,8 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     # W holds n copies of one m x m diagonal block: pinv(W) inverts it once
     wp = np.eye(n)[:, None, :, None] * np.linalg.inv(stack[:m, :m])[:, None, :]
     ct = to_choi(t)  # for the check, and a wide t's density
-    f = _density(t, stack, wp.reshape(stack.shape), ct)
-    c = max(0.0, float(np.linalg.eigvalsh(f)[-1]))
+    f, x = _density(t, stack, wp.reshape(stack.shape), ct)
+    c = max(0.0, float(_spectrum(f, x).max()))
     if not psd_leq(ct.matrix, c * to_choi(phi).matrix):
         raise InvariantViolation(
             f"map is not dominated by {c!r} times the faithful channel"

@@ -55,7 +55,7 @@ from .numerics import (
     psd_sqrt,
     recon_tol,
 )
-from .radon import PovmDecomposition, _check_window, _density, _prepare
+from .radon import PovmDecomposition, _check_window, _density, _prepare, _spectrum
 
 
 class DifferenceVerdict(enum.Enum):
@@ -109,7 +109,8 @@ def c_min(s: CpMap, t: CpMap) -> DominationConstant:
     """Least constant c such that c * t dominates s.
 
     The largest eigenvalue of s's density on t's canonical environment,
-    the matrix rn_derivative returns before its [0, 1] window check.  It
+    the top of the spectrum rn_derivative's [0, 1] window reads (from the
+    Gram of s's stack factor when that is thinner than the density).  It
     is infinite, as the sentinel (inf, attained=False), exactly when
     rn_derivative reports that s leaks outside t's support.  Like
     rn_derivative, it reuses t's canonical family and its stack W with
@@ -117,11 +118,10 @@ def c_min(s: CpMap, t: CpMap) -> DominationConstant:
     """
     _check_same_dims(s, t)
     try:
-        f = _density(s, *_prepare(canonicalize(t)))
+        eigs = _spectrum(*_density(s, *_prepare(canonicalize(t))))
     except NotDominated:
         return DominationConstant(value=float("inf"), attained=False)
-    top = float(np.linalg.eigvalsh(f)[-1])
-    return DominationConstant(value=max(0.0, top), attained=True)
+    return DominationConstant(value=max(0.0, float(eigs.max())), attained=True)
 
 
 def mix_channels(s1: CpMap, s2: CpMap, lam: float) -> CpMap:
@@ -252,10 +252,10 @@ def order_chain_dilation(chain) -> PvmChain:
     top = pad_to_channel(chain[-1]) if padded else _canonical(chain[-1], chois[-1])
     w, wp = _prepare(top)
     held = len(chain) - 1 + padded  # an unpadded top's density is 1
-    dens = [_density(t, w, wp, c) for t, c in zip(chain[:held], chois)] + [np.eye(len(wp))]
-    parts = [f - g for f, g in zip(dens, [0.0, *dens])]
+    dens = [_density(t, w, wp, c)[0] for t, c in zip(chain[:held], chois)]
+    parts = [f - g for f, g in zip([*dens, np.eye(len(wp))], [0.0, *dens])]
     for f in parts:
-        _check_window(f, NotDominated)
+        _check_window(_spectrum(f), NotDominated)
     # the differences telescope to 1, so they resolve the identity by construction
     povm = _trusted(PovmDecomposition, elements=tuple(_frozen(f) for f in parts))
     nai = _naimark(povm, np.tri(len(chain), len(parts)))

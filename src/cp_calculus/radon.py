@@ -18,8 +18,11 @@ domination criterion, run in place of an order check; ``dominates`` tests
 process operators, and the two can disagree within about 1e-9.  This
 compression is the library's one density computation, and the dominating
 Kraus family is the dominator: c_min is F's top eigenvalue; duality
-inverts its own block-diagonal stack.  rn_reconstruct reweights T's
-family rotated by F's eigenvectors, the family rescaled_kraus returns.
+inverts its own block-diagonal stack.  ``_spectrum`` takes F's spectrum
+once, from the Gram X* X and F's kernel when X has fewer columns than
+rows; the window, c_min and faithful_rn's constant read it.  rn_reconstruct
+reweights T's family rotated by F's eigenvectors, the family
+rescaled_kraus returns, and windows that one eigensystem's values.
 """
 
 from __future__ import annotations
@@ -152,11 +155,12 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     return _derivative(s, canonicalize(t))
 
 
-def _density(s: CpMap, w, wp, c: ChoiOperator | None = None) -> np.ndarray:
-    """F = wp C wp* for the unnormalized process matrix C of the map s and wp
-    w's inverse on its range; raises NotDominated when w F w* misses C, a
-    leak outside it.  A thin s takes the stack route; else C comes from
-    ``c``, s's process operator when the caller holds it."""
+def _density(s: CpMap, w, wp, c: ChoiOperator | None = None):
+    """(F, X): F = wp C wp* for the unnormalized process matrix C of the map s
+    and wp w's inverse on its range, and X with F = X X* when the stack route
+    decided, else None; raises NotDominated when w F w* misses C, a leak
+    outside it.  A thin s takes the stack route; else C comes from ``c``,
+    s's process operator when the caller holds it."""
     if _thin(s):
         v = _columns(s.kraus_array)  # C = v v*
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the test
@@ -165,7 +169,7 @@ def _density(s: CpMap, w, wp, c: ChoiOperator | None = None) -> np.ndarray:
             leak, cols = np.linalg.norm(v - wx), np.linalg.norm(v, axis=0) ** 2
             bound = 2.0 * np.linalg.norm(wx) * leak + leak**2  # >= ||w F w* - C||
         if s.dim_in * cols.sum() < np.inf and bound <= 0.5 * recon_tol(cols.max()):
-            return hermitize(x @ x.conj().T)
+            return hermitize(x @ x.conj().T), x
     cs = choi_unnormalized(to_choi(s) if c is None else c)
     f = hermitize(wp @ cs @ wp.conj().T)
     resid = norm_excess(w @ f @ w.conj().T - cs, recon_tol, cs)
@@ -173,22 +177,32 @@ def _density(s: CpMap, w, wp, c: ChoiOperator | None = None) -> np.ndarray:
         raise NotDominated(
             f"residual {resid:.3e} outside the dominating map's support"
         )
-    return f
+    return f, None
 
 
-def _check_window(f: np.ndarray, error) -> None:
-    """Raise ``error`` unless the Hermitian f has spectrum in [0, 1]."""
-    eigs = np.linalg.eigvalsh(f)
-    if eigs[0] < -EPS_PSD or eigs[-1] > 1.0 + EPS_PSD:
+def _spectrum(f: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+    """F's eigenvalues, unordered (readers take their min and max): for a
+    factor X of F = X X* with fewer columns than rows, F's kernel, one zero
+    per missing column, and the eigenvalues of the smaller Gram X* X; else F's own."""
+    thin = x is not None and x.shape[1] < x.shape[0]
+    eigs = np.linalg.eigvalsh(x.conj().T @ x if thin else f)
+    return np.concatenate([np.zeros(len(f) - len(eigs)), eigs])
+
+
+def _check_window(eigs: np.ndarray, error) -> None:
+    """Raise ``error`` unless the spectrum ``eigs`` lies in [0, 1] within EPS_PSD."""
+    lo, hi = eigs.min(), eigs.max()
+    if lo < -EPS_PSD or hi > 1.0 + EPS_PSD:
         raise error(
-            f"density spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] escapes [0, 1]"
+            f"density spectrum [{lo:.3e}, {hi:.3e}] escapes [0, 1] by "
+            f"{max(-lo, hi - 1.0):.3e}"
         )
 
 
 def _derivative(s: CpMap, family: CpMap, c: ChoiOperator | None = None) -> RnDerivative:
     """rn_derivative of s on a dominating family, ``c`` as ``_density`` takes it."""
-    f = _density(s, *_prepare(family), c)
-    _check_window(f, NotDominated)
+    f, x = _density(s, *_prepare(family), c)
+    _check_window(_spectrum(f, x), NotDominated)
     return RnDerivative(
         dim_in=s.dim_in, dim_out=s.dim_out, env_dim=len(family.kraus), matrix=f
     )
@@ -199,18 +213,17 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
 
     Accepts an RnDerivative or a bare matrix, Hermitian by the rule
     ChoiOperator applies (NotHermitian otherwise) with spectrum in [0, 1]
-    (NotPsd otherwise).  The map is rescaled_kraus's family read backwards,
-    each rotated operator scaled by the root of its eigenvalue of F (a
-    negative one reads as 0), in canonical Kraus form and dominated by
-    ``t`` by construction.  T's canonical family comes from the map's memo.
+    (NotPsd otherwise, read off the rotation's eigenvalues).  The map is
+    rescaled_kraus's family read backwards, each operator scaled by the root
+    of its eigenvalue of F (a negative one reads as 0), in canonical form and
+    dominated by ``t`` by construction; T's family comes from the map's memo.
     """
     family = canonicalize(t)
     d = len(family.kraus)
     mat = as_matrix(f.matrix if isinstance(f, RnDerivative) else f, (d, d), "density")
     _check_hermitian(mat)
-    h = hermitize(mat)
-    _check_window(h, NotPsd)
-    lam, ops = _rotated(h, family)
+    lam, ops = _rotated(hermitize(mat), family)
+    _check_window(lam, NotPsd)
     ops *= np.sqrt(np.maximum(lam, 0.0))[:, None, None]
     return canonicalize(_trusted_map(t.dim_in, t.dim_out, ops))
 
@@ -231,7 +244,8 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     """
     _check_same_dims(s, t)
     family = canonicalize(t)
-    lam, rotated = _rotated(_derivative(s, family).matrix, family)
+    lam, rotated = _rotated(_density(s, *_prepare(family))[0], family)
+    _check_window(lam, NotDominated)
     weights = np.clip(lam, 0.0, 1.0)
     return RescaledKraus(
         dim_in=t.dim_in, dim_out=t.dim_out, kraus=tuple(rotated), weights=weights

@@ -3,17 +3,19 @@
     PYTHONPATH=src python tests/data/make_cli_golden.py [--only NAME ...]
 
 Seeded d=2 inputs for all 13 commands, the negative ``dominate``,
-``derivative`` and ``cmin`` cases, a wrong-arity and two wrong-kind cases.
+``derivative`` and ``cmin`` cases, a ``derivative`` whose density leaves
+the [0, 1] window (s = 1.5 t), a wrong-arity and two wrong-kind cases.
 Each case records argv (paths relative to the fixture directory), exit
 code, stdout and stderr of ``cp_calculus.cli.main`` run from that
 directory.  ``test_cli_golden.py`` replays them; regenerate only when a
 report is meant to change.  ``--only NAME ...`` reruns just the named cases
-on the input files already written and rewrites only their entries of
-``cases.json``, so reports that depend on rounding keep their recorded
-bits.  The ``chain`` isometry no longer does (``psd_sqrt`` cuts the
-rounding-level eigenvalues whose roots moved it by about 1e-8); the ascent's
-``lower`` and ``iterations`` in ``bounds`` and ``diamond`` still do, until
-its kernel signs stop depending on rounding (ROADMAP item 2).
+on the input files already written (writing only those missing) and
+rewrites only their entries of ``cases.json``, so reports that depend on
+rounding keep their recorded bits.  The ``chain`` isometry no longer does
+(``psd_sqrt`` cuts the rounding-level eigenvalues whose roots moved it by
+about 1e-8); the ascent's ``lower`` and ``iterations`` in ``bounds`` and
+``diamond`` still do, until its kernel signs stop depending on rounding
+(ROADMAP item 2).
 """
 
 import argparse
@@ -65,6 +67,7 @@ def inputs(rng):
         "t_low.json": cpmap_to_json(scale(t, 0.2)),
         "t_mid.json": cpmap_to_json(scale(t, 0.5)),
         "t_high.json": cpmap_to_json(scale(t, 0.8)),
+        "t_over.json": cpmap_to_json(scale(t, 1.5)),
         "a.json": matrix_to_json(rand_complex(rng, 2, 2)),
         "povm.json": povm_to_json(PovmDecomposition((p0, np.eye(2) - p0))),
         "w.json": state_to_json(FaithfulState(p=np.array([0.3, 0.7]))),
@@ -80,6 +83,7 @@ CASES = [
     ("dominate_negative", ["dominate", "t.json", "t_mid.json"]),
     ("derivative", ["derivative", "t_mid.json", "t.json"]),
     ("derivative_negative", ["derivative", "u.json", "t_mid.json"]),
+    ("derivative_window", ["derivative", "t_over.json", "t.json"]),
     ("cmin", ["cmin", "t_mid.json", "t.json"]),
     ("cmin_infinite", ["cmin", "u.json", "t.json"]),
     ("chain", ["chain", "t_low.json", "t_mid.json", "t_high.json"]),
@@ -117,12 +121,12 @@ def main_(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", nargs="+", metavar="NAME", choices=[n for n, _ in CASES])
     only = parser.parse_args(argv).only
-    if only is None:
-        OUT.mkdir(exist_ok=True)
-        for name, payload in inputs(np.random.default_rng(20261018)).items():
+    OUT.mkdir(exist_ok=True)
+    for name, payload in inputs(np.random.default_rng(20261018)).items():
+        if only is None or not (OUT / name).exists():
             (OUT / name).write_text(dumps(payload), encoding="utf-8")
-        old = {}
-    else:
+    old = {}
+    if only is not None:
         old = {c["name"]: c for c in json.loads((OUT / "cases.json").read_text(encoding="utf-8"))}
     os.chdir(OUT)
     cases = [

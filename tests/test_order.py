@@ -181,6 +181,12 @@ def test_c_min_agrees_with_rn_derivative():
     rng = np.random.default_rng(11)
     pairs = [near_support_pair(leak) for leak in (1e-10, 3e-10, 6e-10, 1e-9, 2e-9)]
     pairs += list(comparison_pairs(rng))
+    # s = (1 + EPS_PSD (1 + j 1e-7)) t, thin and wide t: c_min lies within
+    # 1e-13 of the window's upper edge, on either side of it
+    for m, n, k in ((2, 2, 2), (2, 2, 4), (4, 4, 5), (4, 4, 16)):
+        t = rand_cp_map(rng, m, n, n_kraus=k)
+        for j in (-1000, -300, -100, -30, -10, -3, 0, 3, 10):
+            pairs.append((scale(t, 1.0 + EPS_PSD * (1.0 + j * 1e-7)), t))
     outcomes = set()
     for s, t in pairs:
         res = c_min(s, t)

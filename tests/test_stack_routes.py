@@ -15,6 +15,11 @@ and s outside t's range with ||C_s|| on the tolerance line, at sides up to
   that keeps rounding in the leak bound from passing a residual the dense
   rule fails;
 - the densities agree within 1e-12 max(1, ||F||);
+- the spectrum ``radon._spectrum`` reads from the density and its factor
+  (the Gram X* X and F's kernel when X is thin) has the dense F's ends
+  within TOL_SPECTRUM max(1, ||F||), and the [0, 1] window gives the dense
+  verdict wherever both dense ends lie outside that band around the
+  window's edges;
 - the canonical families' process operators agree within 1e-12 of the
   largest entry, and their eigenvalues within 1e-14 of the top one.
 """
@@ -30,14 +35,17 @@ from cp_calculus import cpmap, radon
 from cp_calculus.cpmap import CpMap, add, canonicalize, kraus_stack, scale, to_choi
 from cp_calculus.duality import FaithfulState, faithful_rn
 from cp_calculus.errors import NotDominated
-from cp_calculus.numerics import op_norm, recon_tol
+from cp_calculus.numerics import EPS_PSD, op_norm, recon_tol
 from cp_calculus.order import c_min
-from cp_calculus.radon import instrument_rn, rescaled_kraus, rn_derivative
+from cp_calculus.radon import instrument_rn, rescaled_kraus, rn_derivative, rn_reconstruct
 from helpers import dense_canonical, dense_density, rand_complex, rand_cp_map
 
 SHAPES = [(1, 2), (2, 2), (2, 3), (3, 2), (4, 4), (4, 8), (8, 4), (16, 16)]
 EPS_GRID = np.logspace(-12.0, -6.0, 13).tolist()
 LEAKS = [1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-14]
+# 25 times the worst end deviation seen over 3,000 examples of ``cases``,
+# relative to max(1, ||F||), rounded up: 5.9e-13 (6.4e-16 on the Gram route)
+TOL_SPECTRUM = 2e-11
 
 
 def from_columns(m, n, cols):
@@ -112,6 +120,15 @@ def exact_margin(s, w, wp):
     return op_norm(w @ f @ w.conj().T - cs) / recon_tol(low)
 
 
+def window_fails(eigs):
+    """Whether radon's [0, 1] window rejects the spectrum ``eigs``."""
+    try:
+        radon._check_window(eigs, NotDominated)
+    except NotDominated:
+        return True
+    return False
+
+
 def eigenvalues(family):
     """m ||w_x||^2 for the canonical stack's orthogonal columns."""
     w = kraus_stack(family.kraus)
@@ -138,8 +155,16 @@ def test_stack_routes_match_the_dense_references(case):
     if verdict == "pass" and not formed:
         assert exact_margin(s, w, wp) <= 0.5 * (1.0 + 1e-6)
     if verdict == "pass":
+        got, factor = got
         scale_f = max(1.0, float(np.linalg.norm(want, 2)))
         assert np.abs(got - want).max() <= 1e-12 * scale_f
+        # the spectrum's ends, and the window's verdict off its rounding band
+        eigs, dense = radon._spectrum(got, factor), np.linalg.eigvalsh(want)
+        band = TOL_SPECTRUM * scale_f
+        assert abs(eigs.min() - dense[0]) <= band and abs(eigs.max() - dense[-1]) <= band
+        if min(abs(dense[0] + EPS_PSD), abs(dense[-1] - 1.0 - EPS_PSD)) > band:
+            outside = dense[0] < -EPS_PSD or dense[-1] > 1.0 + EPS_PSD
+            assert window_fails(eigs) == outside
     else:
         assert got == want
 
@@ -172,3 +197,35 @@ def test_thin_operands_form_no_process_operator(monkeypatch):
     seen.clear()
     faithful_rn(t, FaithfulState(p=np.full(4, 0.25)))
     assert seen[0] is t and sum(x is t for x in seen) == 1
+
+
+def test_each_density_is_factored_once(monkeypatch):
+    # at 16 x 16, s = a / 2 on 32 columns and t = a + b on 64: the derivative
+    # calls read s's spectrum from its 32-side Gram, and faithful_rn t's from
+    # its 64-side one, below the environments of 64 and 256; rn_reconstruct
+    # factors its density once, the window reading that eigensystem's values
+    sides = []
+    for name in ("eigvalsh", "eigh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(m, *args, _name=name, _orig=orig, **kwargs):
+            sides.append((_name, len(m)))
+            return _orig(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(2901)
+    a, b = (rand_cp_map(rng, 16, 16, n_kraus=32) for _ in "ab")
+    s, t = scale(a, 0.5), add(a, b)
+    env = len(canonicalize(t).kraus)
+    assert env == 64
+    for call in (rn_derivative, c_min):
+        sides.clear()
+        call(s, t)
+        assert sides == [("eigvalsh", 32)]
+    sides.clear()
+    faithful_rn(t, FaithfulState(p=np.full(16, 1.0 / 16)))
+    assert sides == [("eigvalsh", 64)]
+    f = rn_derivative(s, t)
+    sides.clear()
+    rn_reconstruct(t, f)
+    assert sides == [("eigh", env)]

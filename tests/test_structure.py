@@ -199,15 +199,14 @@ def test_op_norm_only_where_a_norm_is_the_result():
 # A PSD-order verdict goes through numerics.is_psd, which runs eigvalsh only
 # in its rounding band; eigvalsh is called directly only where an eigenvalue
 # is a value the caller reads, not a yes/no.  A new PSD verdict either uses
-# the rule or edits this pin on purpose.
+# the rule or edits this pin on purpose.  A density's spectrum has one owner,
+# radon._spectrum, read by the window, c_min and faithful_rn's constant.
 EIGVALSH_SITES = {
     "cpmap._check_psd": 1,  # words a failure is_psd has decided
     "cpmap.choi_rank": 1,
-    "duality.faithful_rn": 1,  # the constant, the top eigenvalue
     "norms._toward_top": 1,
     "numerics.is_psd": 1,  # the rounding band
-    "order.c_min": 1,
-    "radon._check_window": 1,  # both spectrum ends, for the message
+    "radon._spectrum": 1,  # of F, or of the Gram X* X of a thin factor
 }
 
 
@@ -404,9 +403,11 @@ def test_indent_check_sees_json_indent():
 # function gives the same messages, and a dimension below 1 is refused
 # wherever a shape is checked.  psd_leq compares its two operands with each
 # other, and serialize's loaders check shapes first to name the JSON path.
+# radon._spectrum checks nothing: it picks the smaller of F and the Gram X* X.
 SHAPE_SITES = {
     "numerics.as_matrix": 1,
     "numerics.psd_leq": 2,
+    "radon._spectrum": 1,
     "serialize.choi_from_json": 1,
     "serialize.cpmap_from_json": 1,
 }
