@@ -29,6 +29,7 @@ from .numerics import (
     RANK_TOL,
     as_count,
     as_matrix,
+    as_tol,
     canonical_eig,
     herm_eig,
     hermitize,
@@ -257,7 +258,7 @@ def canonicalize(t: CpMap) -> CpMap:
 
 
 def _canonical(t: CpMap, c: ChoiOperator | None = None) -> CpMap:
-    """canonicalize(t), from a wide t's process operator ``c`` if held."""
+    """canonicalize(t), from a wide t's held process operator ``c`` (instrument_rn's)."""
     canon = t.__dict__.get("_canonical")
     if canon is None:
         if _thin(t):
@@ -337,8 +338,8 @@ def is_quantum_operation(t: CpMap, tol: float = EPS_PSD) -> bool:
 
 
 def is_channel(t: CpMap, tol: float = EPS_PSD) -> bool:
-    """True when T(1) = 1 within tolerance."""
-    return norm_excess(apply(t, np.eye(t.dim_in)) - np.eye(t.dim_out), tol) is None
+    """True when T(1) = 1 within tolerance; ``tol`` must pass as_tol (ValueError)."""
+    return norm_excess(apply(t, np.eye(t.dim_in)) - np.eye(t.dim_out), as_tol(tol)) is None
 
 
 def is_pure(t: CpMap) -> bool:

@@ -42,6 +42,13 @@ def as_count(value, name: str, error=ValueError) -> int:
     return int(value)
 
 
+def as_tol(tol) -> float:
+    """``tol`` as a float, once it is a finite real number (not a bool) >= 0."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    return float(tol)
+
+
 def as_matrix(a, shape=None, what: str = "matrix") -> np.ndarray:
     """Coerce to a complex 2-d array, without copying, rejecting non-finite
     entries and, with ``shape`` given, sides below 1 (checked first) and any
@@ -168,8 +175,8 @@ def _factors(work: np.ndarray, shift: float) -> bool:
 
 def is_psd(m, tol: float = EPS_PSD) -> bool:
     """The one PSD rule: the Hermitian part d of a square m has lowest eigenvalue
-    >= -tol * max(1, ||d||), decided from side 32 up by Cholesky (module docs)."""
-    d = hermitize(m)
+    >= -tol * max(1, ||d||), tol through as_tol, decided from side 32 up by Cholesky."""
+    tol, d = as_tol(tol), hermitize(m)
     n = len(d)
     if n >= 32:  # below, one eigvalsh costs less than the norms and a factorization
         with np.errstate(over="ignore"):

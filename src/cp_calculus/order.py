@@ -3,9 +3,9 @@
 Channels are extreme in the complete-positivity order: two distinct
 channels never dominate one another, so the only way to compare them is by
 a constant, s <= c * t.  This module computes the least such constant,
-builds mixtures and paddings, and turns an increasing chain of operations
-into a single dilation carrying an increasing family of projections, from
-the successive differences of the elements' densities on the top's environment.
+builds mixtures and paddings, and carries an increasing chain of
+operations on one dilation by the successive differences of its densities
+on the top's environment, the differences that decide its monotonicity.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .cpmap import (
     CpMap,
-    _canonical,
     _check_same_dims,
     _dims,
     _frozen,
@@ -221,13 +220,13 @@ class PvmChain:
 def order_chain_dilation(chain) -> PvmChain:
     """Represent an increasing chain of operations on one dilation.
 
-    The last element, padded to a channel when necessary, is the top.  The
-    elements' densities on its canonical environment, ending in its own, 1,
-    come from the monotonicity check's process operators (a thin element's
-    from its stack); their successive differences, each checked in [0, 1]
-    (NotDominated), are a POVM dilated projectively; the increasing projections
-    are the family's partial sums, built directly as diagonals, for the
-    input chain only (the padding part, when present, is excluded).
+    The last element, padded to a channel when necessary, is the top.  As
+    S -> D_top(S) is an order isomorphism onto [0, 1], the elements'
+    densities on its canonical environment, ending in its own, 1, decide
+    monotonicity: a pair whose lower element leaks out of the top's support
+    or whose difference leaves [0, 1] raises NotMonotone, the first density
+    or the padding part NotDominated.  The differences, a POVM, are dilated
+    projectively; the partial sums for the input elements are the projections.
     The contract is T_k(A) = V*(A (x) P_k)V with V = (1 (x) N) V_top: the
     Naimark isometry N multiplies each dim_in row block of the top element's
     canonical dilation V_top, so no identity factor is formed.  V is unique
@@ -240,21 +239,21 @@ def order_chain_dilation(chain) -> PvmChain:
     for k, t in enumerate(chain):
         if not is_quantum_operation(t):
             raise NotAnOperation(f"chain element {k} has T(1) > 1")
-    # each element's process operator is formed once
-    chois = [to_choi(chain[0])]
     for k in range(1, len(chain)):
         _check_same_dims(chain[k - 1], chain[k])
-        chois.append(to_choi(chain[k]))
-        if not psd_leq(chois[k - 1].matrix, chois[k].matrix):
-            raise NotMonotone(f"element {k - 1} is not dominated by element {k}")
-
     padded = not is_channel(chain[-1])
-    top = pad_to_channel(chain[-1]) if padded else _canonical(chain[-1], chois[-1])
+    top = pad_to_channel(chain[-1]) if padded else canonicalize(chain[-1])
     w, wp = _prepare(top)
-    held = len(chain) - 1 + padded  # an unpadded top's density is 1
-    dens = [_density(t, w, wp, c)[0] for t, c in zip(chain[:held], chois)]
-    parts = [f - g for f, g in zip([*dens, np.eye(len(wp))], [0.0, *dens])]
-    for f in parts:
+    f = _density(chain[-1], w, wp)[0] if padded else np.eye(len(wp))  # the top's is 1
+    parts = [f, np.eye(len(wp)) - f] if padded else [f]
+    try:  # downwards, so a leak is met below an element inside the top's support
+        for k in range(len(chain) - 1, 0, -1):
+            f = _density(chain[k - 1], w, wp)[0]
+            parts[:1] = [f, parts[0] - f]  # parts[0] is the lowest density yet
+            _check_window(_spectrum(parts[1]), NotDominated)
+    except NotDominated as exc:
+        raise NotMonotone(f"element {k - 1} is not dominated by element {k}") from exc
+    for f in parts[:: len(chain)]:  # the first density, and the padding part if any
         _check_window(_spectrum(f), NotDominated)
     # the differences telescope to 1, so they resolve the identity by construction
     povm = _trusted(PovmDecomposition, elements=tuple(_frozen(f) for f in parts))

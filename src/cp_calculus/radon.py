@@ -63,6 +63,7 @@ from .numerics import (
     hermitize,
     norm_excess,
     psd_leq,
+    psd_rank,
     recon_tol,
 )
 
@@ -214,9 +215,9 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     Accepts an RnDerivative or a bare matrix, Hermitian by the rule
     ChoiOperator applies (NotHermitian otherwise) with spectrum in [0, 1]
     (NotPsd otherwise, read off the rotation's eigenvalues).  The map is
-    rescaled_kraus's family read backwards, each operator scaled by the root
-    of its eigenvalue of F (a negative one reads as 0), in canonical form and
-    dominated by ``t`` by construction; T's family comes from the map's memo.
+    rescaled_kraus's family read backwards, each operator psd_rank keeps
+    scaled by the root of its eigenvalue of F (one, scaled to 0, when none
+    is kept), in canonical form and dominated by ``t`` by construction.
     """
     family = canonicalize(t)
     d = len(family.kraus)
@@ -225,7 +226,7 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     lam, ops = _rotated(hermitize(mat), family)
     _check_window(lam, NotPsd)
     ops *= np.sqrt(np.maximum(lam, 0.0))[:, None, None]
-    return canonicalize(_trusted_map(t.dim_in, t.dim_out, ops))
+    return canonicalize(_trusted_map(t.dim_in, t.dim_out, ops[: psd_rank(lam) or 1]))
 
 
 def _rotated(f: np.ndarray, family: CpMap) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,8 @@
 
 Seeded d=2 inputs for all 13 commands, the negative ``dominate``,
 ``derivative`` and ``cmin`` cases, a ``derivative`` whose density leaves
-the [0, 1] window (s = 1.5 t), a wrong-arity and two wrong-kind cases.
+the [0, 1] window (s = 1.5 t), a decreasing ``chain``, a wrong-arity and
+two wrong-kind cases.
 Each case records argv (paths relative to the fixture directory), exit
 code, stdout and stderr of ``cp_calculus.cli.main`` run from that
 directory.  ``test_cli_golden.py`` replays them; regenerate only when a
@@ -87,6 +88,7 @@ CASES = [
     ("cmin", ["cmin", "t_mid.json", "t.json"]),
     ("cmin_infinite", ["cmin", "u.json", "t.json"]),
     ("chain", ["chain", "t_low.json", "t_mid.json", "t_high.json"]),
+    ("chain_not_monotone", ["chain", "t_high.json", "t_mid.json", "t_low.json"]),
     ("naimark", ["naimark", "povm.json"]),
     ("compose", ["compose", "t.json", "u.json"]),
     ("diamond", ["diamond", "t.json", "u.json", "--seed", "5", "--restarts", "4"]),

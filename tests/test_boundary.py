@@ -23,21 +23,29 @@ from cp_calculus.cpmap import (
     canonicalize,
     compose,
     from_stinespring,
+    is_channel,
+    is_quantum_operation,
     kraus_stack,
     scale,
     to_choi,
     to_stinespring,
 )
-from cp_calculus.duality import FaithfulState, faithful_channel, jam_forward, reference_channel
+from cp_calculus.duality import (
+    FaithfulState,
+    faithful_channel,
+    jam_forward,
+    jam_is_operation,
+    reference_channel,
+)
 from cp_calculus.norms import (
     CommonDilationPair,
     bound_dilation_diff,
     diamond_lower,
     norm_report,
 )
-from cp_calculus.numerics import partial_trace
-from cp_calculus.order import PvmChain, naimark_dilate
-from cp_calculus.radon import PovmDecomposition, rn_reconstruct
+from cp_calculus.numerics import is_psd, partial_trace, psd_leq
+from cp_calculus.order import PvmChain, channel_difference_is_cp, naimark_dilate
+from cp_calculus.radon import PovmDecomposition, dominates, rn_reconstruct
 from cp_calculus.serialize import (
     choi_from_json,
     cpmap_from_json,
@@ -497,3 +505,33 @@ def test_numpy_integer_restarts_run():
     three = np.int64(3)
     assert diamond_lower(ID2, FLIP, restarts=three) == diamond_lower(ID2, FLIP, restarts=3)
     assert norm_report(ID2, FLIP, restarts=three) == norm_report(ID2, FLIP, restarts=3)
+
+
+# every verdict takes its tol through numerics.as_tol: a NaN or negative tol
+# made every verdict False, inf passed everything (from side 32 up with
+# numpy's inf - inf RuntimeWarning), and a bool read as 0 or 1
+TOL_ENTRIES = {
+    "is_psd": lambda tol: is_psd(np.eye(2), tol),
+    "is_psd_side_32": lambda tol: is_psd(np.eye(32), tol),
+    "psd_leq": lambda tol: psd_leq(np.eye(2) / 2.0, np.eye(2), tol),
+    "dominates": lambda tol: dominates(scale(ID2, 0.5), ID2, tol),
+    "is_quantum_operation": lambda tol: is_quantum_operation(ID2, tol),
+    "is_channel": lambda tol: is_channel(ID2, tol),
+    "jam_is_operation": lambda tol: jam_is_operation(to_choi(ID2), tol),
+    "channel_difference_is_cp": lambda tol: channel_difference_is_cp(ID2, FLIP, tol),
+}
+BAD_TOLS = {"nan": NAN, "negative": -1e-9, "inf": INF, "bool": True}
+
+
+@pytest.mark.parametrize("tol", sorted(BAD_TOLS))
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRIES))
+def test_verdict_tolerance_rejected(entry, tol):
+    with pytest.raises(ValueError) as info:
+        TOL_ENTRIES[entry](BAD_TOLS[tol])
+    assert str(info.value) == f"tol must be a finite number >= 0, got {BAD_TOLS[tol]!r}"
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, np.float32(1e-3), np.float64(1e-9)])
+def test_verdict_tolerance_accepted(tol):
+    for entry in sorted(TOL_ENTRIES):
+        TOL_ENTRIES[entry](tol)

@@ -468,6 +468,55 @@ def test_order_chain_rejects():
         order_chain_dilation([scale(t, 0.5), rand_channel(RNG, 2, 3)])
 
 
+def test_order_chain_names_the_failing_pair():
+    # the densities on the top's environment decide monotonicity: a pair whose
+    # difference leaves [0, 1], or whose lower element leaks out of the top's
+    # support, is named, the density's NotDominated as the cause; the scan
+    # runs downwards, so of two leaking elements the upper one is named,
+    # against an element inside the top's support
+    t = rand_channel(RNG, 2, 2, n_kraus=1)
+    leak = CpMap(2, 2, (np.array([[0.0, 1.0], [1.0, 0.0]]),))  # outside t's support
+    cases = [
+        ([scale(t, 0.2), scale(t, 0.6), scale(t, 0.4)], 1, "density spectrum"),
+        ([scale(t, 0.2), scale(t, 0.6), scale(t, 0.4), t], 1, "density spectrum"),
+        ([scale(leak, 0.1), scale(t, 0.5), t], 0, "residual"),
+        ([scale(leak, 0.1), add(scale(leak, 0.2), scale(t, 0.1)), scale(t, 0.5), t], 1, "residual"),
+    ]
+    for chain, k, cause in cases:
+        with pytest.raises(NotMonotone) as info:
+            order_chain_dilation(chain)
+        assert str(info.value) == f"element {k} is not dominated by element {k + 1}"
+        assert isinstance(info.value.__cause__, NotDominated)
+        assert str(info.value.__cause__).startswith(cause)
+
+
+@pytest.mark.parametrize("m, k", [(2, 2), (2, 4), (3, 4), (3, 9)])
+def test_order_chain_decides_as_rn_derivative_does(m, k):
+    # s = (1 + eps) t on a channel t, thin (k < m^2) and wide: the chain rejects
+    # [s, t] exactly where rn_derivative(s, t) does, both reading the density's
+    # window, 1 + EPS_PSD; the process-operator order rejects from EPS_PSD /
+    # ||C_t|| up, and the grid has points between the two
+    t = rand_channel(np.random.default_rng([m, k]), m, m, n_kraus=k)
+    between = 0
+    for eps in np.logspace(-12, -8, 33):
+        if abs(eps - EPS_PSD) <= 1e-12:  # the rounding band at the window's edge
+            continue
+        s = scale(t, 1.0 + eps)
+        try:
+            rn_derivative(s, t)
+            derivative = True
+        except NotDominated:
+            derivative = False
+        try:
+            order_chain_dilation([s, t])
+            chain = True
+        except CpError:
+            chain = False
+        assert chain == derivative == (eps < EPS_PSD), eps
+        between += derivative and not dominates(s, t)
+    assert between
+
+
 def test_order_chain_forms_each_operator_once(monkeypatch):
     # count to_choi wherever the package binds it
     seen = []
@@ -483,20 +532,20 @@ def test_order_chain_forms_each_operator_once(monkeypatch):
     chain = conic_chain(RNG, 4, 4, 3)
     assert not is_channel(chain[-1])
     order_chain_dilation(chain)
-    assert [sum(x is t for x in seen) for t in chain] == [1, 1, 1]
-    # and nothing else: the padding's canonical form is a thin SVD of its
-    # stack of at most seven columns, and the top's density is 1
-    assert len(seen) == 3
-    # thin elements take the stack route; wide ones (16 operators at 4 x 4)
-    # take the densities, and the top its canonical family, from the
-    # process operators the monotonicity check formed
-    for n_kraus in (None, 16):
+    # none at all: thin elements take their densities from their stacks, the
+    # densities decide monotonicity, and the padding's canonical form is a
+    # thin SVD of its stack of at most seven columns
+    assert seen == []
+    # a thin channel-topped chain forms none either; a wide one (16 operators
+    # at 4 x 4) forms each element's once, for the lower elements' densities
+    # and the top's canonical family, the top's own density being 1
+    for n_kraus, want in ((None, [0, 0, 0]), (16, [1, 1, 1])):
         seen.clear()
         top = rand_channel(RNG, 4, 4, n_kraus=n_kraus)
         chain = [scale(top, 0.25), scale(top, 0.5), top]
         order_chain_dilation(chain)
-        assert [sum(x is t for x in seen) for t in chain] == [1, 1, 1]
-        assert len(seen) == 3
+        assert [sum(x is t for x in seen) for t in chain] == want
+        assert len(seen) == sum(want)
 
 
 def test_order_chain_runs_one_eigendecomposition(monkeypatch):

@@ -229,3 +229,31 @@ def test_each_density_is_factored_once(monkeypatch):
     sides.clear()
     rn_reconstruct(t, f)
     assert sides == [("eigh", env)]
+
+
+def test_reconstruct_canonicalizes_only_the_weighted_operators(monkeypatch):
+    # at 16 x 16, s = 0.6 a on t = a + b, 64 operators each: F's kernel scales
+    # half of t's 128 rotated operators to rounding's roots, and the thin SVD
+    # of the reconstruction sees only the rank(F) = 64 weighted ones; its
+    # process operator is the whole rotated family's within 1e-12
+    rng = np.random.default_rng(3001)
+    a, b = (rand_cp_map(rng, 16, 16, n_kraus=64) for _ in "ab")
+    s, t = scale(a, 0.6), add(a, b)
+    f = rn_derivative(s, t).matrix
+    lam, ops = radon._rotated(f, canonicalize(t))
+    whole = to_choi(CpMap(16, 16, ops * np.sqrt(np.maximum(lam, 0.0))[:, None, None]))
+    shapes = []
+    orig = np.linalg.svd
+
+    def counted(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return orig(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    back = rn_reconstruct(t, f)
+    assert shapes == [(256, 64)]
+    got = to_choi(back).matrix
+    assert np.abs(got - whole.matrix).max() <= 1e-12 * np.abs(whole.matrix).max()
+    # F = 0 keeps one operator, the zero map's
+    zero = rn_reconstruct(t, np.zeros_like(f))
+    assert len(zero.kraus) == 1 and not zero.kraus_array.any()
