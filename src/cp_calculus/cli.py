@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
             float, lambda v: np.isfinite(v) and v >= 0.0, "a finite number >= 0"
         ),
         default=EPS_PSD,
-        help="PSD slack for verdict commands (default %(default)g)",
+        help="dominate's slack above 1 on the density's spectrum (default %(default)g)",
     )
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="report format"

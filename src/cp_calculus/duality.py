@@ -214,10 +214,9 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     1e-8, and for such a basis the two differ at that order.
     ``constant`` is its top eigenvalue, read as c_min reads its own (a thin
     t's from its stack factor's Gram), the least c with t dominated by c
-    times the faithful channel.  The uniform state in the standard basis
-    returns the process operator.
-    Raises InvariantViolation if c fails to dominate or exceeds
-    p_min**-2 * ||T(1)||.
+    times the faithful channel, which holds by that construction.  The
+    uniform state in the standard basis returns the process operator.
+    Raises InvariantViolation if c exceeds p_min**-2 * ||T(1)||.
     """
     m, n = t.dim_in, t.dim_out
     if w.dim != m:
@@ -226,13 +225,8 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     stack = _columns(phi.kraus_array)
     # W holds n copies of one m x m diagonal block: pinv(W) inverts it once
     wp = np.eye(n)[:, None, :, None] * np.linalg.inv(stack[:m, :m])[:, None, :]
-    ct = to_choi(t)  # for the check, and a wide t's density
-    f, x = _density(t, stack, wp.reshape(stack.shape), ct)
+    f, x = _density(t, stack, wp.reshape(stack.shape))
     c = max(0.0, float(_spectrum(f, x).max()))
-    if not psd_leq(ct.matrix, c * to_choi(phi).matrix):
-        raise InvariantViolation(
-            f"map is not dominated by {c!r} times the faithful channel"
-        )
     dinv = 1.0 / float(np.min(w.p))
     limit = dinv * dinv * op_norm(apply(t, np.eye(m))) * (1.0 + 1e-9)
     if c > limit:

@@ -54,7 +54,7 @@ from .numerics import (
     psd_sqrt,
     recon_tol,
 )
-from .radon import PovmDecomposition, _check_window, _density, _prepare, _spectrum
+from .radon import PovmDecomposition, _check_window, _density, _prepare, _spectrum, _top
 
 
 class DifferenceVerdict(enum.Enum):
@@ -72,11 +72,11 @@ def channel_difference_is_cp(
     Accepts channel pairs, or more generally maps with apply(s, 1) equal to
     apply(t, 1) within tolerance (same normalization); anything else raises
     NotAChannel.  Returns EQUAL when the maps agree on all inputs, NOT_CP
-    otherwise.  For pairs separated by more than 1e-6 in process-operator
-    norm the NOT_CP verdict is cross-checked with ``psd_leq`` (a
-    failure raises InvariantViolation, also under ``python -O``); closer
-    ties sit inside the order check's tolerance window and are reported
-    without the cross-check.
+    otherwise; ``tol`` governs only the normalization test.  A NOT_CP pair
+    separated by more than 1e-6 in process-operator norm is cross-checked
+    with ``psd_leq`` at EPS_PSD (a failure raises InvariantViolation, also
+    under ``python -O``); closer ties sit inside the order check's tolerance
+    window and are reported without the cross-check.
     """
     _check_same_dims(s, t)
     if not (is_channel(s, tol) and is_channel(t, tol)):
@@ -91,7 +91,7 @@ def channel_difference_is_cp(
     gap = norm_excess(cs - ct, recon_tol, ct)
     if gap is None:
         return DifferenceVerdict.EQUAL
-    if gap > 1e-6 and psd_leq(cs, ct, tol):
+    if gap > 1e-6 and psd_leq(cs, ct, EPS_PSD):
         raise InvariantViolation("rigidity violated for a separated pair")
     return DifferenceVerdict.NOT_CP
 
@@ -108,19 +108,15 @@ def c_min(s: CpMap, t: CpMap) -> DominationConstant:
     """Least constant c such that c * t dominates s.
 
     The largest eigenvalue of s's density on t's canonical environment,
-    the top of the spectrum rn_derivative's [0, 1] window reads (from the
-    Gram of s's stack factor when that is thinner than the density).  It
-    is infinite, as the sentinel (inf, attained=False), exactly when
-    rn_derivative reports that s leaks outside t's support.  Like
+    the top of the spectrum rn_derivative's window and ``dominates`` read
+    (from the Gram of s's stack factor when that is thinner than the
+    density).  It is infinite, as the sentinel (inf, attained=False), exactly
+    when rn_derivative reports that s leaks outside t's support.  Like
     rn_derivative, it reuses t's canonical family and its stack W with
     W's closed-form inverse, which are computed once per map object.
     """
-    _check_same_dims(s, t)
-    try:
-        eigs = _spectrum(*_density(s, *_prepare(canonicalize(t))))
-    except NotDominated:
-        return DominationConstant(value=float("inf"), attained=False)
-    return DominationConstant(value=max(0.0, float(eigs.max())), attained=True)
+    top = _top(s, t)
+    return DominationConstant(value=max(0.0, top), attained=top < np.inf)
 
 
 def mix_channels(s1: CpMap, s2: CpMap, lam: float) -> CpMap:

@@ -13,16 +13,15 @@ C_S = v v*, v its own stack: F = X X* for X = W+ v, and the residual, at
 most 2 ||W X||_F ||E||_F + ||E||_F^2 for the leak E = v - W X, passes when
 that is within half the tolerance at v's largest squared column norm (a
 lower bound on ||C_S||); else C_S decides, so verdicts and messages stay.
-Reconstruction residual and the eigenvalue window of F are the density's
-domination criterion, run in place of an order check; ``dominates`` tests
-process operators, and the two can disagree within about 1e-9.  This
-compression is the library's one density computation, and the dominating
-Kraus family is the dominator: c_min is F's top eigenvalue; duality
-inverts its own block-diagonal stack.  ``_spectrum`` takes F's spectrum
-once, from the Gram X* X and F's kernel when X has fewer columns than
-rows; the window, c_min and faithful_rn's constant read it.  rn_reconstruct
-reweights T's family rotated by F's eigenvectors, the family
-rescaled_kraus returns, and windows that one eigensystem's values.
+Reconstruction residual and the eigenvalue window of F are the library's
+one domination criterion (S <= T iff F exists with spectrum in [0, 1]).
+This compression is its one density computation, and the dominating Kraus
+family is the dominator: c_min is F's top eigenvalue, ``dominates`` holds
+it to 1 + tol; duality inverts its own block-diagonal stack.  ``_spectrum``
+takes F's spectrum once, from the Gram X* X and F's kernel when X has fewer
+columns than rows.  rn_reconstruct reweights T's family rotated by F's
+eigenvectors, the family rescaled_kraus returns, and windows that one
+eigensystem's values; cp_difference reweights that family by 1 - F.
 """
 
 from __future__ import annotations
@@ -42,11 +41,9 @@ from .cpmap import (
     _frozen,
     _thin,
     _trusted,
-    _trusted_choi,
     _trusted_map,
     canonicalize,
     choi_unnormalized,
-    from_choi,
     to_choi,
 )
 from .errors import (
@@ -58,20 +55,30 @@ from .errors import (
 )
 from .numerics import (
     EPS_PSD,
+    RANK_TOL,
     as_matrix,
+    as_tol,
     herm_eig,
     hermitize,
     norm_excess,
-    psd_leq,
     psd_rank,
     recon_tol,
 )
 
 
 def dominates(s: CpMap, t: CpMap, tol: float = EPS_PSD) -> bool:
-    """True when T - S is completely positive (process-operator order)."""
+    """True when T - S is completely positive: c_min(s, t) <= 1 + tol, the
+    density's spectrum at most ``tol`` (through as_tol) above 1."""
+    return _top(s, t) <= 1.0 + as_tol(tol)
+
+
+def _top(s: CpMap, t: CpMap) -> float:
+    """Top of s's density spectrum on t's canonical environment; inf for a leak."""
     _check_same_dims(s, t)
-    return psd_leq(to_choi(s).matrix, to_choi(t).matrix, tol)
+    try:
+        return float(_spectrum(*_density(s, *_prepare(canonicalize(t)))).max())
+    except NotDominated:
+        return float("inf")
 
 
 @dataclass(frozen=True)
@@ -147,10 +154,10 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
 
     Raises NotDominated when the reconstruction residual exceeds tolerance
     (support escape) or F's spectrum leaves [0, 1] beyond EPS_PSD; those
-    two checks are the density's domination criterion, which can contradict
-    ``dominates`` within about 1e-9.  T's canonical family,
-    its stack W and W's closed-form inverse are computed once per map
-    object, so every S against one ``t`` reuses them.
+    two checks are the domination criterion ``dominates`` reads at its
+    default tol.  T's canonical family, its stack W and W's closed-form
+    inverse are computed once per map object, so every S against one ``t``
+    reuses them.
     """
     _check_same_dims(s, t)
     return _derivative(s, canonicalize(t))
@@ -223,16 +230,21 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
     d = len(family.kraus)
     mat = as_matrix(f.matrix if isinstance(f, RnDerivative) else f, (d, d), "density")
     _check_hermitian(mat)
-    lam, ops = _rotated(hermitize(mat), family)
-    _check_window(lam, NotPsd)
+    return _reweighted(t, *_rotated(hermitize(mat), family, NotPsd))
+
+
+def _reweighted(t: CpMap, lam: np.ndarray, ops: np.ndarray) -> CpMap:
+    """sum_x lam_x W_x* . W_x for descending ``lam`` on the rotated family
+    ``ops``, scaled in place: the operators psd_rank keeps, as canonical form."""
     ops *= np.sqrt(np.maximum(lam, 0.0))[:, None, None]
     return canonicalize(_trusted_map(t.dim_in, t.dim_out, ops[: psd_rank(lam) or 1]))
 
 
-def _rotated(f: np.ndarray, family: CpMap) -> tuple[np.ndarray, np.ndarray]:
-    """F's eigenvalues lam_x, descending, and the family rotated by its
-    eigenvectors phi_x: W_x = sum_y conj(phi_x[y]) V_y, a fresh array."""
+def _rotated(f: np.ndarray, family: CpMap, error=NotDominated) -> tuple[np.ndarray, ...]:
+    """F's eigenvalues lam_x, descending, windowed (``error``), and the family
+    rotated by its eigenvectors phi_x: W_x = sum_y conj(phi_x[y]) V_y, fresh."""
     e = herm_eig(f)
+    _check_window(e.values, error)
     return e.values, np.tensordot(e.vectors.conj(), family.kraus_array, axes=(0, 0))
 
 
@@ -246,7 +258,6 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     _check_same_dims(s, t)
     family = canonicalize(t)
     lam, rotated = _rotated(_density(s, *_prepare(family))[0], family)
-    _check_window(lam, NotDominated)
     weights = np.clip(lam, 0.0, 1.0)
     return RescaledKraus(
         dim_in=t.dim_in, dim_out=t.dim_out, kraus=tuple(rotated), weights=weights
@@ -256,13 +267,12 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
 def cp_difference(t: CpMap, s: CpMap) -> CpMap:
     """The CP map T - S for a dominated pair, in canonical Kraus form.
 
-    S <= T is decided with psd_leq, the test ``dominates`` runs; the
-    difference is then PSD and is built without a second check."""
-    _check_same_dims(s, t)
-    ct, cs = to_choi(t), to_choi(s)
-    if not psd_leq(cs.matrix, ct.matrix):
-        raise NotDominated("difference is not completely positive")
-    return from_choi(_trusted_choi(t.dim_in, t.dim_out, hermitize(ct.matrix - cs.matrix)))
+    D_T(T - S) = 1 - D_T(S): rescaled_kraus's family (its NotDominated
+    decides S <= T) reweighted by 1 - lam_x, weights below RANK_TOL read as 0,
+    as T's own density is 1 only to rounding (T - T is the zero map)."""
+    r = rescaled_kraus(s, t)
+    rest = 1.0 - r.weights[::-1]
+    return _reweighted(t, np.where(rest < RANK_TOL, 0.0, rest), np.array(r.kraus[::-1]))
 
 
 def instrument_rn(t: CpMap, parts) -> PovmDecomposition:

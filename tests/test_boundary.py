@@ -44,7 +44,12 @@ from cp_calculus.norms import (
     norm_report,
 )
 from cp_calculus.numerics import is_psd, partial_trace, psd_leq
-from cp_calculus.order import PvmChain, channel_difference_is_cp, naimark_dilate
+from cp_calculus.order import (
+    DifferenceVerdict,
+    PvmChain,
+    channel_difference_is_cp,
+    naimark_dilate,
+)
 from cp_calculus.radon import PovmDecomposition, dominates, rn_reconstruct
 from cp_calculus.serialize import (
     choi_from_json,
@@ -535,3 +540,11 @@ def test_verdict_tolerance_rejected(entry, tol):
 def test_verdict_tolerance_accepted(tol):
     for entry in sorted(TOL_ENTRIES):
         TOL_ENTRIES[entry](tol)
+
+
+# rigidity's cross-check runs at EPS_PSD whatever the caller's tol, which
+# loosens only the normalization test: at tol 1 and 2, psd_leq at that tol
+# would pass the identity against Pauli X and raise InvariantViolation
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.1, 0.5, 1.0, 2.0])
+def test_rigidity_cross_check_ignores_the_callers_tol(tol):
+    assert channel_difference_is_cp(ID2, FLIP, tol) is DifferenceVerdict.NOT_CP

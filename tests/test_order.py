@@ -37,7 +37,13 @@ from cp_calculus.order import (
     order_chain_dilation,
     pad_to_channel,
 )
-from cp_calculus.radon import PovmDecomposition, dominates, rn_derivative, rn_reconstruct
+from cp_calculus.radon import (
+    PovmDecomposition,
+    cp_difference,
+    dominates,
+    rn_derivative,
+    rn_reconstruct,
+)
 from helpers import (
     conic_chain,
     env_sandwich,
@@ -490,31 +496,62 @@ def test_order_chain_names_the_failing_pair():
         assert str(info.value.__cause__).startswith(cause)
 
 
+def _passes(fn, *args):
+    try:
+        fn(*args)
+    except CpError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("m, k", [(2, 2), (2, 4), (3, 4), (3, 9)])
 def test_order_chain_decides_as_rn_derivative_does(m, k):
-    # s = (1 + eps) t on a channel t, thin (k < m^2) and wide: the chain rejects
-    # [s, t] exactly where rn_derivative(s, t) does, both reading the density's
-    # window, 1 + EPS_PSD; the process-operator order rejects from EPS_PSD /
-    # ||C_t|| up, and the grid has points between the two
+    # s = (1 + eps) t on a channel t, thin (k < m^2) and wide: dominates,
+    # c_min <= 1 + EPS_PSD, cp_difference, the chain [s, t] and rn_derivative
+    # all read the density's window, 1 + EPS_PSD, so they give one verdict at
+    # every eps off the window's rounding band; an order test on process
+    # operators rejects from EPS_PSD / ||C_t|| up, inside the grid
     t = rand_channel(np.random.default_rng([m, k]), m, m, n_kraus=k)
-    between = 0
     for eps in np.logspace(-12, -8, 33):
         if abs(eps - EPS_PSD) <= 1e-12:  # the rounding band at the window's edge
             continue
         s = scale(t, 1.0 + eps)
-        try:
-            rn_derivative(s, t)
-            derivative = True
-        except NotDominated:
-            derivative = False
-        try:
-            order_chain_dilation([s, t])
-            chain = True
-        except CpError:
-            chain = False
-        assert chain == derivative == (eps < EPS_PSD), eps
-        between += derivative and not dominates(s, t)
-    assert between
+        verdicts = {
+            "dominates": dominates(s, t),
+            "c_min": c_min(s, t).value <= 1.0 + EPS_PSD,
+            "cp_difference": _passes(cp_difference, t, s),
+            "chain": _passes(order_chain_dilation, [s, t]),
+            "rn_derivative": _passes(rn_derivative, s, t),
+        }
+        assert set(verdicts.values()) == {eps < EPS_PSD}, (eps, verdicts)
+
+
+# dominates(s, t, tol) is c_min(s, t) <= 1 + tol: tol is the slack above 1 on
+# the density's spectrum, and a leak out of t's support fails at every tol.
+# psd_leq(C_s, C_t, tol) decides four cells the other way: the wide t against
+# itself at tol 0 (its F = 1 rounds up, by 1e-14 to 5e-14 on this t), the
+# thin t / 2 at tol 0 (the kernel of C_t / 2 rounds below 0), (1 + 5e-4) t at
+# tol 1e-3 (C_t - C_s has eigenvalue -2e-3, beyond 1e-3 * max(1, ||C_t -
+# C_s||)) and the leak at tol 10 (that slack swallows its -0.2).
+IDENT, FLIP = (CpMap(2, 2, (v,)) for v in (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])))
+THIN = rand_channel(np.random.default_rng([0, 2, 2]), 2, 2, n_kraus=2)
+WIDE = rand_channel(np.random.default_rng([0, 3, 9]), 3, 3, n_kraus=9)
+TOLS = (0.0, 1e-9, 1e-3, 10.0)
+TOL_TABLE = {
+    "wide t, t": (WIDE, WIDE, (False, True, True, True)),
+    "thin t / 2, t": (scale(THIN, 0.5), THIN, (True, True, True, True)),
+    "(1 + 5e-4) t, t": (scale(IDENT, 1.0 + 5e-4), IDENT, (False, False, True, True)),
+    "3 t, t": (scale(IDENT, 3.0), IDENT, (False, False, False, True)),
+    "leak, t": (scale(FLIP, 0.1), IDENT, (False, False, False, False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOL_TABLE))
+def test_dominates_reads_tol_above_the_density_spectrum(case):
+    s, t, want = TOL_TABLE[case]
+    got = tuple(dominates(s, t, tol) for tol in TOLS)
+    assert got == want
+    assert got == tuple(c_min(s, t).value <= 1.0 + tol for tol in TOLS)
 
 
 def test_order_chain_forms_each_operator_once(monkeypatch):

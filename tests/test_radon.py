@@ -332,9 +332,30 @@ def test_cp_difference():
     assert np.allclose(
         to_choi(diff).matrix, to_choi(t).matrix - to_choi(s).matrix, atol=1e-9
     )
-    # decided by psd_leq, as dominates decides it, with one fixed message
-    with pytest.raises(NotDominated, match="^difference is not completely positive$"):
+    # decided on the density, as dominates decides it: 2t's density on s's
+    # environment leaves the window, and a leak fails the residual
+    with pytest.raises(NotDominated, match=r"^density spectrum \[.*\] escapes \[0, 1\] by "):
         cp_difference(s, scale(t, 2.0))
+    ident, flip = (CpMap(2, 2, (v,)) for v in (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])))
+    with pytest.raises(NotDominated, match="^residual .* outside the dominating map's support$"):
+        cp_difference(ident, scale(flip, 0.1))
+
+
+@pytest.mark.parametrize("m, n, k", [(1, 1, 1), (2, 2, 1), (2, 3, 3), (3, 3, 9), (2, 2, 7)])
+def test_cp_difference_reads_one_minus_the_density(m, n, k):
+    # T - S reweights rescaled_kraus's family by 1 - F, thin and wide t: its
+    # process operator is C_t - C_s, and T - T is the zero map, one all-zero
+    # operator, as F = 1 only to rounding and weights below RANK_TOL read as 0
+    rng = np.random.default_rng([m, n, k])
+    t = rand_cp_map(rng, m, n, n_kraus=k)
+    zero = cp_difference(t, t)
+    assert len(zero.kraus) == 1 and not np.any(zero.kraus[0])
+    d = rn_derivative(t, t).env_dim
+    for f in (rand_contraction(rng, d), np.eye(d), np.zeros((d, d))):
+        s = rn_reconstruct(t, f)
+        diff = cp_difference(t, s)
+        want = to_choi(t).matrix - to_choi(s).matrix
+        assert np.abs(to_choi(diff).matrix - want).max() <= 1e-12 * np.abs(to_choi(t).matrix).max()
 
 
 def test_instrument_rn_resolves_identity():

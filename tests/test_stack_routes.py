@@ -37,7 +37,14 @@ from cp_calculus.duality import FaithfulState, faithful_rn
 from cp_calculus.errors import NotDominated
 from cp_calculus.numerics import EPS_PSD, op_norm, recon_tol
 from cp_calculus.order import c_min
-from cp_calculus.radon import instrument_rn, rescaled_kraus, rn_derivative, rn_reconstruct
+from cp_calculus.radon import (
+    cp_difference,
+    dominates,
+    instrument_rn,
+    rescaled_kraus,
+    rn_derivative,
+    rn_reconstruct,
+)
 from helpers import dense_canonical, dense_density, rand_complex, rand_cp_map
 
 SHAPES = [(1, 2), (2, 2), (2, 3), (3, 2), (4, 4), (4, 8), (8, 4), (16, 16)]
@@ -171,9 +178,11 @@ def test_stack_routes_match_the_dense_references(case):
 
 def test_thin_operands_form_no_process_operator(monkeypatch):
     # s = a / 2 and t = a + b on stacks of 2 and 4 columns at 4 x 4: the
-    # derivative calls form no process operator, t's canonical family
-    # included; instrument_rn forms each part's and t's once, for its sum
-    # check, and faithful_rn t's once, for its order check
+    # derivative calls, the order test and the difference of a dominated s
+    # form no process operator, t's canonical family included (a leak's
+    # dense residual forms s's), nor does faithful_rn, whose constant
+    # dominates by construction; instrument_rn forms each part's and t's
+    # once, for its sum check
     seen = []
     orig = cpmap.to_choi
 
@@ -190,13 +199,13 @@ def test_thin_operands_form_no_process_operator(monkeypatch):
     rn_derivative(s, t)
     c_min(s, t)
     rescaled_kraus(s, t)
+    assert dominates(s, t)
+    cp_difference(t, s)
+    faithful_rn(t, FaithfulState(p=np.full(4, 0.25)))
     assert seen == []
     parts = [s, add(scale(a, 0.5), b)]
     instrument_rn(t, parts)
     assert [id(x) for x in seen] == [id(x) for x in (t, *parts)]
-    seen.clear()
-    faithful_rn(t, FaithfulState(p=np.full(4, 0.25)))
-    assert seen[0] is t and sum(x is t for x in seen) == 1
 
 
 def test_each_density_is_factored_once(monkeypatch):

@@ -233,14 +233,32 @@ def test_factorizations_only_at_their_sites(name):
 
 
 # Every density is a density of a map, and reconstruction reweights a Kraus
-# family, so a process operator becomes a Kraus family only where none is
-# at hand: the difference T - S and the sum C1 + C2, which is exactly
-# symmetric in the two maps where their union family's SVD is not.
-FROM_CHOI_SITES = {"radon.cp_difference": 1, "norms._bound_rn": 1}
+# family (T - S reweights T's by 1 - D_T(S)), so a process operator becomes
+# a Kraus family only where none is at hand: the sum C1 + C2, which is
+# exactly symmetric in the two maps where their union family's SVD is not.
+FROM_CHOI_SITES = {"norms._bound_rn": 1}
 
 
 def test_from_choi_only_where_no_family_is_at_hand():
     assert _call_sites("from_choi") == FROM_CHOI_SITES
+
+
+# The CP order has one criterion, the density's (radon's residual and
+# window).  psd_leq compares T(1) with 1 and tr_in F with m 1, and two maps'
+# process operators only where norms and rigidity already hold them:
+# norm_report's test for an ordered pair, and rigidity's cross-check.  No
+# radon site and no faithful_rn site, so a second criterion cannot creep
+# back in; a new order test either reads the density or edits this pin.
+PSD_LEQ_SITES = {
+    "cpmap.is_quantum_operation": 1,
+    "duality.jam_is_operation": 1,
+    "norms.norm_report": 2,
+    "order.channel_difference_is_cp": 1,
+}
+
+
+def test_psd_leq_never_decides_the_cp_order_a_density_decides():
+    assert _call_sites("psd_leq") == PSD_LEQ_SITES
 
 
 def test_call_sites_see_every_call_form():
