@@ -28,8 +28,10 @@ from .cpmap import (
     to_choi,
 )
 from .errors import DimensionLimit, InvariantViolation
-from .numerics import MAX_DIM, as_count, as_matrix, op_norm, partial_trace, psd_leq, psd_sqrt
-from .radon import _derivative
+from .numerics import (
+    EPS_PSD, MAX_DIM, as_count, as_matrix, is_psd, op_norm, partial_trace, psd_sqrt
+)
+from .radon import _prepare
 
 # a restart ends when a step gains <= ASCENT_TOL * value, or at ASCENT_MAX_ITER
 ASCENT_MAX_ITER = 200
@@ -165,24 +167,24 @@ def diamond_lower(
 def bound_rn(t1: CpMap, t2: CpMap) -> float:
     """Upper bound on the CB norm of t1 - t2 from derivative densities.
 
-    Both maps are dominated by their sum T, so each has a density F_i on
-    T's canonical environment; then ||t1 - t2||_cb <= ||T(1)||*||F1 - F2||,
-    which collapses to ||F1 - F2|| whenever the dominator is a channel.
+    Both maps are dominated by their sum T, so their densities F_i on T's
+    canonical environment sum to 1; ||t1 - t2||_cb <= ||T(1)||*||D|| for
+    D = F1 - F2, which collapses to ||D|| whenever the dominator is a channel.
     """
     _check_same_dims(t1, t2)
-    return _bound_rn(t1, t2, to_choi(t1), to_choi(t2))
+    return _bound_rn(to_choi(t1), to_choi(t2))[0]
 
 
-def _bound_rn(t1: CpMap, t2: CpMap, c1: ChoiOperator, c2: ChoiOperator) -> float:
-    """bound_rn given the maps' process operators: T's is their exactly
-    symmetric sum, its canonical family the dominator, T(1) = tr_in(C1 + C2) / dim_in."""
+def _bound_rn(c1: ChoiOperator, c2: ChoiOperator) -> tuple[float, np.ndarray]:
+    """(bound_rn, D) from the maps' process operators: T's family is from_choi of
+    their exactly symmetric sum, and D = F1 - F2 = W+ (C1 - C2) W+* / dim_in, one
+    compression, unwindowed as t_i <= T by construction; T(1) = tr_in(C1 + C2) / dim_in."""
     m, n = c1.dim_in, c1.dim_out
     total = _trusted_choi(m, n, c1.matrix + c2.matrix)
-    family = from_choi(total)
-    f1 = _derivative(t1, family, c1).matrix
-    f2 = _derivative(t2, family, c2).matrix
+    wp = _prepare(from_choi(total))[1]
+    d = wp @ (c1.matrix - c2.matrix) @ wp.conj().T / m
     unit = partial_trace(total.matrix, "second", n, m) / m
-    return float(op_norm(unit) * op_norm(f1 - f2))
+    return float(op_norm(unit) * op_norm(d)), d
 
 
 @dataclass(frozen=True)
@@ -271,27 +273,23 @@ def _upper_bound(name: str, upper: float, lower: float) -> float:
 
 
 def norm_report(
-    t1: CpMap,
-    t2: CpMap,
-    seed: int = 0,
-    restarts: int = 32,
-    *,
-    workers: int = 1,
+    t1: CpMap, t2: CpMap, seed: int = 0, restarts: int = 32, *, workers: int = 1
 ) -> NormReport:
     """Run the full bracket: lower estimate plus both upper bounds.
 
-    t1's and t2's process operators, formed once, serve the search, both
-    bounds and the cb_exact test: when the difference of the maps is CP in either
-    direction the CB norm has the closed form ||(t1 - t2)(1)||, reported
-    as cb_exact (else None).  ``workers`` is accepted and ignored, and
-    ``restarts`` is checked as diamond_lower checks it.  A
-    lower estimate above either upper bound, or a common-dilation gap
+    t1's and t2's process operators, formed once, serve the search and both
+    bounds.  cb_exact is ||(t1 - t2)(1)||, the CB norm of a CP difference, when
+    one map dominates the other (``dominates`` at its default tol, read off
+    upper_rn's D: D or -D is PSD within EPS_PSD / (2 + EPS_PSD)), else None.
+    ``workers`` is ignored, ``restarts`` is checked as diamond_lower checks it,
+    and a lower estimate above either upper bound, or a common-dilation gap
     ||v1 - v2|| above dim_in * sqrt(upper_rn), raises InvariantViolation.
     """
     lower, iterations, c1, c2 = _diamond_search(
         t1, t2, seed, restarts, None, ASCENT_MAX_ITER, ASCENT_TOL
     )
-    upper_rn = _upper_bound("upper_rn", _bound_rn(t1, t2, c1, c2), lower)
+    upper_rn, d = _bound_rn(c1, c2)
+    upper_rn = _upper_bound("upper_rn", upper_rn, lower)
     pair = _common_dilation(c1, c2)
     gap = op_norm(pair.v1 - pair.v2)
     limit = pair.dim_in * np.sqrt(upper_rn) * (1.0 + 1e-9) + 1e-12
@@ -301,7 +299,8 @@ def norm_report(
         )
     upper_dilation = _upper_bound("upper_dilation", _bound_dilation(pair, gap), lower)
     cb_exact = None
-    if psd_leq(c2.matrix, c1.matrix) or psd_leq(c1.matrix, c2.matrix):
+    tau = EPS_PSD / (2.0 + EPS_PSD)  # D = 2 F1 - 1: t2 <= (1 + e) t1 iff D >= -e / (2 + e)
+    if is_psd(d, tau) or is_psd(-d, tau):
         diff = apply(t1, np.eye(t1.dim_in)) - apply(t2, np.eye(t2.dim_in))
         cb_exact = float(op_norm(diff))
     return NormReport(

@@ -49,7 +49,6 @@ from .numerics import (
     hermitize,
     norm_excess,
     op_norm,
-    psd_leq,
     psd_rank,
     psd_sqrt,
     recon_tol,
@@ -74,24 +73,24 @@ def channel_difference_is_cp(
     NotAChannel.  Returns EQUAL when the maps agree on all inputs, NOT_CP
     otherwise; ``tol`` governs only the normalization test.  A NOT_CP pair
     separated by more than 1e-6 in process-operator norm is cross-checked
-    with ``psd_leq`` at EPS_PSD (a failure raises InvariantViolation, also
-    under ``python -O``); closer ties sit inside the order check's tolerance
+    with the library's one criterion, ``dominates(s, t)`` at EPS_PSD: an
+    ordered pair raises NotAChannel when its normalizations differ by more
+    than EPS_PSD (which ``tol`` admitted), else InvariantViolation, also
+    under ``python -O``; closer ties sit inside the order check's tolerance
     window and are reported without the cross-check.
     """
     _check_same_dims(s, t)
-    if not (is_channel(s, tol) and is_channel(t, tol)):
-        norm_gap = op_norm(
-            apply(s, np.eye(s.dim_in)) - apply(t, np.eye(t.dim_in))
-        )
-        if norm_gap > tol:
-            raise NotAChannel(
-                f"normalizations differ by {norm_gap:.3e}; rigidity needs equality"
-            )
-    cs, ct = to_choi(s).matrix, to_choi(t).matrix
-    gap = norm_excess(cs - ct, recon_tol, ct)
+    norm_gap = op_norm(apply(s, np.eye(s.dim_in)) - apply(t, np.eye(t.dim_in)))
+    unequal = NotAChannel(f"normalizations differ by {norm_gap:.3e}; rigidity needs equality")
+    if not (is_channel(s, tol) and is_channel(t, tol)) and norm_gap > tol:
+        raise unequal
+    cs, ct = to_choi(s), to_choi(t)
+    gap = norm_excess(cs.matrix - ct.matrix, recon_tol, ct.matrix)
     if gap is None:
         return DifferenceVerdict.EQUAL
-    if gap > 1e-6 and psd_leq(cs, ct, EPS_PSD):
+    if gap > 1e-6 and _top(s, t, cs, ct) <= 1.0 + EPS_PSD:
+        if norm_gap > EPS_PSD:
+            raise unequal
         raise InvariantViolation("rigidity violated for a separated pair")
     return DifferenceVerdict.NOT_CP
 

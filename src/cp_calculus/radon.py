@@ -72,11 +72,12 @@ def dominates(s: CpMap, t: CpMap, tol: float = EPS_PSD) -> bool:
     return _top(s, t) <= 1.0 + as_tol(tol)
 
 
-def _top(s: CpMap, t: CpMap) -> float:
-    """Top of s's density spectrum on t's canonical environment; inf for a leak."""
+def _top(s: CpMap, t: CpMap, cs=None, ct=None) -> float:
+    """Top of s's density spectrum on t's canonical environment; inf for a leak.
+    ``cs`` and ``ct`` are the maps' process operators, when the caller holds them."""
     _check_same_dims(s, t)
     try:
-        return float(_spectrum(*_density(s, *_prepare(canonicalize(t)))).max())
+        return float(_spectrum(*_density(s, *_prepare(_canonical(t, ct)), cs)).max())
     except NotDominated:
         return float("inf")
 

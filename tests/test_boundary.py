@@ -542,9 +542,20 @@ def test_verdict_tolerance_accepted(tol):
         TOL_ENTRIES[entry](tol)
 
 
-# rigidity's cross-check runs at EPS_PSD whatever the caller's tol, which
-# loosens only the normalization test: at tol 1 and 2, psd_leq at that tol
-# would pass the identity against Pauli X and raise InvariantViolation
+# rigidity's cross-check is dominates at EPS_PSD whatever the caller's tol,
+# which loosens only the normalization test: at tol 1 and 2, an order test at
+# that tol would pass the identity against Pauli X and raise InvariantViolation
 @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.1, 0.5, 1.0, 2.0])
 def test_rigidity_cross_check_ignores_the_callers_tol(tol):
     assert channel_difference_is_cp(ID2, FLIP, tol) is DifferenceVerdict.NOT_CP
+
+
+# s = t / 2 lies below t, and its normalization is off by 0.5: at tol 0.4 the
+# normalization test refuses it, and at tol 0.5 and 1, which admit that gap,
+# the ordered pair the cross-check finds is the same unequal normalization
+# (it raised InvariantViolation, as if the library had broken rigidity)
+@pytest.mark.parametrize("tol", [0.4, 0.5, 1.0])
+def test_rigidity_refuses_an_ordered_pair_the_tol_admitted(tol):
+    with pytest.raises(errors.NotAChannel) as info:
+        channel_difference_is_cp(scale(ID2, 0.5), ID2, tol)
+    assert str(info.value) == "normalizations differ by 5.000e-01; rigidity needs equality"

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from cp_calculus.cpmap import CpMap, add, apply, scale
+from cp_calculus.cpmap import CpMap, add, apply, canonicalize, scale
 from cp_calculus import cpmap, norms
 from cp_calculus.errors import DimMismatch, InvariantViolation, ShapeMismatch
 from cp_calculus.duality import jam_forward
@@ -17,8 +17,8 @@ from cp_calculus.norms import (
     diamond_lower,
     norm_report,
 )
-from cp_calculus.numerics import herm_eig, op_norm, psd_sqrt
-from cp_calculus.radon import rn_derivative
+from cp_calculus.numerics import EPS_PSD, herm_eig, op_norm, psd_sqrt
+from cp_calculus.radon import dominates, rn_derivative
 from helpers import (
     ascent_input,
     env_sandwich,
@@ -495,12 +495,54 @@ def test_sandwich_on_random_pairs():
 def test_norm_report_exact_branch():
     t = rand_channel(RNG, 2, 2)
     s = scale(t, 0.25)
-    rep = norm_report(t, s, seed=0, restarts=4)
-    # the difference is CP, so its CB norm is |(t - s)(1)| = 0.75
-    assert rep.cb_exact is not None
-    assert abs(rep.cb_exact - 0.75) < 1e-10
-    assert rep.lower <= rep.cb_exact * (1.0 + 1e-9)
-    assert rep.iterations >= rep.restarts
+    # the difference is CP, so its CB norm is |(t - s)(1)| = 0.75; the density
+    # difference D is PSD for (t, s), and -D for (s, t)
+    for t1, t2 in ((t, s), (s, t)):
+        rep = norm_report(t1, t2, seed=0, restarts=4)
+        assert rep.cb_exact is not None
+        assert abs(rep.cb_exact - 0.75) < 1e-10
+        assert rep.lower <= rep.cb_exact * (1.0 + 1e-9)
+        assert rep.iterations >= rep.restarts
+
+
+def _reweighted(t, weights, extra=()):
+    """t's canonical family with operator x scaled by sqrt(weights[x]), plus ``extra``."""
+    ops = canonicalize(t).kraus_array
+    return CpMap(t.dim_in, t.dim_out, tuple(np.sqrt(weights)[:, None, None] * ops) + extra)
+
+
+def _leak(t, rng):
+    """A Kraus operator Hilbert-Schmidt orthogonal to t's canonical family: out of its support."""
+    ops = canonicalize(t).kraus_array
+    v = rand_complex(rng, t.dim_in, t.dim_out)
+    for k in ops:
+        v = v - np.vdot(k, v) / np.vdot(k, k) * k
+    return (v,)
+
+
+# t2 is t1's canonical family reweighted: one weight 1 + eps and the others
+# below 1, where t2 <= (1 + EPS_PSD) t1 flips at eps = EPS_PSD, or 1 - eps and
+# the others above 1, where t1 <= (1 + EPS_PSD) t2 does; a leak out of t1's
+# support rules t2 <= c t1 out, so it crosses only the second edge
+@pytest.mark.parametrize("case", ["thin", "wide", "leak"])
+def test_cb_exact_reads_dominates_both_ways(case):
+    rng = np.random.default_rng(["thin", "wide", "leak"].index(case))
+    m, k = (3, 2) if case != "wide" else (2, 4)
+    t1 = rand_channel(rng, m, m, n_kraus=k)
+    extra = _leak(t1, rng) if case == "leak" else ()
+    seen = set()
+    for sign in (1.0, -1.0):
+        rest = 1.0 - sign * rng.uniform(0.2, 0.5, size=k - 1)  # below 1 for +, above for -
+        for eps in np.logspace(-11, -7, 17):
+            if abs(eps - EPS_PSD) <= 1e-12:
+                continue
+            t2 = _reweighted(t1, np.concatenate([[1.0 + sign * eps], rest]), extra)
+            ordered = dominates(t1, t2) or dominates(t2, t1)
+            rep = norm_report(t1, t2, seed=0, restarts=1)
+            assert (rep.cb_exact is not None) == ordered, (sign, eps)
+            seen.add((sign, ordered))
+    crossed = {(1.0, False), (-1.0, False), (-1.0, True)}
+    assert seen == (crossed if extra else crossed | {(1.0, True)})
 
 
 def test_norm_report_zero_distance():
@@ -515,7 +557,9 @@ def test_norm_report_zero_distance():
     "bound, name", [("_bound_rn", "upper_rn"), ("_bound_dilation", "upper_dilation")]
 )
 def test_norm_report_rejects_inverted_bracket(monkeypatch, bound, name):
-    monkeypatch.setattr(norms, bound, lambda *args: 0.0)
+    # _bound_rn returns (upper_rn, D); the bracket is checked before D is read
+    value = (0.0, np.zeros((2, 2))) if bound == "_bound_rn" else 0.0
+    monkeypatch.setattr(norms, bound, lambda *args: value)
     with pytest.raises(InvariantViolation, match=name):
         norm_report(IDENT, XCONJ, seed=0, restarts=2)
 

@@ -100,9 +100,30 @@ def test_rigidity_check_raises_in_every_mode(monkeypatch):
     # is an explicit raise, so it also holds under python -O
     a = CpMap(2, 2, (np.eye(2),))
     b = CpMap(2, 2, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
-    monkeypatch.setattr("cp_calculus.order.psd_leq", lambda x, y, tol: True)
+    monkeypatch.setattr("cp_calculus.order._top", lambda *args: 0.0)
     with pytest.raises(InvariantViolation, match="rigidity"):
         channel_difference_is_cp(a, b)
+
+
+def test_rigidity_forms_each_operator_once(monkeypatch):
+    # the equality test's process operators also serve the cross-check's
+    # density and a wide t's canonical family
+    seen = []
+    orig = cpmap.to_choi
+
+    def counted(t):
+        seen.append(t)
+        return orig(t)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cp_calculus.") and getattr(mod, "to_choi", None) is orig:
+            monkeypatch.setattr(mod, "to_choi", counted)
+    for n_kraus in (1, 4):
+        seen.clear()
+        s, t = (rand_channel(RNG, 2, 2, n_kraus=n_kraus) for _ in range(2))
+        assert channel_difference_is_cp(s, t) is DifferenceVerdict.NOT_CP
+        assert [sum(x is u for x in seen) for u in (s, t)] == [1, 1]
+        assert len(seen) == 2
 
 
 def test_equal_normalization_generalization():
@@ -528,7 +549,8 @@ def test_order_chain_decides_as_rn_derivative_does(m, k):
 
 # dominates(s, t, tol) is c_min(s, t) <= 1 + tol: tol is the slack above 1 on
 # the density's spectrum, and a leak out of t's support fails at every tol.
-# psd_leq(C_s, C_t, tol) decides four cells the other way: the wide t against
+# An order test on process operators, is_psd(C_t - C_s, tol), which no verdict
+# of the library runs, decides four cells the other way: the wide t against
 # itself at tol 0 (its F = 1 rounds up, by 1e-14 to 5e-14 on this t), the
 # thin t / 2 at tol 0 (the kernel of C_t / 2 rounds below 0), (1 + 5e-4) t at
 # tol 1e-3 (C_t - C_s has eigenvalue -2e-3, beyond 1e-3 * max(1, ||C_t -

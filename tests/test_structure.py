@@ -244,17 +244,12 @@ def test_from_choi_only_where_no_family_is_at_hand():
 
 
 # The CP order has one criterion, the density's (radon's residual and
-# window).  psd_leq compares T(1) with 1 and tr_in F with m 1, and two maps'
-# process operators only where norms and rigidity already hold them:
-# norm_report's test for an ordered pair, and rigidity's cross-check.  No
-# radon site and no faithful_rn site, so a second criterion cannot creep
-# back in; a new order test either reads the density or edits this pin.
-PSD_LEQ_SITES = {
-    "cpmap.is_quantum_operation": 1,
-    "duality.jam_is_operation": 1,
-    "norms.norm_report": 2,
-    "order.channel_difference_is_cp": 1,
-}
+# window): norm_report's cb_exact reads it off the density difference D its
+# upper_rn takes, and rigidity's cross-check is dominates at EPS_PSD.  psd_leq
+# only compares T(1) with 1 and tr_in F with m 1, never two maps' process
+# operators, so a second criterion cannot creep back in; a new order test
+# either reads the density or edits this pin.
+PSD_LEQ_SITES = {"cpmap.is_quantum_operation": 1, "duality.jam_is_operation": 1}
 
 
 def test_psd_leq_never_decides_the_cp_order_a_density_decides():
