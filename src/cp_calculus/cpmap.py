@@ -303,11 +303,10 @@ def from_stinespring(s: StinespringDilation) -> CpMap:
 
 
 def scale(t: CpMap, c: float) -> CpMap:
-    """The map c * T for c >= 0, via sqrt(c)-scaled Kraus operators."""
-    c = float(c)
-    if c < 0.0:
-        raise ValueError("scale factor must be nonnegative")
-    return _trusted_map(t.dim_in, t.dim_out, np.sqrt(c) * t.kraus_array)
+    """The map c * T for finite c >= 0, via sqrt(c)-scaled Kraus operators."""
+    if not 0.0 <= float(c) < np.inf:  # False on nan
+        raise ValueError(f"scale factor must be a finite number >= 0, got {c!r}")
+    return _trusted_map(t.dim_in, t.dim_out, np.sqrt(float(c)) * t.kraus_array)
 
 
 def add(t1: CpMap, t2: CpMap) -> CpMap:

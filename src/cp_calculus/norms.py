@@ -29,7 +29,8 @@ from .cpmap import (
 )
 from .errors import DimensionLimit, InvariantViolation
 from .numerics import (
-    EPS_PSD, MAX_DIM, as_count, as_matrix, is_psd, op_norm, partial_trace, psd_sqrt
+    EPS_PSD, MAX_DIM, as_count, as_matrix, as_tol, is_psd, op_norm, partial_trace,
+    psd_sqrt,
 )
 from .radon import _prepare
 
@@ -114,7 +115,8 @@ def _toward_top(y, psi):
 def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol):
     """(best value, summed steps, c1, c2), c_i the process operator of t_i."""
     _check_same_dims(t1, t2)
-    restarts = as_count(restarts, "restarts")
+    restarts, max_iter = as_count(restarts, "restarts"), as_count(max_iter, "max_iter")
+    tol = as_tol(tol)
     r = as_count(t1.dim_out if ancilla_dim is None else ancilla_dim, "ancilla dimension")
     m, n = t1.dim_in, t1.dim_out
     side = max(m, n) * r
@@ -157,9 +159,10 @@ def diamond_lower(
     stacks of up to STACK_ENTRIES entries per x and y (one restart where
     its own x or y is larger), each reaching the value and step count it
     reaches alone; ``workers`` is accepted for compatibility and ignored.
-    A restart count or ancilla dimension that is not an integer, or is a
-    bool, raises ValueError, and max(dim_in, dim_out) * r above MAX_DIM
-    raises DimensionLimit before anything is allocated.
+    A restart count, ``max_iter`` or ancilla dimension that is not an
+    integer of at least 1, or is a bool, and a ``tol`` that is not a finite
+    number >= 0 (as_tol's rule) raise ValueError, and max(dim_in, dim_out) * r
+    above MAX_DIM raises DimensionLimit, before anything is allocated.
     """
     return _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol)[0]
 

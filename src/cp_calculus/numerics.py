@@ -7,9 +7,8 @@ makes every decomposition built on top of them deterministic for identical
 input.  Tolerances are module constants rather than per-call magic numbers;
 a residual is held to its tolerance by ``norm_excess``, which takes an SVD only
 where Frobenius bounds on the residual and its scale cannot decide the check.
-Every PSD-order verdict goes through ``is_psd`` the same way: from side 32
-up, Cholesky factorizations decide it from a column-norm and a Frobenius
-bound on the scale, and eigvalsh only in the rounding band between them.
+Every PSD-order verdict goes through ``is_psd``, one eigvalsh of the
+Hermitian part.
 """
 
 from __future__ import annotations
@@ -163,37 +162,11 @@ def psd_leq(a, b, tol: float = EPS_PSD) -> bool:
     return is_psd(b - a, tol)
 
 
-def _factors(work: np.ndarray, shift: float) -> bool:
-    """Add ``shift`` to work's diagonal in place; whether Cholesky then runs through."""
-    work.flat[:: len(work) + 1] += shift
-    try:
-        np.linalg.cholesky(work)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def is_psd(m, tol: float = EPS_PSD) -> bool:
-    """The one PSD rule: the Hermitian part d of a square m has lowest eigenvalue
-    >= -tol * max(1, ||d||), tol through as_tol, decided from side 32 up by Cholesky."""
-    tol, d = as_tol(tol), hermitize(m)
-    n = len(d)
-    if n >= 32:  # below, one eigvalsh costs less than the norms and a factorization
-        with np.errstate(over="ignore"):
-            cols = np.square(d.real).sum(0) + np.square(d.imag).sum(0)
-        lo, hi = np.sqrt(cols.max()), np.sqrt(cols.sum())  # lo <= ||d|| <= hi
-        # Cholesky runs through on A + E with ||E|| <= n(n+1) u ||A||, and fails only
-        # if lambda_min(A) < 20 n^1.5 u ||A|| (Higham, Thms 10.3, 10.7); u = eps, for complex
-        top = tol * max(1.0, hi)
-        slack = max(n * (n + 1), 20 * n**1.5) * np.finfo(float).eps * (hi + top)
-        shift = tol * max(1.0, lo) - slack
-        if shift > 0.0:  # False on nan, so overflowed norms take eigvalsh
-            if _factors(d, shift):
-                return True
-            if not _factors(d, top + slack - shift):
-                return False
-            d = hermitize(m)  # unshifted, for the rounding band
-    w = np.linalg.eigvalsh(d)
+    """The one PSD rule: the Hermitian part of a square m has lowest eigenvalue
+    w[0] >= -tol * max(1, largest |eigenvalue|), tol through as_tol."""
+    tol = as_tol(tol)
+    w = np.linalg.eigvalsh(hermitize(m))
     return bool(w.size == 0 or w[0] >= -tol * max(1.0, -w[0], w[-1]))
 
 

@@ -6,8 +6,8 @@ the direct Heisenberg sum re-implements the Kraus action with a plain loop.
 ``reference_herm_eig`` is the per-column, tuple-sorted form of
 ``numerics.herm_eig`` (its ordering, ``reference_eig_order``, that of
 ``numerics.canonical_eig``), kept to check the vectorised one bit for bit;
-``reference_psd_leq`` is the one-eigvalsh PSD rule that the Cholesky
-decision in ``numerics.is_psd`` must reproduce verdict for verdict.
+``reference_psd_leq`` is the one-eigvalsh PSD rule, written apart from
+``numerics.is_psd``, which must agree with it verdict for verdict.
 ``reference_c_min`` (inverse square root of t's process operator on its
 support) and ``reference_faithful_rn`` (one ``apply`` per pair of basis
 vectors) compute by a second route what the library reads off one
@@ -224,9 +224,9 @@ def reference_eig_order(w, u):
 
 
 def reference_psd_leq(a, b, tol=EPS_PSD):
-    """psd_leq's rule by one eigvalsh, as numerics decided it before the
-    Cholesky test: the lowest eigenvalue of the Hermitian part of b - a is at
-    least -tol * max(1, largest |eigenvalue|)."""
+    """psd_leq's rule by one eigvalsh of its own: the lowest eigenvalue of
+    the Hermitian part of b - a is at least -tol * max(1, largest
+    |eigenvalue|)."""
     d = np.asarray(b, dtype=complex) - np.asarray(a, dtype=complex)
     w = np.linalg.eigvalsh((d + d.conj().T) / 2.0)
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0

@@ -466,15 +466,20 @@ ANCILLA = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(ANCILLA))
-def test_diamond_lower_rejects_ancilla_before_allocating(monkeypatch, case):
-    (t1, t2), ancilla_dim, cls, message = ANCILLA[case]
+@pytest.fixture
+def no_search(monkeypatch):
+    """Fail the test if the ascent search forms a process operator or ascends."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("the search started")
 
     monkeypatch.setattr(norms, "to_choi", allocates)
     monkeypatch.setattr(norms, "_ascend", allocates)
+
+
+@pytest.mark.parametrize("case", sorted(ANCILLA))
+def test_diamond_lower_rejects_ancilla_before_allocating(no_search, case):
+    (t1, t2), ancilla_dim, cls, message = ANCILLA[case]
     with pytest.raises(getattr(errors, cls, ValueError)) as info:
         diamond_lower(t1, t2, restarts=2, ancilla_dim=ancilla_dim)
     assert type(info.value).__name__ == cls
@@ -493,16 +498,33 @@ RESTARTS = {
 
 @pytest.mark.parametrize("fn", [diamond_lower, norm_report], ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("case", sorted(RESTARTS))
-def test_restarts_rejected_before_allocating(monkeypatch, fn, case):
+def test_restarts_rejected_before_allocating(no_search, fn, case):
     restarts, message = RESTARTS[case]
-
-    def allocates(*args, **kwargs):
-        raise AssertionError("the search started")
-
-    monkeypatch.setattr(norms, "to_choi", allocates)
-    monkeypatch.setattr(norms, "_ascend", allocates)
     with pytest.raises(ValueError) as info:
         fn(ID2, FLIP, restarts=restarts)
+    assert str(info.value) == message
+
+
+# the ascent's max_iter and tol are checked as restarts is: max_iter 0 or -3
+# returned 0.0 after no step and True ran one, and a NaN or negative tol ran
+# every restart into the cap
+ASCENT_ARGS = {
+    "max_iter_zero": ({"max_iter": 0}, "max_iter must be at least 1"),
+    "max_iter_negative": ({"max_iter": -3}, "max_iter must be at least 1"),
+    "max_iter_bool": ({"max_iter": True}, "max_iter must be an integer, got True"),
+    "max_iter_float": ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    "tol_nan": ({"tol": NAN}, f"tol must be a finite number >= 0, got {NAN!r}"),
+    "tol_negative": ({"tol": -1.0}, "tol must be a finite number >= 0, got -1.0"),
+    "tol_inf": ({"tol": INF}, f"tol must be a finite number >= 0, got {INF!r}"),
+    "tol_bool": ({"tol": True}, "tol must be a finite number >= 0, got True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASCENT_ARGS))
+def test_ascent_arguments_rejected_before_allocating(no_search, case):
+    kwargs, message = ASCENT_ARGS[case]
+    with pytest.raises(ValueError) as info:
+        diamond_lower(ID2, FLIP, restarts=2, **kwargs)
     assert str(info.value) == message
 
 

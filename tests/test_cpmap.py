@@ -252,6 +252,15 @@ def test_scale_add_compose():
         compose(t, t)
 
 
+# a non-finite factor raised numpy's "invalid value" RuntimeWarning, or, with
+# warnings ignored, a ShapeMismatch that named no argument
+@pytest.mark.parametrize("c", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_scale_factor_must_be_finite_and_nonnegative(c):
+    with pytest.raises(ValueError) as info:
+        scale(identity_map(), c)
+    assert str(info.value) == f"scale factor must be a finite number >= 0, got {c!r}"
+
+
 def test_choi_unnormalized_convention():
     t = rand_cp_map(RNG, 3, 2)
     c = to_choi(t)

@@ -196,16 +196,16 @@ def test_op_norm_only_where_a_norm_is_the_result():
     assert _call_sites("op_norm") == OP_NORM_SITES
 
 
-# A PSD-order verdict goes through numerics.is_psd, which runs eigvalsh only
-# in its rounding band; eigvalsh is called directly only where an eigenvalue
-# is a value the caller reads, not a yes/no.  A new PSD verdict either uses
-# the rule or edits this pin on purpose.  A density's spectrum has one owner,
-# radon._spectrum, read by the window, c_min and faithful_rn's constant.
+# A PSD-order verdict goes through numerics.is_psd, one eigvalsh of the
+# Hermitian part; eigvalsh is called directly elsewhere only where an
+# eigenvalue is a value the caller reads, not a yes/no.  A new PSD verdict
+# either uses the rule or edits this pin on purpose.  A density's spectrum has
+# one owner, radon._spectrum, read by the window, c_min and faithful_rn's constant.
 EIGVALSH_SITES = {
     "cpmap._check_psd": 1,  # words a failure is_psd has decided
     "cpmap.choi_rank": 1,
     "norms._toward_top": 1,
-    "numerics.is_psd": 1,  # the rounding band
+    "numerics.is_psd": 1,  # the one PSD rule
     "radon._spectrum": 1,  # of F, or of the Gram X* X of a thin factor
 }
 
@@ -221,6 +221,7 @@ def test_eigvalsh_only_where_an_eigenvalue_is_read():
 # their eigenpairs through canonical_eig.  A new factorization edits these
 # pins on purpose.
 FACTORIZATION_SITES = {
+    "cholesky": {},  # a PSD verdict is is_psd's eigvalsh: no second route
     "eigh": {"norms._ascend": 1, "numerics.herm_eig": 1},
     "svd": {"cpmap._canonical": 1, "numerics.op_norm": 1},
     "canonical_eig": {"cpmap._canonical": 1, "numerics.herm_eig": 1},
