@@ -163,11 +163,11 @@ def psd_leq(a, b, tol: float = EPS_PSD) -> bool:
 
 
 def is_psd(m, tol: float = EPS_PSD) -> bool:
-    """The one PSD rule: the Hermitian part of a square m has lowest eigenvalue
-    w[0] >= -tol * max(1, largest |eigenvalue|), tol through as_tol."""
+    """The one PSD rule: the Hermitian part of a square, finite m (as_matrix) has
+    lowest eigenvalue w[0] >= -tol * max(1, largest |eigenvalue|), tol through as_tol."""
     tol = as_tol(tol)
-    w = np.linalg.eigvalsh(hermitize(m))
-    return bool(w.size == 0 or w[0] >= -tol * max(1.0, -w[0], w[-1]))
+    w = np.linalg.eigvalsh(hermitize(as_matrix(m, np.shape(m)[:1] * 2)))
+    return bool(w[0] >= -tol * max(1.0, -w[0], w[-1]))
 
 
 def psd_rank(values, tol: float = RANK_TOL) -> int:

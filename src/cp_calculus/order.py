@@ -108,11 +108,11 @@ def c_min(s: CpMap, t: CpMap) -> DominationConstant:
 
     The largest eigenvalue of s's density on t's canonical environment,
     the top of the spectrum rn_derivative's window and ``dominates`` read
-    (from the Gram of s's stack factor when that is thinner than the
-    density).  It is infinite, as the sentinel (inf, attained=False), exactly
-    when rn_derivative reports that s leaks outside t's support.  Like
-    rn_derivative, it reuses t's canonical family and its stack W with
-    W's closed-form inverse, which are computed once per map object.
+    (from the Gram of s's stack factor when that is thinner).  It is the
+    sentinel (inf, attained=False) exactly when rn_derivative reports that
+    s leaks outside t's support, a leak radon's stack test certifies with
+    no process operator and no SVD.  It reuses t's canonical family, its
+    stack W and W's closed-form inverse, computed once per map object.
     """
     top = _top(s, t)
     return DominationConstant(value=max(0.0, top), attained=top < np.inf)

@@ -9,10 +9,13 @@ Extraction works on the canonical Kraus stack W (columns vec(V_x*)): the
 unnormalized process matrix of S equals W F W* up to scaling, so
 F = W+ @ choi_unnormalized(S) @ W+*, W+ being W* with row x divided by
 ||w_x||^2 (W's columns are orthogonal).  A thin S (``cpmap._thin``) skips
-C_S = v v*, v its own stack: F = X X* for X = W+ v, and the residual, at
+C_S = v v*, v its own stack: F = X X* for X = W+ v, and the residual R, at
 most 2 ||W X||_F ||E||_F + ||E||_F^2 for the leak E = v - W X, passes when
 that is within half the tolerance at v's largest squared column norm (a
 lower bound on ||C_S||); else C_S decides, so verdicts and messages stay.
+A verdict alone (``_top``) fails with no C_S and no SVD once a column j has
+||E e_j||^2 > 2 recon_tol(2 ||v||_F^2), since R = -E E* off W's range and
+||C_S|| <= ||v||_F^2; it reads a thin S's columns, a wide S's heaviest one.
 Reconstruction residual and the eigenvalue window of F are the library's
 one domination criterion (S <= T iff F exists with spectrum in [0, 1]).
 This compression is its one density computation, and the dominating Kraus
@@ -67,17 +70,17 @@ from .numerics import (
 
 
 def dominates(s: CpMap, t: CpMap, tol: float = EPS_PSD) -> bool:
-    """True when T - S is completely positive: c_min(s, t) <= 1 + tol, the
-    density's spectrum at most ``tol`` (through as_tol) above 1."""
+    """True when T - S is completely positive: c_min(s, t) <= 1 + tol, the density's
+    spectrum at most ``tol`` (through as_tol) above 1, and False for any leak."""
     return _top(s, t) <= 1.0 + as_tol(tol)
 
 
 def _top(s: CpMap, t: CpMap, cs=None, ct=None) -> float:
-    """Top of s's density spectrum on t's canonical environment; inf for a leak.
-    ``cs`` and ``ct`` are the maps' process operators, when the caller holds them."""
+    """Top of s's density spectrum on t's canonical environment; inf for a leak
+    (the stack's test first); ``cs`` and ``ct`` the maps' held process operators."""
     _check_same_dims(s, t)
     try:
-        return float(_spectrum(*_density(s, *_prepare(_canonical(t, ct)), cs)).max())
+        return float(_spectrum(*_density(s, *_prepare(_canonical(t, ct)), cs, True)).max())
     except NotDominated:
         return float("inf")
 
@@ -164,21 +167,33 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     return _derivative(s, canonicalize(t))
 
 
-def _density(s: CpMap, w, wp, c: ChoiOperator | None = None):
+def _density(s: CpMap, w, wp, c: ChoiOperator | None = None, verdict: bool = False):
     """(F, X): F = wp C wp* for the unnormalized process matrix C of the map s
     and wp w's inverse on its range, and X with F = X X* when the stack route
     decided, else None; raises NotDominated when w F w* misses C, a leak
-    outside it.  A thin s takes the stack route; else C comes from ``c``,
-    s's process operator when the caller holds it."""
+    outside it, first by the leak test for a ``verdict``.  A thin s takes the
+    stack route; else C is ``c``, s's process operator, when the caller holds it."""
+    e = None
     if _thin(s):
         v = _columns(s.kraus_array)  # C = v v*
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the test
             x = wp @ v
             wx = w @ x
-            leak, cols = np.linalg.norm(v - wx), np.linalg.norm(v, axis=0) ** 2
+            e = v - wx
+            leak, cols = np.linalg.norm(e), np.linalg.norm(v, axis=0) ** 2
             bound = 2.0 * np.linalg.norm(wx) * leak + leak**2  # >= ||w F w* - C||
         if s.dim_in * cols.sum() < np.inf and bound <= 0.5 * recon_tol(cols.max()):
             return hermitize(x @ x.conj().T), x
+    elif verdict and len(wp) < len(w):  # nothing leaks out of a square w
+        r = s.kraus_array.reshape(len(s.kraus), -1).view(float)  # C-ordered
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = (r[:, None] @ r[:, :, None]).ravel()  # squared column norms of v
+            e = _columns(s.kraus_array[[cols.argmax()]])  # the heaviest column
+            e = e - w @ (wp @ e)
+    if verdict and e is not None and s.dim_in * cols.sum() < np.inf:
+        top = np.linalg.norm(e, axis=0).max() ** 2  # inf or nan: a tiny t's W+ overflowed
+        if 2.0 * recon_tol(2.0 * cols.sum()) < top < np.inf:
+            raise NotDominated("a stack column leaks out of the dominating map's support")
     cs = choi_unnormalized(to_choi(s) if c is None else c)
     f = hermitize(wp @ cs @ wp.conj().T)
     resid = norm_excess(w @ f @ w.conj().T - cs, recon_tol, cs)

@@ -1,12 +1,17 @@
-"""Shared pytest wiring: the acceptance suite's verdict summary.
+"""Shared pytest wiring: the acceptance suite's verdict summary, and the
+``norm_calls`` counter of op_norm calls and SVDs.
 
 Each acceptance test records one PASS/FAIL line; the hook replays them in
 the terminal summary so the verdicts survive output capture.
 """
 
 import sys
+from collections import Counter
 
+import numpy as np
 import pytest
+
+from cp_calculus import numerics
 
 VERDICTS = []
 
@@ -25,6 +30,27 @@ def int_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield 4300
     sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Count op_norm calls through every module's binding, and SVDs."""
+    calls = Counter()
+    op_norm, svd = numerics.op_norm, np.linalg.svd
+
+    def counted_op_norm(m):
+        calls["op_norm"] += 1
+        return op_norm(m)
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cp_calculus.") and hasattr(module, "op_norm"):
+            monkeypatch.setattr(module, "op_norm", counted_op_norm)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter):

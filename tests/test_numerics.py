@@ -224,6 +224,23 @@ def test_psd_rule_scale_on_exact_spectra(d, verdict):
     assert numerics.is_psd(d) is verdict is reference_psd_leq(0 * d, d)
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+        (np.zeros((2, 3)), "matrix has shape (2, 3), expected (2, 2)"),
+        (np.zeros((2, 2, 2)), "expected a matrix, got array of ndim 3"),
+    ],
+    ids=["nan", "inf", "rectangular", "three_d"],
+)
+def test_is_psd_checks_its_input(m, message):
+    # NaN gave True and a rectangular m numpy's broadcast ValueError
+    with pytest.raises(ShapeMismatch) as info:
+        numerics.is_psd(m)
+    assert str(info.value) == message
+
+
 def test_psd_rank_counts_the_leading_cut():
     assert numerics.psd_rank(np.array([2.0, 1.0, 2e-10, 1e-10, 0.0])) == 3
     assert numerics.psd_rank(np.array([2.0, 1.0, 0.5]), tol=0.5) == 2

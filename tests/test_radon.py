@@ -1,5 +1,4 @@
 import gc
-import sys
 import weakref
 from collections import Counter
 
@@ -441,27 +440,6 @@ def test_zero_map_edge_cases():
     der0 = rn_derivative(zero, zero)
     assert der0.env_dim == 1
     assert np.allclose(der0.matrix, 0.0)
-
-
-@pytest.fixture
-def norm_calls(monkeypatch):
-    """Count op_norm calls through every module's binding, and SVDs."""
-    calls = Counter()
-    op_norm, svd = numerics.op_norm, np.linalg.svd
-
-    def counted_op_norm(m):
-        calls["op_norm"] += 1
-        return op_norm(m)
-
-    def counted_svd(*args, **kwargs):
-        calls["svd"] += 1
-        return svd(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cp_calculus.") and hasattr(module, "op_norm"):
-            monkeypatch.setattr(module, "op_norm", counted_op_norm)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    return calls
 
 
 T44 = rand_channel(np.random.default_rng(44), 4, 4, n_kraus=5)

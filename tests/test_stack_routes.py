@@ -10,6 +10,10 @@ and s outside t's range with ||C_s|| on the tolerance line, at sides up to
 16 x 16:
 
 - the residual verdicts, and every NotDominated message, are identical;
+- the verdict-only leak test (``dominates``, ``c_min``) refutes exactly
+  what the dense residual refutes, on thin and wide s against
+  rank-deficient and spanning t, with the squared leak per column on a
+  log grid across recon_tol;
 - a pass with no process operator keeps half the tolerance in hand: the
   exact residual is at most recon_tol(max_x ||v_x||^2) / 2, the margin
   that keeps rounding in the leak bound from passing a residual the dense
@@ -28,6 +32,7 @@ import sys
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +50,16 @@ from cp_calculus.radon import (
     rn_derivative,
     rn_reconstruct,
 )
-from helpers import dense_canonical, dense_density, rand_complex, rand_cp_map
+from helpers import (
+    dense_canonical,
+    dense_density,
+    rand_complex,
+    rand_cp_map,
+    reference_canonical_kraus,
+    reference_density,
+    reference_kraus_stack,
+    reference_to_choi,
+)
 
 SHAPES = [(1, 2), (2, 2), (2, 3), (3, 2), (4, 4), (4, 8), (8, 4), (16, 16)]
 EPS_GRID = np.logspace(-12.0, -6.0, 13).tolist()
@@ -176,13 +190,125 @@ def test_stack_routes_match_the_dense_references(case):
         assert got == want
 
 
-def test_thin_operands_form_no_process_operator(monkeypatch):
+LEAK_SHAPES = [(2, 2), (2, 3), (3, 2), (4, 4), (8, 8)]
+# squared leak per column, eight points a decade across recon_tol's 1e-9
+LEAK_SQ = np.logspace(-11.0, -7.0, 33).tolist()
+
+
+@st.composite
+def leak_cases(draw):
+    """(s, t) for the verdict-only leak test, at sides 2 x 2 to 8 x 8.  t's
+    stack has rank m n, or r < m n on k_t >= r columns.  s's stack, thin or
+    wide, is q copies of one column of t's range at squared norm c beside j
+    columns of squared norm eps2 along orthonormal directions outside it
+    ("split": the residual is -E E*, of norm eps2, and ||C_s|| = max(q c,
+    eps2)), or t's stack times A, ||A||^2 = a, plus columns of squared norm
+    eps2 in random directions ("mixed")."""
+    m, n = draw(st.sampled_from(LEAK_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    side = m * n
+    rank = side if draw(st.booleans()) else draw(st.integers(1, side - 1))
+    k_t = draw(st.integers(rank, side))
+    w = rand_complex(rng, side, rank) @ rand_complex(rng, rank, k_t) / side
+    basis = np.linalg.svd(w)[0]  # range, then its complement
+    k_s, eps2 = draw(st.integers(1, 2 * side)), draw(st.sampled_from(LEAK_SQ))
+    if draw(st.sampled_from(["split", "mixed"])) == "split":
+        j = min(draw(st.integers(1, 8)), side - rank, k_s)
+        u = basis[:, :rank] @ rand_complex(rng, rank, 1)
+        u *= np.sqrt(draw(st.sampled_from([1e-10, 0.1, 1.0, 10.0]))) / np.linalg.norm(u)
+        out = np.sqrt(eps2) * basis[:, rank : rank + j]
+        v = np.hstack([np.repeat(u, k_s - j, axis=1), out])
+    else:
+        a = rand_complex(rng, k_t, k_s)
+        a *= np.sqrt(draw(st.sampled_from([0.5, 1.0, 2.0]))) / np.linalg.norm(a, 2)
+        b = rand_complex(rng, side, k_s)
+        v = w @ a + np.sqrt(eps2) * b / np.linalg.norm(b, axis=0)
+    return from_columns(m, n, v), from_columns(m, n, w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=leak_cases())
+def test_leak_verdicts_match_the_reference(case):
+    # c_min is inf exactly when rn_derivative raises its residual
+    # NotDominated, so the stack's leak test refutes only what the dense
+    # rule refutes; off a 1e-6 band around the tolerance, that verdict is
+    # the reference residual's, and a finite c_min and dominates read the
+    # reference density's top eigenvalue
+    s, t = case
+    top = c_min(s, t).value
+    try:
+        rn_derivative(s, t)
+        refuted = False
+    except NotDominated as err:
+        refuted = str(err).startswith("residual ")
+    assert (top == np.inf) == refuted
+    f = reference_density(s, t)
+    w = reference_kraus_stack(reference_canonical_kraus(t))
+    cs = reference_to_choi(s).matrix / s.dim_in
+    ratio = op_norm(w @ f @ w.conj().T - cs) / recon_tol(op_norm(cs))
+    if abs(ratio - 1.0) > 1e-6:
+        assert refuted == (ratio > 1.0)
+    if refuted:
+        assert not dominates(s, t)
+        return
+    ref = float(np.linalg.eigvalsh(f)[-1])
+    band = 1e-10 * max(1.0, abs(ref))
+    assert abs(top - max(0.0, ref)) <= band
+    if abs(ref - 1.0 - EPS_PSD) > band:
+        assert dominates(s, t) == (ref <= 1.0 + EPS_PSD)
+
+
+def split_leak(q, c, j, eps2):
+    """(s, t) at 4 x 4: t of rank 8, and s's stack q copies of one column of
+    t's range at squared norm c beside j orthonormal columns outside it at
+    squared norm eps2, so ||C_s|| = max(q c, eps2) and the residual is
+    -E E*, of norm eps2."""
+    rng = np.random.default_rng(3401)
+    w = rand_complex(rng, 16, 8)
+    basis = np.linalg.svd(w)[0]
+    u = np.sqrt(c) * basis[:, :1]
+    v = np.hstack([np.repeat(u, q, axis=1), np.sqrt(eps2) * basis[:, 8 : 8 + j]])
+    return from_columns(4, 4, v), from_columns(4, 4, w)
+
+
+@pytest.mark.parametrize(
+    "q, c, j, eps2",
+    [
+        # four columns at 0.8e-9 each: ||E||^2 = 0.8e-9 passes recon_tol's
+        # 1e-9, while ||E||_F^2 = 3.2e-9 would clear the test's 2e-9
+        (0, 1.0, 4, 0.8e-9),
+        # ||C_s|| = 12 admits a leak of 8e-9, which clears the test's line
+        # at the heaviest column's scale, 2 recon_tol(2), but not at
+        # ||v||_F^2's, 2 recon_tol(24)
+        (12, 1.0, 1, 8e-9),
+    ],
+    ids=["frobenius", "heaviest_scale"],
+)
+def test_leak_test_refutes_only_what_the_dense_rule_refutes(norm_calls, q, c, j, eps2):
+    s, t = split_leak(q, c, j, eps2)
+    rn_derivative(s, t)
+    assert c_min(s, t).value < np.inf
+    assert dominates(s, t) == (c_min(s, t).value <= 1.0 + EPS_PSD)
+    # ten times the leak is refuted on the stack, with no SVD
+    s, t = split_leak(q, c, j, 10.0 * eps2)
+    canonicalize(t)
+    norm_calls.clear()
+    assert c_min(s, t).value == np.inf
+    assert dict(norm_calls) == {}
+    with pytest.raises(NotDominated, match="^residual "):
+        rn_derivative(s, t)
+
+
+def test_thin_operands_form_no_process_operator(monkeypatch, norm_calls):
     # s = a / 2 and t = a + b on stacks of 2 and 4 columns at 4 x 4: the
     # derivative calls, the order test and the difference of a dominated s
-    # form no process operator, t's canonical family included (a leak's
-    # dense residual forms s's), nor does faithful_rn, whose constant
-    # dominates by construction; instrument_rn forms each part's and t's
-    # once, for its sum check
+    # form no process operator, t's canonical family included, nor does
+    # faithful_rn, whose constant dominates by construction; instrument_rn
+    # forms each part's and t's once, for its sum check.  A leak, t against
+    # s or a wide map of 16 operators against t, is refuted by dominates and
+    # c_min on the stack, with no process operator and no SVD; rn_derivative,
+    # whose message is the exact residual, forms the leaking map's and takes
+    # one SVD
     seen = []
     orig = cpmap.to_choi
 
@@ -206,6 +332,17 @@ def test_thin_operands_form_no_process_operator(monkeypatch):
     parts = [s, add(scale(a, 0.5), b)]
     instrument_rn(t, parts)
     assert [id(x) for x in seen] == [id(x) for x in (t, *parts)]
+    for leak, dom in ((t, s), (rand_cp_map(rng, 4, 4, n_kraus=16), t)):
+        canonicalize(dom)
+        seen.clear()
+        norm_calls.clear()
+        assert not dominates(leak, dom)
+        assert c_min(leak, dom).value == np.inf
+        assert seen == [] and dict(norm_calls) == {}
+        with pytest.raises(NotDominated, match="^residual "):
+            rn_derivative(leak, dom)
+        assert [id(x) for x in seen] == [id(leak)]
+        assert dict(norm_calls) == {"op_norm": 1, "svd": 1}
 
 
 def test_each_density_is_factored_once(monkeypatch):
