@@ -35,7 +35,6 @@ from .numerics import (
     hermitize,
     is_psd,
     norm_excess,
-    psd_leq,
     psd_rank,
 )
 
@@ -215,7 +214,8 @@ def choi_unnormalized(c: ChoiOperator) -> np.ndarray:
 
 
 def choi_rank(c: ChoiOperator, rank_tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues at or above rank_tol times the largest."""
+    """Number of eigenvalues at or above rank_tol (through as_tol) times the largest."""
+    rank_tol = as_tol(rank_tol)
     return psd_rank(np.linalg.eigvalsh(hermitize(c.matrix))[::-1], rank_tol)
 
 
@@ -333,7 +333,7 @@ def compose(second: CpMap, first: CpMap) -> CpMap:
 
 def is_quantum_operation(t: CpMap, tol: float = EPS_PSD) -> bool:
     """True when T(1) <= 1, i.e. the map is subunital."""
-    return psd_leq(apply(t, np.eye(t.dim_in)), np.eye(t.dim_out), tol)
+    return is_psd(np.eye(t.dim_out) - apply(t, np.eye(t.dim_in)), tol)
 
 
 def is_channel(t: CpMap, tol: float = EPS_PSD) -> bool:

@@ -40,12 +40,12 @@ from .numerics import (
     MAX_DIM,
     as_matrix,
     hermitize,
+    is_psd,
     norm_excess,
     op_norm,
     partial_trace,
-    psd_leq,
 )
-from .radon import _density, _spectrum
+from .radon import _spectrum
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,21 @@ class ReferenceChannel(CpMap):
         return self.dim_out
 
 
+def _env_dims(m: int, n: int) -> tuple[int, int]:
+    """(m, n) through _dims, once the environment dimension m * n is within MAX_DIM."""
+    m, n = _dims(m, n)
+    if m * n > MAX_DIM:
+        raise DimensionLimit(f"environment dimension {m * n} exceeds {MAX_DIM}")
+    return m, n
+
+
 def _trace_channel(cls, m: int, n: int, scaled_cols) -> CpMap:
     """Channel with Kraus operators |c_i><f_mu|, input index i fastest.
 
     ``scaled_cols()`` gives the m x m matrix whose column i is c_i; it runs
     only after the dimension guards, so no out-of-range size is allocated.
     """
-    m, n = _dims(m, n)
-    if m * n > MAX_DIM:
-        raise DimensionLimit(f"environment dimension {m * n} exceeds {MAX_DIM}")
+    m, n = _env_dims(m, n)
     cols = scaled_cols()
     ops = np.zeros((n, m, m, n), dtype=complex)
     for mu in range(n):
@@ -118,7 +124,7 @@ def jam_is_operation(f: ChoiOperator, tol: float = EPS_PSD) -> bool:
     """Quantum-operation criterion tr_in F <= m 1 on the process operator."""
     m, n = f.dim_in, f.dim_out
     marginal = partial_trace(f.matrix, "second", n, m)
-    return psd_leq(marginal, m * np.eye(n), tol)
+    return is_psd(m * np.eye(n) - marginal, tol)
 
 
 def jam_compose(f2: ChoiOperator, f1: ChoiOperator) -> ChoiOperator:
@@ -205,27 +211,25 @@ class FaithfulDerivative(NamedTuple):
 def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     """Derivative density of ``t`` on its faithful reference environment.
 
-    The density is pinv(W) C pinv(W)*: radon's compression of t's
-    unnormalized process matrix C by the faithful channel's stack W, which
-    is n copies of one m x m block, inverted once.  For an exactly
-    orthonormal basis this equals the entrywise formula
+    The faithful channel's stack W holds n copies of one invertible m x m
+    block B = conj(basis sqrt(p)), so every CP map has a density there:
+    F = X X* for X = (1 (x) B^-1) v, v t's own stack, with one inverse of B.
+    For an exactly orthonormal basis this equals the entrywise formula
     <f_mu|T(|b_i><b_j|)f_nu> / sqrt(p_i p_j) at environment index
     (mu, i) -> mu * m + i; FaithfulState accepts a basis orthonormal to
     1e-8, and for such a basis the two differ at that order.
     ``constant`` is its top eigenvalue, read as c_min reads its own (a thin
-    t's from its stack factor's Gram), the least c with t dominated by c
-    times the faithful channel, which holds by that construction.  The
-    uniform state in the standard basis returns the process operator.
-    Raises InvariantViolation if c exceeds p_min**-2 * ||T(1)||.
+    t's from X's Gram), the least c with t dominated by c times the faithful
+    channel.  The uniform state in the standard basis returns the process
+    operator.  m * n above MAX_DIM raises DimensionLimit before anything is
+    formed, and c above p_min**-2 * ||T(1)|| InvariantViolation.
     """
-    m, n = t.dim_in, t.dim_out
+    m, n = _env_dims(t.dim_in, t.dim_out)
     if w.dim != m:
         raise DimMismatch(f"state dim {w.dim} does not match input dim {m}")
-    phi = faithful_channel(w, n)
-    stack = _columns(phi.kraus_array)
-    # W holds n copies of one m x m diagonal block: pinv(W) inverts it once
-    wp = np.eye(n)[:, None, :, None] * np.linalg.inv(stack[:m, :m])[:, None, :]
-    f, x = _density(t, stack, wp.reshape(stack.shape))
+    binv = np.linalg.inv(w.basis.conj() * np.sqrt(w.p))
+    x = (binv @ _columns(t.kraus_array).reshape(n, m, -1)).reshape(m * n, -1)
+    f = hermitize(x @ x.conj().T)
     c = max(0.0, float(_spectrum(f, x).max()))
     dinv = 1.0 / float(np.min(w.p))
     limit = dinv * dinv * op_norm(apply(t, np.eye(m))) * (1.0 + 1e-9)

@@ -115,8 +115,8 @@ def _toward_top(y, psi):
 def _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol):
     """(best value, summed steps, c1, c2), c_i the process operator of t_i."""
     _check_same_dims(t1, t2)
-    restarts, max_iter = as_count(restarts, "restarts"), as_count(max_iter, "max_iter")
-    tol = as_tol(tol)
+    seed, restarts = as_count(seed, "seed", least=0), as_count(restarts, "restarts")
+    max_iter, tol = as_count(max_iter, "max_iter"), as_tol(tol)
     r = as_count(t1.dim_out if ancilla_dim is None else ancilla_dim, "ancilla dimension")
     m, n = t1.dim_in, t1.dim_out
     side = max(m, n) * r
@@ -160,9 +160,10 @@ def diamond_lower(
     its own x or y is larger), each reaching the value and step count it
     reaches alone; ``workers`` is accepted for compatibility and ignored.
     A restart count, ``max_iter`` or ancilla dimension that is not an
-    integer of at least 1, or is a bool, and a ``tol`` that is not a finite
-    number >= 0 (as_tol's rule) raise ValueError, and max(dim_in, dim_out) * r
-    above MAX_DIM raises DimensionLimit, before anything is allocated.
+    integer of at least 1, or is a bool, a ``seed`` that is not one of at
+    least 0, and a ``tol`` that is not a finite number >= 0 (as_tol's rule)
+    raise ValueError, and max(dim_in, dim_out) * r above MAX_DIM raises
+    DimensionLimit, before anything is allocated.
     """
     return _diamond_search(t1, t2, seed, restarts, ancilla_dim, max_iter, tol)[0]
 
@@ -284,9 +285,10 @@ def norm_report(
     bounds.  cb_exact is ||(t1 - t2)(1)||, the CB norm of a CP difference, when
     one map dominates the other (``dominates`` at its default tol, read off
     upper_rn's D: D or -D is PSD within EPS_PSD / (2 + EPS_PSD)), else None.
-    ``workers`` is ignored, ``restarts`` is checked as diamond_lower checks it,
-    and a lower estimate above either upper bound, or a common-dilation gap
-    ||v1 - v2|| above dim_in * sqrt(upper_rn), raises InvariantViolation.
+    ``workers`` is ignored, ``seed`` and ``restarts`` are checked as
+    diamond_lower checks them, and a lower estimate above either upper bound,
+    or a common-dilation gap ||v1 - v2|| above dim_in * sqrt(upper_rn), raises
+    InvariantViolation.
     """
     lower, iterations, c1, c2 = _diamond_search(
         t1, t2, seed, restarts, None, ASCENT_MAX_ITER, ASCENT_TOL

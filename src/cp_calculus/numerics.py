@@ -32,12 +32,12 @@ def recon_tol(scale: float) -> float:
     return 1e-9 * max(1.0, float(scale))
 
 
-def as_count(value, name: str, error=ValueError) -> int:
-    """``value`` as an int, once it is an integer (not a bool) of at least 1."""
+def as_count(value, name: str, error=ValueError, least: int = 1) -> int:
+    """``value`` as an int, once it is an integer (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise error(f"{name} must be at least 1")
+    if value < least:
+        raise error(f"{name} must be at least {least}")
     return int(value)
 
 
@@ -152,14 +152,6 @@ def canonical_eig(w, u) -> HermEig:
         parts = np.stack([-u.real, -u.imag], axis=1).reshape(2 * len(u), n)
         order = np.lexsort(np.vstack([parts[::-1], -w]))
     return HermEig(values=w[order], vectors=u[:, order])
-
-
-def psd_leq(a, b, tol: float = EPS_PSD) -> bool:
-    """Decide a <= b in the PSD order, for Hermitian a and b, as is_psd(b - a, tol)."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    return is_psd(b - a, tol)
 
 
 def is_psd(m, tol: float = EPS_PSD) -> bool:

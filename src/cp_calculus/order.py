@@ -53,7 +53,7 @@ from .numerics import (
     psd_sqrt,
     recon_tol,
 )
-from .radon import PovmDecomposition, _check_window, _density, _prepare, _spectrum, _top
+from .radon import PovmDecomposition, _check_window, _density, _spectrum, _top
 
 
 class DifferenceVerdict(enum.Enum):
@@ -238,12 +238,11 @@ def order_chain_dilation(chain) -> PvmChain:
         _check_same_dims(chain[k - 1], chain[k])
     padded = not is_channel(chain[-1])
     top = pad_to_channel(chain[-1]) if padded else canonicalize(chain[-1])
-    w, wp = _prepare(top)
-    f = _density(chain[-1], w, wp)[0] if padded else np.eye(len(wp))  # the top's is 1
-    parts = [f, np.eye(len(wp)) - f] if padded else [f]
+    f = _density(chain[-1], top)[0] if padded else np.eye(len(top.kraus))  # the top's is 1
+    parts = [f, np.eye(len(top.kraus)) - f] if padded else [f]
     try:  # downwards, so a leak is met below an element inside the top's support
         for k in range(len(chain) - 1, 0, -1):
-            f = _density(chain[k - 1], w, wp)[0]
+            f = _density(chain[k - 1], top)[0]
             parts[:1] = [f, parts[0] - f]  # parts[0] is the lowest density yet
             _check_window(_spectrum(parts[1]), NotDominated)
     except NotDominated as exc:

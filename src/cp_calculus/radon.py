@@ -18,9 +18,9 @@ A verdict alone (``_top``) fails with no C_S and no SVD once a column j has
 ||C_S|| <= ||v||_F^2; it reads a thin S's columns, a wide S's heaviest one.
 Reconstruction residual and the eigenvalue window of F are the library's
 one domination criterion (S <= T iff F exists with spectrum in [0, 1]).
-This compression is its one density computation, and the dominating Kraus
-family is the dominator: c_min is F's top eigenvalue, ``dominates`` holds
-it to 1 + tol; duality inverts its own block-diagonal stack.  ``_spectrum``
+This compression is its one density computation, on the dominating Kraus
+family ``_density`` takes: c_min is F's top eigenvalue, ``dominates`` holds
+it to 1 + tol; faithful_rn's square stack needs no residual test.  ``_spectrum``
 takes F's spectrum once, from the Gram X* X and F's kernel when X has fewer
 columns than rows.  rn_reconstruct reweights T's family rotated by F's
 eigenvectors, the family rescaled_kraus returns, and windows that one
@@ -80,7 +80,7 @@ def _top(s: CpMap, t: CpMap, cs=None, ct=None) -> float:
     (the stack's test first); ``cs`` and ``ct`` the maps' held process operators."""
     _check_same_dims(s, t)
     try:
-        return float(_spectrum(*_density(s, *_prepare(_canonical(t, ct)), cs, True)).max())
+        return float(_spectrum(*_density(s, _canonical(t, ct), cs, True)).max())
     except NotDominated:
         return float("inf")
 
@@ -167,13 +167,13 @@ def rn_derivative(s: CpMap, t: CpMap) -> RnDerivative:
     return _derivative(s, canonicalize(t))
 
 
-def _density(s: CpMap, w, wp, c: ChoiOperator | None = None, verdict: bool = False):
+def _density(s: CpMap, family: CpMap, c: ChoiOperator | None = None, verdict: bool = False):
     """(F, X): F = wp C wp* for the unnormalized process matrix C of the map s
-    and wp w's inverse on its range, and X with F = X X* when the stack route
-    decided, else None; raises NotDominated when w F w* misses C, a leak
-    outside it, first by the leak test for a ``verdict``.  A thin s takes the
-    stack route; else C is ``c``, s's process operator, when the caller holds it."""
-    e = None
+    and (w, wp) the dominating ``family``'s _prepare, and X with F = X X* when
+    the stack route decided, else None; raises NotDominated when w F w* misses
+    C, a leak outside it, first by the leak test for a ``verdict``.  A thin s takes
+    the stack route; else C is ``c``, s's process operator, when the caller holds it."""
+    (w, wp), e = _prepare(family), None
     if _thin(s):
         v = _columns(s.kraus_array)  # C = v v*
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the test
@@ -225,7 +225,7 @@ def _check_window(eigs: np.ndarray, error) -> None:
 
 def _derivative(s: CpMap, family: CpMap, c: ChoiOperator | None = None) -> RnDerivative:
     """rn_derivative of s on a dominating family, ``c`` as ``_density`` takes it."""
-    f, x = _density(s, *_prepare(family), c)
+    f, x = _density(s, family, c)
     _check_window(_spectrum(f, x), NotDominated)
     return RnDerivative(
         dim_in=s.dim_in, dim_out=s.dim_out, env_dim=len(family.kraus), matrix=f
@@ -273,7 +273,7 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     """
     _check_same_dims(s, t)
     family = canonicalize(t)
-    lam, rotated = _rotated(_density(s, *_prepare(family))[0], family)
+    lam, rotated = _rotated(_density(s, family)[0], family)
     weights = np.clip(lam, 0.0, 1.0)
     return RescaledKraus(
         dim_in=t.dim_in, dim_out=t.dim_out, kraus=tuple(rotated), weights=weights

@@ -1,5 +1,6 @@
-"""Shared pytest wiring: the acceptance suite's verdict summary, and the
-``norm_calls`` counter of op_norm calls and SVDs.
+"""Shared pytest wiring: the acceptance suite's verdict summary, the
+``norm_calls`` counter of op_norm calls and SVDs, and the ``choi_calls``
+record of the maps whose process operators are formed.
 
 Each acceptance test records one PASS/FAIL line; the hook replays them in
 the terminal summary so the verdicts survive output capture.
@@ -11,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cp_calculus import numerics
+from cp_calculus import cpmap, numerics
 
 VERDICTS = []
 
@@ -51,6 +52,22 @@ def norm_calls(monkeypatch):
             monkeypatch.setattr(module, "op_norm", counted_op_norm)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     return calls
+
+
+@pytest.fixture
+def choi_calls(monkeypatch):
+    """The maps to_choi is called on, in order, wherever the package binds it."""
+    seen = []
+    to_choi = cpmap.to_choi
+
+    def counted(t):
+        seen.append(t)
+        return to_choi(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cp_calculus.") and getattr(module, "to_choi", None) is to_choi:
+            monkeypatch.setattr(module, "to_choi", counted)
+    return seen
 
 
 def pytest_terminal_summary(terminalreporter):

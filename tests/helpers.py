@@ -224,8 +224,8 @@ def reference_eig_order(w, u):
 
 
 def reference_psd_leq(a, b, tol=EPS_PSD):
-    """psd_leq's rule by one eigvalsh of its own: the lowest eigenvalue of
-    the Hermitian part of b - a is at least -tol * max(1, largest
+    """a <= b by is_psd's rule on b - a, by one eigvalsh of its own: the lowest
+    eigenvalue of the Hermitian part of b - a is at least -tol * max(1, largest
     |eigenvalue|)."""
     d = np.asarray(b, dtype=complex) - np.asarray(a, dtype=complex)
     w = np.linalg.eigvalsh((d + d.conj().T) / 2.0)

@@ -21,6 +21,7 @@ from cp_calculus.cpmap import (
     StinespringDilation,
     add,
     canonicalize,
+    choi_rank,
     compose,
     from_stinespring,
     is_channel,
@@ -43,7 +44,7 @@ from cp_calculus.norms import (
     diamond_lower,
     norm_report,
 )
-from cp_calculus.numerics import is_psd, partial_trace, psd_leq
+from cp_calculus.numerics import is_psd, partial_trace
 from cp_calculus.order import (
     DifferenceVerdict,
     PvmChain,
@@ -528,6 +529,25 @@ def test_ascent_arguments_rejected_before_allocating(no_search, case):
     assert str(info.value) == message
 
 
+# the seed is checked as restarts is: None failed in len(), -1 in numpy's
+# generator after both process operators were formed, and True ran as 1
+SEEDS = {
+    "none": (None, "seed must be an integer, got None"),
+    "bool": (True, "seed must be an integer, got True"),
+    "float": (1.5, "seed must be an integer, got 1.5"),
+    "negative": (-1, "seed must be at least 0"),
+}
+
+
+@pytest.mark.parametrize("fn", [diamond_lower, norm_report], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("case", sorted(SEEDS))
+def test_seed_rejected_before_allocating(no_search, fn, case):
+    seed, message = SEEDS[case]
+    with pytest.raises(ValueError) as info:
+        fn(ID2, FLIP, seed=seed, restarts=2)
+    assert str(info.value) == message
+
+
 def test_numpy_integer_restarts_run():
     three = np.int64(3)
     assert diamond_lower(ID2, FLIP, restarts=three) == diamond_lower(ID2, FLIP, restarts=3)
@@ -536,16 +556,18 @@ def test_numpy_integer_restarts_run():
 
 # every verdict takes its tol through numerics.as_tol: a NaN or negative tol
 # made every verdict False, inf passed everything (from side 32 up with
-# numpy's inf - inf RuntimeWarning), and a bool read as 0 or 1
+# numpy's inf - inf RuntimeWarning), and a bool read as 0 or 1; so does
+# choi_rank's rank cut, whose NaN counted 0 and negative tol the full side
 TOL_ENTRIES = {
     "is_psd": lambda tol: is_psd(np.eye(2), tol),
     "is_psd_side_32": lambda tol: is_psd(np.eye(32), tol),
-    "psd_leq": lambda tol: psd_leq(np.eye(2) / 2.0, np.eye(2), tol),
+    "psd_leq": lambda tol: is_psd(np.eye(2) - np.eye(2) / 2.0, tol),  # 1 / 2 <= 1
     "dominates": lambda tol: dominates(scale(ID2, 0.5), ID2, tol),
     "is_quantum_operation": lambda tol: is_quantum_operation(ID2, tol),
     "is_channel": lambda tol: is_channel(ID2, tol),
     "jam_is_operation": lambda tol: jam_is_operation(to_choi(ID2), tol),
     "channel_difference_is_cp": lambda tol: channel_difference_is_cp(ID2, FLIP, tol),
+    "choi_rank": lambda tol: choi_rank(to_choi(ID2), tol),
 }
 BAD_TOLS = {"nan": NAN, "negative": -1e-9, "inf": INF, "bool": True}
 

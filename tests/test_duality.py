@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from cp_calculus.duality import (
     jam_is_operation,
     reference_channel,
 )
-from cp_calculus.errors import DimMismatch, NotPsd, ShapeMismatch
+from cp_calculus.errors import DimMismatch, DimensionLimit, NotPsd, ShapeMismatch
 from cp_calculus.numerics import op_norm, partial_trace
 from cp_calculus.radon import dominates, rn_derivative
 from helpers import (
@@ -444,6 +445,59 @@ def test_faithful_rn_constant_dominates(m, n, basis, thin):
     ct, cphi = (reference_to_choi(x).matrix for x in (t, faithful_channel(w, n)))
     assert reference_psd_leq(ct, c * cphi)
     assert not reference_psd_leq(ct, (1.0 - 1e-3) * c * cphi)
+
+
+@pytest.mark.parametrize("n_kraus", [1, 12], ids=["thin", "wide"])
+def test_faithful_rn_needs_no_channel_and_no_process_operator(monkeypatch, choi_calls, n_kraus):
+    # the faithful channel's stack is square and invertible, so every map has
+    # its density there: X = (1 (x) B^-1) v from one m x m inverse, thin or
+    # wide t alike, with no channel family, process operator or residual
+    def banned(*args, **kwargs):
+        raise AssertionError("faithful_rn built the channel or took radon's density")
+
+    for name, module in list(sys.modules.items()):
+        for fn in ("faithful_channel", "_trace_channel", "_density", "_prepare"):
+            if name.startswith("cp_calculus.") and hasattr(module, fn):
+                monkeypatch.setattr(module, fn, banned)
+    inv, inverted = np.linalg.inv, []
+
+    def recorded_inv(a):
+        inverted.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded_inv)
+    rng = np.random.default_rng(35)
+    w = FaithfulState(p=rng.dirichlet(np.ones(3)), basis=rand_unitary(rng, 3))
+    t = rand_cp_map(rng, 3, 4, n_kraus=n_kraus)
+    fr = faithful_rn(t, w)
+    assert choi_calls == []
+    assert inverted == [(3, 3)]
+    ref, ref_constant = reference_faithful_rn(t, w)
+    assert np.abs(fr.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert abs(fr.constant - ref_constant) <= 1e-12 * ref_constant
+
+
+def test_environment_past_max_dim_refused_before_allocating(monkeypatch):
+    # m * n = 16386 is past MAX_DIM: faithful_rn, reference_channel and
+    # faithful_channel share the guard, which runs before any array the
+    # environment's size, or the m x m inverse, is formed
+    t = CpMap(2, 8193, (np.ones((2, 8193)) / 128.0,))
+    w = FaithfulState(p=np.array([0.5, 0.5]))
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("an array was formed")
+
+    for name in ("zeros", "eye"):
+        monkeypatch.setattr(np, name, allocates)
+    monkeypatch.setattr(np.linalg, "inv", allocates)
+    for build in (
+        lambda: faithful_rn(t, w),
+        lambda: reference_channel(2, 8193),
+        lambda: faithful_channel(w, 8193),
+    ):
+        with pytest.raises(DimensionLimit) as info:
+            build()
+        assert str(info.value) == "environment dimension 16386 exceeds 16384"
 
 
 def test_faithful_rn_dim_mismatch():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cp_calculus.cpmap import CpMap, add, apply, canonicalize, scale
-from cp_calculus import cpmap, norms
+from cp_calculus import norms
 from cp_calculus.errors import DimMismatch, InvariantViolation, ShapeMismatch
 from cp_calculus.duality import jam_forward
 from cp_calculus.norms import (
@@ -572,27 +572,17 @@ def test_norm_report_rejects_dilation_gap(monkeypatch):
 
 
 @pytest.mark.parametrize("fn", [diamond_lower, norm_report], ids=lambda fn: fn.__name__)
-def test_each_process_operator_is_formed_once(monkeypatch, fn):
+def test_each_process_operator_is_formed_once(choi_calls, fn):
     # t1's and t2's, counted wherever the package binds to_choi: the ascent
     # regroups their difference, both bounds and the cb_exact test share
     # them, and the sum's is their sum, not that of a Kraus-union map
-    seen = []
-    orig = cpmap.to_choi
-
-    def counted(t):
-        seen.append(t)
-        return orig(t)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("cp_calculus.") and getattr(mod, "to_choi", None) is orig:
-            monkeypatch.setattr(mod, "to_choi", counted)
     rng = np.random.default_rng(3)
     t = rand_channel(rng, 2, 3)
     for t2 in (rand_channel(rng, 2, 3), scale(t, 0.7)):
-        seen.clear()
+        choi_calls.clear()
         fn(t, t2, seed=0, restarts=2)
-        assert [sum(x is u for x in seen) for u in (t, t2)] == [1, 1]
-        assert len(seen) == 2
+        assert [sum(x is u for x in choi_calls) for u in (t, t2)] == [1, 1]
+        assert len(choi_calls) == 2
 
 
 def test_upper_bounds_need_no_reference_channel_or_sum_map(monkeypatch):

@@ -126,20 +126,22 @@ def test_herm_eig_takes_hermitian_part():
         assert np.array_equal(e.vectors, h.vectors)
 
 
+# the PSD order a <= b is is_psd(b - a), as is_quantum_operation and
+# jam_is_operation decide it
 def test_psd_leq_hand_cases():
-    assert not numerics.psd_leq(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
+    assert not numerics.is_psd(np.diag([1.0, 0.0]) - np.diag([1.0, 1.0]))
     a = rand_hermitian(4)
-    assert numerics.psd_leq(a, a + 1e-12 * np.eye(4))
-    assert numerics.psd_leq(np.diag([1.0, 0.0]), np.diag([1.0, 1.0]), tol=0.0)
+    assert numerics.is_psd(a + 1e-12 * np.eye(4) - a)
+    assert numerics.is_psd(np.diag([1.0, 1.0]) - np.diag([1.0, 0.0]), tol=0.0)
 
 
 def test_psd_leq_transitive_on_exact_fixtures():
     a = np.diag([0.0, 1.0, 2.0])
     b = np.diag([1.0, 1.0, 3.0])
     c = np.diag([1.0, 2.0, 3.0])
-    assert numerics.psd_leq(a, b, tol=0.0)
-    assert numerics.psd_leq(b, c, tol=0.0)
-    assert numerics.psd_leq(a, c, tol=0.0)
+    assert numerics.is_psd(b - a, tol=0.0)
+    assert numerics.is_psd(c - b, tol=0.0)
+    assert numerics.is_psd(c - a, tol=0.0)
 
 
 # is_psd's verdicts are held to reference_psd_leq, the same one-eigvalsh rule
@@ -151,7 +153,7 @@ SIDES = [1, 4, 16, 31, 32, 33, 48, 64, 128, 256]
 
 @st.composite
 def psd_pairs(draw):
-    """(a, b, tol) for psd_leq: a random Hermitian a and b = a + d, with d of
+    """(a, b, tol) for a <= b: a random Hermitian a and b = a + d, with d of
     tie-heavy small-integer spectrum, rank-deficient PSD, or top eigenvalue
     ``size`` and lowest one a factor off the line at -EPS_PSD * max(1, size);
     or (s, t) = ((1 +- eps) t, t) for a random PSD t of any rank, on a log
@@ -184,7 +186,7 @@ def psd_pairs(draw):
 @given(pair=psd_pairs())
 def test_psd_leq_matches_the_eigvalsh_rule(pair):
     a, b, tol = pair
-    assert numerics.psd_leq(a, b, tol) is reference_psd_leq(a, b, tol)
+    assert numerics.is_psd(b - a, tol) is reference_psd_leq(a, b, tol)
 
 
 def _diag(top, low, n=32, fill=0.0):

@@ -1,9 +1,8 @@
-import sys
 
 import numpy as np
 import pytest
 
-from cp_calculus import cpmap, order
+from cp_calculus import order
 from cp_calculus.cpmap import (
     CpMap,
     StinespringDilation,
@@ -105,25 +104,15 @@ def test_rigidity_check_raises_in_every_mode(monkeypatch):
         channel_difference_is_cp(a, b)
 
 
-def test_rigidity_forms_each_operator_once(monkeypatch):
+def test_rigidity_forms_each_operator_once(choi_calls):
     # the equality test's process operators also serve the cross-check's
     # density and a wide t's canonical family
-    seen = []
-    orig = cpmap.to_choi
-
-    def counted(t):
-        seen.append(t)
-        return orig(t)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("cp_calculus.") and getattr(mod, "to_choi", None) is orig:
-            monkeypatch.setattr(mod, "to_choi", counted)
     for n_kraus in (1, 4):
-        seen.clear()
+        choi_calls.clear()
         s, t = (rand_channel(RNG, 2, 2, n_kraus=n_kraus) for _ in range(2))
         assert channel_difference_is_cp(s, t) is DifferenceVerdict.NOT_CP
-        assert [sum(x is u for x in seen) for u in (s, t)] == [1, 1]
-        assert len(seen) == 2
+        assert [sum(x is u for x in choi_calls) for u in (s, t)] == [1, 1]
+        assert len(choi_calls) == 2
 
 
 def test_equal_normalization_generalization():
@@ -576,35 +565,25 @@ def test_dominates_reads_tol_above_the_density_spectrum(case):
     assert got == tuple(c_min(s, t).value <= 1.0 + tol for tol in TOLS)
 
 
-def test_order_chain_forms_each_operator_once(monkeypatch):
+def test_order_chain_forms_each_operator_once(choi_calls):
     # count to_choi wherever the package binds it
-    seen = []
-    orig = cpmap.to_choi
-
-    def counted(t):
-        seen.append(t)
-        return orig(t)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("cp_calculus.") and getattr(mod, "to_choi", None) is orig:
-            monkeypatch.setattr(mod, "to_choi", counted)
     chain = conic_chain(RNG, 4, 4, 3)
     assert not is_channel(chain[-1])
     order_chain_dilation(chain)
     # none at all: thin elements take their densities from their stacks, the
     # densities decide monotonicity, and the padding's canonical form is a
     # thin SVD of its stack of at most seven columns
-    assert seen == []
+    assert choi_calls == []
     # a thin channel-topped chain forms none either; a wide one (16 operators
     # at 4 x 4) forms each element's once, for the lower elements' densities
     # and the top's canonical family, the top's own density being 1
     for n_kraus, want in ((None, [0, 0, 0]), (16, [1, 1, 1])):
-        seen.clear()
+        choi_calls.clear()
         top = rand_channel(RNG, 4, 4, n_kraus=n_kraus)
         chain = [scale(top, 0.25), scale(top, 0.5), top]
         order_chain_dilation(chain)
-        assert [sum(x is t for x in seen) for t in chain] == want
-        assert len(seen) == sum(want)
+        assert [sum(x is t for x in choi_calls) for t in chain] == want
+        assert len(choi_calls) == sum(want)
 
 
 def test_order_chain_runs_one_eigendecomposition(monkeypatch):

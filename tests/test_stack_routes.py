@@ -28,7 +28,6 @@ and s outside t's range with ||C_s|| on the tolerance line, at sides up to
   largest entry, and their eigenvalues within 1e-14 of the top one.
 """
 
-import sys
 from unittest import mock
 
 import numpy as np
@@ -36,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cp_calculus import cpmap, radon
+from cp_calculus import radon
 from cp_calculus.cpmap import CpMap, add, canonicalize, kraus_stack, scale, to_choi
 from cp_calculus.duality import FaithfulState, faithful_rn
 from cp_calculus.errors import NotDominated
@@ -116,9 +115,9 @@ def cases(draw):
     return from_columns(m, n, v), t
 
 
-def outcome(density, s, w, wp):
-    """("pass", F) or ("NotDominated", message), and how many process
-    operators ``density`` formed through radon's binding of to_choi."""
+def outcome(density, s, *dominator):
+    """("pass", F) or ("NotDominated", message) of density(s, *dominator),
+    and how many process operators it formed through radon's binding of to_choi."""
     seen = []
 
     def counted(t):
@@ -127,7 +126,7 @@ def outcome(density, s, w, wp):
 
     with mock.patch.object(radon, "to_choi", counted):
         try:
-            return ("pass", density(s, w, wp)), len(seen)
+            return ("pass", density(s, *dominator)), len(seen)
         except NotDominated as err:
             return ("NotDominated", str(err)), len(seen)
 
@@ -167,9 +166,10 @@ def test_stack_routes_match_the_dense_references(case):
         lam_got, lam_want = eigenvalues(got), eigenvalues(want)
         assert lam_got.shape == lam_want.shape
         assert np.abs(lam_got - lam_want).max() <= 1e-14 * lam_want[0]
-    w, wp = radon._prepare(canonicalize(t))
+    family = canonicalize(t)
+    w, wp = radon._prepare(family)  # for the dense references
     ((verdict, got), formed), ((want_verdict, want), _) = (
-        outcome(radon._density, s, w, wp),
+        outcome(radon._density, s, family),
         outcome(dense_density, s, w, wp),
     )
     assert verdict == want_verdict
@@ -299,7 +299,7 @@ def test_leak_test_refutes_only_what_the_dense_rule_refutes(norm_calls, q, c, j,
         rn_derivative(s, t)
 
 
-def test_thin_operands_form_no_process_operator(monkeypatch, norm_calls):
+def test_thin_operands_form_no_process_operator(choi_calls, norm_calls):
     # s = a / 2 and t = a + b on stacks of 2 and 4 columns at 4 x 4: the
     # derivative calls, the order test and the difference of a dominated s
     # form no process operator, t's canonical family included, nor does
@@ -309,16 +309,6 @@ def test_thin_operands_form_no_process_operator(monkeypatch, norm_calls):
     # c_min on the stack, with no process operator and no SVD; rn_derivative,
     # whose message is the exact residual, forms the leaking map's and takes
     # one SVD
-    seen = []
-    orig = cpmap.to_choi
-
-    def counted(t):
-        seen.append(t)
-        return orig(t)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("cp_calculus.") and getattr(mod, "to_choi", None) is orig:
-            monkeypatch.setattr(mod, "to_choi", counted)
     rng = np.random.default_rng(2701)
     a, b = (rand_cp_map(rng, 4, 4, n_kraus=2) for _ in "ab")
     s, t = scale(a, 0.5), add(a, b)
@@ -328,20 +318,20 @@ def test_thin_operands_form_no_process_operator(monkeypatch, norm_calls):
     assert dominates(s, t)
     cp_difference(t, s)
     faithful_rn(t, FaithfulState(p=np.full(4, 0.25)))
-    assert seen == []
+    assert choi_calls == []
     parts = [s, add(scale(a, 0.5), b)]
     instrument_rn(t, parts)
-    assert [id(x) for x in seen] == [id(x) for x in (t, *parts)]
+    assert [id(x) for x in choi_calls] == [id(x) for x in (t, *parts)]
     for leak, dom in ((t, s), (rand_cp_map(rng, 4, 4, n_kraus=16), t)):
         canonicalize(dom)
-        seen.clear()
+        choi_calls.clear()
         norm_calls.clear()
         assert not dominates(leak, dom)
         assert c_min(leak, dom).value == np.inf
-        assert seen == [] and dict(norm_calls) == {}
+        assert choi_calls == [] and dict(norm_calls) == {}
         with pytest.raises(NotDominated, match="^residual "):
             rn_derivative(leak, dom)
-        assert [id(x) for x in seen] == [id(leak)]
+        assert [id(x) for x in choi_calls] == [id(leak)]
         assert dict(norm_calls) == {"op_norm": 1, "svd": 1}
 
 

@@ -245,16 +245,44 @@ def test_from_choi_only_where_no_family_is_at_hand():
 
 
 # The CP order has one criterion, the density's (radon's residual and
-# window): norm_report's cb_exact reads it off the density difference D its
-# upper_rn takes, and rigidity's cross-check is dominates at EPS_PSD.  psd_leq
-# only compares T(1) with 1 and tr_in F with m 1, never two maps' process
-# operators, so a second criterion cannot creep back in; a new order test
-# either reads the density or edits this pin.
-PSD_LEQ_SITES = {"cpmap.is_quantum_operation": 1, "duality.jam_is_operation": 1}
+# window): rigidity's cross-check is dominates at EPS_PSD, and norm_report's
+# cb_exact reads the order off the density difference D its upper_rn takes.
+# Elsewhere is_psd checks one matrix (a process operator or a POVM element)
+# and compares T(1) with 1 and tr_in F with m 1, never two maps' process
+# operators, so a second criterion cannot creep back in; a new PSD-order
+# verdict either reads the density or edits this pin.
+IS_PSD_SITES = {
+    "cpmap._check_psd": 1,  # one matrix, not an order
+    "cpmap.is_quantum_operation": 1,  # T(1) <= 1
+    "duality.jam_is_operation": 1,  # tr_in F <= m 1
+    "norms.norm_report": 2,  # cb_exact: D or -D on the density
+}
 
 
-def test_psd_leq_never_decides_the_cp_order_a_density_decides():
-    assert _call_sites("psd_leq") == PSD_LEQ_SITES
+def test_is_psd_never_decides_the_cp_order_a_density_decides():
+    assert _call_sites("is_psd") == IS_PSD_SITES
+
+
+# A density on a dominating family has one door, radon._density, which takes
+# the family and reads its (W, W+) through _prepare itself; norms._bound_rn
+# reads W+ alone, to compress the difference of two process operators.
+# duality.faithful_rn enters neither: the faithful channel's stack is square
+# and invertible, so it takes X = (1 (x) B^-1) v from one m x m inverse.
+DENSITY_SITES = {
+    "_density": {
+        "order.order_chain_dilation": 2,
+        "radon._derivative": 1,
+        "radon._top": 1,
+        "radon.rescaled_kraus": 1,
+    },
+    "_prepare": {"norms._bound_rn": 1, "radon._density": 1},
+    "inv": {"duality.faithful_rn": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSITY_SITES))
+def test_densities_have_one_door(name):
+    assert _call_sites(name) == DENSITY_SITES[name]
 
 
 def test_call_sites_see_every_call_form():
@@ -415,12 +443,11 @@ def test_indent_check_sees_json_indent():
 # One boundary rule: numerics.as_matrix is the one place a matrix's shape is
 # compared with the shape its caller expects, so every constructor and
 # function gives the same messages, and a dimension below 1 is refused
-# wherever a shape is checked.  psd_leq compares its two operands with each
-# other, and serialize's loaders check shapes first to name the JSON path.
+# wherever a shape is checked.  serialize's loaders check shapes first to
+# name the JSON path.
 # radon._spectrum checks nothing: it picks the smaller of F and the Gram X* X.
 SHAPE_SITES = {
     "numerics.as_matrix": 1,
-    "numerics.psd_leq": 2,
     "radon._spectrum": 1,
     "serialize.choi_from_json": 1,
     "serialize.cpmap_from_json": 1,
