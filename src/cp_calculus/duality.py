@@ -23,6 +23,7 @@ from .cpmap import (
     CpMap,
     _columns,
     _dims,
+    _frozen,
     _trusted_choi,
     _trusted_map,
     apply,
@@ -221,15 +222,17 @@ def faithful_rn(t: CpMap, w: FaithfulState) -> FaithfulDerivative:
     ``constant`` is its top eigenvalue, read as c_min reads its own (a thin
     t's from X's Gram), the least c with t dominated by c times the faithful
     channel.  The uniform state in the standard basis returns the process
-    operator.  m * n above MAX_DIM raises DimensionLimit before anything is
-    formed, and c above p_min**-2 * ||T(1)|| InvariantViolation.
+    operator; F is read-only.  m * n above MAX_DIM raises DimensionLimit before
+    anything is formed, an overflowed F ShapeMismatch, as ``to_choi`` does for
+    an overflowed product, and c above p_min**-2 * ||T(1)|| InvariantViolation.
     """
     m, n = _env_dims(t.dim_in, t.dim_out)
     if w.dim != m:
         raise DimMismatch(f"state dim {w.dim} does not match input dim {m}")
     binv = np.linalg.inv(w.basis.conj() * np.sqrt(w.p))
-    x = (binv @ _columns(t.kraus_array).reshape(n, m, -1)).reshape(m * n, -1)
-    f = hermitize(x @ x.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # _frozen refuses inf and nan
+        x = (binv @ _columns(t.kraus_array).reshape(n, m, -1)).reshape(m * n, -1)
+        f = _frozen(hermitize(x @ x.conj().T))
     c = max(0.0, float(_spectrum(f, x).max()))
     dinv = 1.0 / float(np.min(w.p))
     limit = dinv * dinv * op_norm(apply(t, np.eye(m))) * (1.0 + 1e-9)

@@ -22,9 +22,8 @@ This compression is its one density computation, on the dominating Kraus
 family ``_density`` takes: c_min is F's top eigenvalue, ``dominates`` holds
 it to 1 + tol; faithful_rn's square stack needs no residual test.  ``_spectrum``
 takes F's spectrum once, from the Gram X* X and F's kernel when X has fewer
-columns than rows.  rn_reconstruct reweights T's family rotated by F's
-eigenvectors, the family rescaled_kraus returns, and windows that one
-eigensystem's values; cp_difference reweights that family by 1 - F.
+columns than rows.  rn_reconstruct, and cp_difference on 1 - F, lift F through
+T's frame W = Q diag(r): S's family is r F r's eigensystem lifted by Q, no SVD.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ from .cpmap import (
     _check_psd,
     _check_same_dims,
     _columns,
+    _family,
     _frozen,
     _thin,
     _trusted,
-    _trusted_map,
     canonicalize,
     choi_unnormalized,
     to_choi,
@@ -61,6 +60,7 @@ from .numerics import (
     RANK_TOL,
     as_matrix,
     as_tol,
+    canonical_eig,
     herm_eig,
     hermitize,
     norm_excess,
@@ -237,31 +237,29 @@ def rn_reconstruct(t: CpMap, f) -> CpMap:
 
     Accepts an RnDerivative or a bare matrix, Hermitian by the rule
     ChoiOperator applies (NotHermitian otherwise) with spectrum in [0, 1]
-    (NotPsd otherwise, read off the rotation's eigenvalues).  The map is
-    rescaled_kraus's family read backwards, each operator psd_rank keeps
-    scaled by the root of its eigenvalue of F (one, scaled to 0, when none
-    is kept), in canonical form and dominated by ``t`` by construction.
+    (NotPsd otherwise).  ``_lifted`` gives the map, canonical and dominated
+    by ``t``, with no SVD and no process operator; F = 0 gives the zero map.
     """
     family = canonicalize(t)
     d = len(family.kraus)
     mat = as_matrix(f.matrix if isinstance(f, RnDerivative) else f, (d, d), "density")
     _check_hermitian(mat)
-    return _reweighted(t, *_rotated(hermitize(mat), family, NotPsd))
+    _check_window(_spectrum(hermitize(mat)), NotPsd)
+    return _lifted(family, mat)
 
 
-def _reweighted(t: CpMap, lam: np.ndarray, ops: np.ndarray) -> CpMap:
-    """sum_x lam_x W_x* . W_x for descending ``lam`` on the rotated family
-    ``ops``, scaled in place: the operators psd_rank keeps, as canonical form."""
-    ops *= np.sqrt(np.maximum(lam, 0.0))[:, None, None]
-    return canonicalize(_trusted_map(t.dim_in, t.dim_out, ops[: psd_rank(lam) or 1]))
-
-
-def _rotated(f: np.ndarray, family: CpMap, error=NotDominated) -> tuple[np.ndarray, ...]:
-    """F's eigenvalues lam_x, descending, windowed (``error``), and the family
-    rotated by its eigenvectors phi_x: W_x = sum_y conj(phi_x[y]) V_y, fresh."""
-    e = herm_eig(f)
-    _check_window(e.values, error)
-    return e.values, np.tensordot(e.vectors.conj(), family.kraus_array, axes=(0, 0))
+def _lifted(family: CpMap, f: np.ndarray, floor: float = 0.0) -> CpMap:
+    """The map with density ``f`` on the canonical ``family``, in canonical
+    form: W = Q diag(r), r its column norms, gives C_S / dim_in = Q (r F r) Q*,
+    so r F r's eigenpairs psd_rank keeps (values below floor * max(r)^2 read
+    as 0) lift by Q, ordered as canonicalize's thin route orders its own."""
+    m, w = family.dim_in, _columns(family.kraus_array)
+    r = np.linalg.norm(w, axis=0)
+    mu, u = np.linalg.eigh(hermitize(r[:, None] * f * r))
+    lam = m * np.where(mu < floor * r.max() ** 2, 0.0, mu)
+    cut = len(lam) - psd_rank(lam[::-1])
+    q = w / np.where(r > 0.0, r, 1.0)
+    return _family(m, family.dim_out, canonical_eig(lam[cut:], q @ u[:, cut:]))
 
 
 def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
@@ -273,22 +271,20 @@ def rescaled_kraus(s: CpMap, t: CpMap) -> RescaledKraus:
     """
     _check_same_dims(s, t)
     family = canonicalize(t)
-    lam, rotated = _rotated(_density(s, family)[0], family)
-    weights = np.clip(lam, 0.0, 1.0)
-    return RescaledKraus(
-        dim_in=t.dim_in, dim_out=t.dim_out, kraus=tuple(rotated), weights=weights
-    )
+    e = herm_eig(_density(s, family)[0])
+    _check_window(e.values, NotDominated)
+    rotated = np.tensordot(e.vectors.conj(), family.kraus_array, axes=(0, 0))
+    return RescaledKraus(t.dim_in, t.dim_out, tuple(rotated), np.clip(e.values, 0.0, 1.0))
 
 
 def cp_difference(t: CpMap, s: CpMap) -> CpMap:
     """The CP map T - S for a dominated pair, in canonical Kraus form.
 
-    D_T(T - S) = 1 - D_T(S): rescaled_kraus's family (its NotDominated
-    decides S <= T) reweighted by 1 - lam_x, weights below RANK_TOL read as 0,
-    as T's own density is 1 only to rounding (T - T is the zero map)."""
-    r = rescaled_kraus(s, t)
-    rest = 1.0 - r.weights[::-1]
-    return _reweighted(t, np.where(rest < RANK_TOL, 0.0, rest), np.array(r.kraus[::-1]))
+    D_T(T - S) = 1 - D_T(S), rn_derivative's F (its NotDominated decides
+    S <= T), lifted by ``_lifted``: C_{T-S}'s eigenvalues below RANK_TOL times
+    C_T's top one read as 0, as D_T(T) = 1 only to rounding (T - T is 0)."""
+    f = rn_derivative(s, t).matrix
+    return _lifted(canonicalize(t), np.eye(len(f)) - f, RANK_TOL)
 
 
 def instrument_rn(t: CpMap, parts) -> PovmDecomposition:

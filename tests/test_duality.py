@@ -384,6 +384,19 @@ def test_faithful_rn_extreme_weights():
     assert fr.constant == pytest.approx(1e21 + 1.0, rel=1e-12)
 
 
+def test_faithful_rn_refuses_an_overflowed_density():
+    # T(1) = 1e300 is finite, but X = (1 (x) B^-1) v has entries 1e160, so
+    # X X* overflows; its limit p_min**-2 ||T(1)|| is inf too, so the density
+    # itself must be refused, as to_choi refuses an overflowed product, and
+    # numpy's overflow warning (an error in this suite) must not escape
+    w = FaithfulState(p=np.array([1e-20, 1.0 - 1e-20]))
+    with pytest.raises(ShapeMismatch, match="^matrix entries must be finite$"):
+        faithful_rn(CpMap(2, 2, (1e150 * np.eye(2),)), w)
+    # the returned density is read-only, as a process operator's matrix is
+    fr = faithful_rn(CpMap(2, 2, (np.eye(2),)), w)
+    assert not fr.matrix.flags.writeable
+
+
 def test_faithful_rn_inverts_only_the_basis_block(monkeypatch):
     # pinv(W) is the inverse of W's one m x m diagonal block, so no SVD of
     # the stack is taken: the only SVDs left are the two norms, which need

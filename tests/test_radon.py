@@ -236,8 +236,8 @@ def test_dominator_prepared_once_per_map(monkeypatch):
 
 
 def test_reconstruct_on_a_thin_dominator_takes_no_process_operator_eigh(monkeypatch):
-    # t has four operators at 3 x 2: the rotated, reweighted family is a
-    # four-column stack too, so its canonical form is a thin SVD and no
+    # t has four operators at 3 x 2: rn_reconstruct lifts the density's
+    # 4-square eigensystem through t's four-column canonical stack, so no
     # eigh of side 6 runs; the result is the map the density describes
     t, _ = _dominator_calls(3, 2)
     density = rand_contraction(RNG, 4)

@@ -53,6 +53,7 @@ from helpers import (
     dense_canonical,
     dense_density,
     rand_complex,
+    rand_contraction,
     rand_cp_map,
     reference_canonical_kraus,
     reference_density,
@@ -335,11 +336,30 @@ def test_thin_operands_form_no_process_operator(choi_calls, norm_calls):
         assert dict(norm_calls) == {"op_norm": 1, "svd": 1}
 
 
+def test_the_way_back_forms_no_process_operator(choi_calls, norm_calls):
+    # t on 3 x 3 with 9 operators has full Kraus rank, so its canonical family
+    # comes from its process operator, formed once beforehand; a full-rank F
+    # gives rn_reconstruct a full-rank map, lifted with no process operator and
+    # no SVD, and cp_difference(t, 0.3 t) forms only s's, which the dense
+    # density route of a wide s reads
+    rng = np.random.default_rng(3101)
+    t = rand_cp_map(rng, 3, 3, n_kraus=9)
+    canonicalize(t)
+    s = scale(t, 0.3)
+    choi_calls.clear()
+    back = rn_reconstruct(t, 0.9 * rand_contraction(rng, 9) + 0.05 * np.eye(9))
+    assert len(back.kraus) == 9
+    assert choi_calls == [] and dict(norm_calls) == {}
+    diff = cp_difference(t, s)
+    assert len(diff.kraus) == 9
+    assert [id(x) for x in choi_calls] == [id(s)] and dict(norm_calls) == {}
+
+
 def test_each_density_is_factored_once(monkeypatch):
     # at 16 x 16, s = a / 2 on 32 columns and t = a + b on 64: the derivative
     # calls read s's spectrum from its 32-side Gram, and faithful_rn t's from
     # its 64-side one, below the environments of 64 and 256; rn_reconstruct
-    # factors its density once, the window reading that eigensystem's values
+    # windows its density by one eigvalsh and lifts it by one k-square eigh
     sides = []
     for name in ("eigvalsh", "eigh"):
         orig = getattr(np.linalg, name)
@@ -364,32 +384,26 @@ def test_each_density_is_factored_once(monkeypatch):
     f = rn_derivative(s, t)
     sides.clear()
     rn_reconstruct(t, f)
-    assert sides == [("eigh", env)]
+    assert sides == [("eigvalsh", env), ("eigh", env)]
 
 
-def test_reconstruct_canonicalizes_only_the_weighted_operators(monkeypatch):
-    # at 16 x 16, s = 0.6 a on t = a + b, 64 operators each: F's kernel scales
-    # half of t's 128 rotated operators to rounding's roots, and the thin SVD
-    # of the reconstruction sees only the rank(F) = 64 weighted ones; its
-    # process operator is the whole rotated family's within 1e-12
+def test_reconstruct_lifts_through_the_canonical_frame(norm_calls):
+    # at 16 x 16, s = 0.6 a on t = a + b, 64 operators each: F's kernel is half
+    # of t's 128-dimensional environment, and rn_reconstruct lifts F's
+    # k-square eigensystem through t's canonical stack W with no SVD; its
+    # process operator is m W F W* within 1e-12
     rng = np.random.default_rng(3001)
     a, b = (rand_cp_map(rng, 16, 16, n_kraus=64) for _ in "ab")
     s, t = scale(a, 0.6), add(a, b)
     f = rn_derivative(s, t).matrix
-    lam, ops = radon._rotated(f, canonicalize(t))
-    whole = to_choi(CpMap(16, 16, ops * np.sqrt(np.maximum(lam, 0.0))[:, None, None]))
-    shapes = []
-    orig = np.linalg.svd
-
-    def counted(m, *args, **kwargs):
-        shapes.append(m.shape)
-        return orig(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    w = kraus_stack(canonicalize(t).kraus)
+    whole = 16 * (w @ f @ w.conj().T)
+    norm_calls.clear()
     back = rn_reconstruct(t, f)
-    assert shapes == [(256, 64)]
+    assert dict(norm_calls) == {}
+    assert len(back.kraus) == 64
     got = to_choi(back).matrix
-    assert np.abs(got - whole.matrix).max() <= 1e-12 * np.abs(whole.matrix).max()
+    assert np.abs(got - whole).max() <= 1e-12 * np.abs(whole).max()
     # F = 0 keeps one operator, the zero map's
     zero = rn_reconstruct(t, np.zeros_like(f))
     assert len(zero.kraus) == 1 and not zero.kraus_array.any()

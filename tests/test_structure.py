@@ -214,17 +214,18 @@ def test_eigvalsh_only_where_an_eigenvalue_is_read():
     assert _call_sites("eigvalsh") == EIGVALSH_SITES
 
 
-# Full factorizations: an eigensystem comes from eigh only in herm_eig and
-# the ascent's batched x half-step, and an SVD only in op_norm and in
+# Full factorizations: an eigensystem comes from eigh only in herm_eig, the
+# ascent's batched x half-step and radon's lift of a density through T's
+# canonical frame (the k-square r F r), and an SVD only in op_norm and in
 # canonicalize's thin SVD (its body, _canonical) of a Kraus stack with fewer
-# columns than its process operator's side; both canonical routes order
-# their eigenpairs through canonical_eig.  A new factorization edits these
-# pins on purpose.
+# columns than its process operator's side; the canonical routes and the
+# lift order their eigenpairs through canonical_eig.  A new factorization
+# edits these pins on purpose.
 FACTORIZATION_SITES = {
     "cholesky": {},  # a PSD verdict is is_psd's eigvalsh: no second route
-    "eigh": {"norms._ascend": 1, "numerics.herm_eig": 1},
+    "eigh": {"norms._ascend": 1, "numerics.herm_eig": 1, "radon._lifted": 1},
     "svd": {"cpmap._canonical": 1, "numerics.op_norm": 1},
-    "canonical_eig": {"cpmap._canonical": 1, "numerics.herm_eig": 1},
+    "canonical_eig": {"cpmap._canonical": 1, "numerics.herm_eig": 1, "radon._lifted": 1},
 }
 
 
@@ -233,9 +234,9 @@ def test_factorizations_only_at_their_sites(name):
     assert _call_sites(name) == FACTORIZATION_SITES[name]
 
 
-# Every density is a density of a map, and reconstruction reweights a Kraus
-# family (T - S reweights T's by 1 - D_T(S)), so a process operator becomes
-# a Kraus family only where none is at hand: the sum C1 + C2, which is
+# Every density is a density of a map, and reconstruction lifts a density
+# through T's canonical family (T - S lifts 1 - D_T(S)), so a process operator
+# becomes a Kraus family only where none is at hand: the sum C1 + C2, which is
 # exactly symmetric in the two maps where their union family's SVD is not.
 FROM_CHOI_SITES = {"norms._bound_rn": 1}
 
